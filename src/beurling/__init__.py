@@ -20,14 +20,7 @@ from .hypothesis import (
     tail_sup,
     zhang_condition,
 )
-from .semigroup import (
-    EnumerationResult,
-    GenInteger,
-    enumerate_integers,
-    iter_integers,
-    jump_arrays,
-    von_mangoldt,
-)
+from .semigroup import EnumerationResult, GenInteger, enumerate_integers, jump_arrays
 from .systems import PrimeSequence, PrimeSystemSpec, materialize, rational_primes_below
 from .zeta import (
     BoundaryScan,
@@ -67,7 +60,6 @@ __all__ = [
     "estimate_density",
     "fourier_E1_boundary",
     "g_eval",
-    "iter_integers",
     "jump_arrays",
     "l1_condition",
     "laplace_psi",
@@ -77,7 +69,6 @@ __all__ = [
     "omega_lemma_check",
     "rational_primes_below",
     "tail_sup",
-    "von_mangoldt",
     "zeta_dirichlet",
     "zeta_euler",
     "zeta_stieltjes",

@@ -157,7 +157,7 @@ def _run_identity(cfg: RunConfig, primes, table, out: Path):
                          cfg.check_param("identity", "sigma_hi", 3.0), 5)
     ts = np.linspace(cfg.check_param("identity", "t_lo", -5.0),
                      cfg.check_param("identity", "t_hi", 5.0), 4)
-    psi_total = float(table.prefix_lambda[-1]) if table.total_count else 0.0
+    psi_total = float(table.cum_lambda[-1])
     rows = []
     worst = 0.0
     ok = True
@@ -238,24 +238,22 @@ def _run_checks(cfg: RunConfig, primes, table, out: Path) -> dict:
     return reports
 
 
-def _write_summary(cfg: RunConfig, reports: dict, out: Path) -> None:
-    summary = {
-        "system": {
-            "variant": cfg.spec.variant,
-            "params": list(cfg.spec.params),
-        },
-        "bound": cfg.bound,
-        "density_a": cfg.density_a,
-        "verdicts": {name: rep.get("verdict") for name, rep in reports.items()},
-    }
+def _write_summary(reports: dict, out: Path) -> None:
+    """summary.json from per-check reports, as ``check`` and ``report`` both write it."""
+    params = list(reports.values())[-1]["parameters"]
     headline = {}
     for name, rep in reports.items():
-        if "checkpoints" in rep and rep["checkpoints"]:
+        if rep.get("checkpoints"):
             headline[name] = rep["checkpoints"][-1][1]
         elif "ratio_min" in rep:
             headline[name] = [rep["ratio_min"], rep["ratio_max"]]
-    summary["headline"] = headline
-    _write_json(out / "summary.json", summary)
+    _write_json(out / "summary.json", {
+        "system": {"variant": params["variant"], "params": params["params"]},
+        "bound": params["bound"],
+        "density_a": params["density_a"],
+        "verdicts": {name: rep.get("verdict") for name, rep in reports.items()},
+        "headline": headline,
+    })
 
 
 _common_options = [
@@ -274,7 +272,6 @@ _common_options = [
                  default=None, help="System variant (overrides config)."),
     click.option("--params", type=str, default=None,
                  help="Comma list of variant parameters (primes, q, or scale c)."),
-    click.option("--seed", type=int, default=None, help="Reserved; the core is deterministic."),
 ]
 
 
@@ -327,7 +324,7 @@ def main():
 @click.option("--dump/--no-dump", default=True,
               help="Write enumeration.csv (TAB-separated value/exponents/lambda records).")
 def gen(config_path, bound, density_a, output_dir, formats, max_integers,
-        variant, params, seed, dump):
+        variant, params, dump):
     """Enumerate the generalized integers and write enumeration/counting files."""
     cfg = _load(config_path, bound, density_a, output_dir, formats, max_integers, variant, params)
     out = _outdir(cfg)
@@ -351,7 +348,7 @@ def gen(config_path, bound, density_a, output_dir, formats, max_integers,
 @click.option("--checks", "checks_text", type=str, default=None,
               help="Comma list from {l1, zhang, little-o, chebyshev, identity, boundary}.")
 def check(config_path, bound, density_a, output_dir, formats, max_integers,
-          variant, params, seed, checks_text):
+          variant, params, checks_text):
     """Run the requested hypothesis checks and write per-check reports."""
     cfg = _load(config_path, bound, density_a, output_dir, formats, max_integers,
                 variant, params, checks=_parse_list(checks_text) if checks_text else None)
@@ -368,7 +365,7 @@ def check(config_path, bound, density_a, output_dir, formats, max_integers,
         counting.write_counting_csv(table, out / "counting.csv")
     reports = _run_checks(cfg, primes, table, out)
     if "json" in cfg.formats:
-        _write_summary(cfg, reports, out)
+        _write_summary(reports, out)
     _run_log(out, cfg, "check")
     for name, rep in reports.items():
         click.echo(f"{name}: {rep.get('verdict')}")
@@ -383,7 +380,7 @@ def check(config_path, bound, density_a, output_dir, formats, max_integers,
 @click.option("--t-hi", type=float, default=5.0)
 @click.option("--t-steps", type=int, default=5)
 def zeta_sweep(config_path, bound, density_a, output_dir, formats, max_integers,
-               variant, params, seed, sigma_lo, sigma_hi, sigma_steps, t_lo, t_hi, t_steps):
+               variant, params, sigma_lo, sigma_hi, sigma_steps, t_lo, t_hi, t_steps):
     """Evaluate zeta by all three methods on a grid and write zeta_sweep.csv."""
     cfg = _load(config_path, bound, density_a, output_dir, formats, max_integers, variant, params)
     if sigma_lo <= 1.0:
@@ -415,7 +412,7 @@ def zeta_sweep(config_path, bound, density_a, output_dir, formats, max_integers,
 @main.command(name="identity-check")
 @common_options
 def identity_check(config_path, bound, density_a, output_dir, formats, max_integers,
-                   variant, params, seed):
+                   variant, params):
     """Compare the psi Laplace transform against -zeta'/(s zeta) on a grid."""
     cfg = _load(config_path, bound, density_a, output_dir, formats, max_integers, variant, params)
     out = _outdir(cfg)
@@ -436,7 +433,7 @@ def identity_check(config_path, bound, density_a, output_dir, formats, max_integ
 @main.command(name="boundary-scan")
 @common_options
 def boundary_scan_cmd(config_path, bound, density_a, output_dir, formats, max_integers,
-                      variant, params, seed):
+                      variant, params):
     """Scan the boundary values G(1+it) and report the floor-clearing interval."""
     cfg = _load(config_path, bound, density_a, output_dir, formats, max_integers, variant, params)
     if cfg.density_a is None:
@@ -466,23 +463,10 @@ def report(output_dir):
         click.echo(f"error: no report-*.json files in {out}", err=True)
         sys.exit(2)
     reports = {}
-    params = None
     for path in files:
         rep = json.loads(path.read_text())
         reports[rep["check"]] = rep
-        params = rep.get("parameters", params)
-    summary = {
-        "system": {"variant": params["variant"], "params": params["params"]},
-        "bound": params["bound"],
-        "density_a": params["density_a"],
-        "verdicts": {name: rep.get("verdict") for name, rep in reports.items()},
-        "headline": {
-            name: rep["checkpoints"][-1][1]
-            for name, rep in reports.items()
-            if rep.get("checkpoints")
-        },
-    }
-    _write_json(out / "summary.json", summary)
+    _write_summary(reports, out)
     click.echo(f"wrote {out / 'summary.json'}")
 
 

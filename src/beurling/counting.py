@@ -1,12 +1,12 @@
 """Counting structures: N(x), psi(x) and their normalized forms.
 
 A :class:`CountingTable` is a sorted jump table over the log values of the
-enumerated generalized integers, with prefix counts and prefix von Mangoldt
-weights.  Queries follow the strict convention: N(x) counts n_k < x and
-psi(x) sums Lambda(n_k) over n_k < x, so a query landing exactly on a jump
-excludes it.  The Heaviside convention is H(0) = 0 (characteristic function
-of the open half line), hence the normalized error E1(u) = e^{-u} N(e^u) - a
-for u > 0 and e^{-u} N(e^u) for u <= 0.
+enumerated generalized integers, with cumulative von Mangoldt weights.
+Queries follow the strict convention: N(x) counts n_k < x and psi(x) sums
+Lambda(n_k) over n_k < x, so a query landing exactly on a jump excludes it.
+The Heaviside convention is H(0) = 0 (characteristic function of the open
+half line), hence the normalized error E1(u) = e^{-u} N(e^u) - a for u > 0
+and e^{-u} N(e^u) for u <= 0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import semigroup
-from .semigroup import DEFAULT_MAX_INTEGERS, EnumerationResult, von_mangoldt
+from .semigroup import DEFAULT_MAX_INTEGERS, EnumerationResult
 from .systems import PrimeSequence
 
 # Jump log values are accumulated sums of prime logs, so a query point that
@@ -36,8 +36,7 @@ class CountingTable:
 
     jump_logs: np.ndarray      # sorted log values, with multiplicity
     lambdas: np.ndarray        # Lambda weight of each jump
-    prefix_count: np.ndarray   # cumulative counts (1, 2, ..., n)
-    prefix_lambda: np.ndarray  # cumulative Lambda weights
+    cum_lambda: np.ndarray     # Lambda summed over the first k jumps, k = 0..n
     bound: float
     a: float | None = None     # declared density, optional
 
@@ -69,9 +68,7 @@ class CountingTable:
 
     def psi(self, x):
         """psi(x): sum of Lambda over generalized integers below x."""
-        k = self._index_below(x)
-        pref = np.concatenate(([0.0], self.prefix_lambda))
-        out = pref[k]
+        out = self.cum_lambda[self._index_below(x)]
         return out if np.ndim(x) else float(out)
 
     def normalized_error(self, u):
@@ -91,33 +88,17 @@ class CountingTable:
         if np.any(u < 0) or np.any(u > self.log_bound):
             raise ValueError("u must lie in [0, log bound]")
         k = np.searchsorted(self.jump_logs, u - QUERY_EPS, side="left")
-        pref = np.concatenate(([0.0], self.prefix_lambda))
-        out = np.exp(-u) * pref[k]
+        out = np.exp(-u) * self.cum_lambda[k]
         return out if out.ndim else float(out)
 
 
 def build_table(
-    en,
+    en: EnumerationResult,
     primes: PrimeSequence,
     a: float | None = None,
-    bound: float | None = None,
 ) -> CountingTable:
-    """Build a table from an enumeration.
-
-    ``en`` may be an :class:`EnumerationResult` or any iterable of
-    :class:`~beurling.semigroup.GenInteger` (e.g. the streaming generator), in
-    which case ``bound`` must be given explicitly.
-    """
-    if isinstance(en, EnumerationResult):
-        bound = en.bound
-    elif bound is None:
-        raise ValueError("bound is required when streaming without an EnumerationResult")
-    logs = []
-    lams = []
-    for g in en:
-        logs.append(g.log_value)
-        lams.append(von_mangoldt(g, primes))
-    return _assemble(np.asarray(logs), np.asarray(lams), float(bound), a)
+    """Build a table from the columns of an enumeration of ``primes``."""
+    return _assemble(en.logs, en.lambdas, en.bound, a)
 
 
 def build_table_from_system(
@@ -135,8 +116,7 @@ def _assemble(logs: np.ndarray, lams: np.ndarray, bound: float, a) -> CountingTa
     return CountingTable(
         jump_logs=logs,
         lambdas=lams,
-        prefix_count=np.arange(1, len(logs) + 1),
-        prefix_lambda=np.cumsum(lams),
+        cum_lambda=np.concatenate(([0.0], np.cumsum(lams))),
         bound=bound,
         a=a,
     )

@@ -372,7 +372,7 @@ def chebyshev_verdict(table: CountingTable, x_lo: float, x_hi: float) -> Chebysh
         raise ValueError(f"window must lie in (1, bound={table.bound}]")
     u = table.jump_logs
     lam = table.lambdas
-    pref = table.prefix_lambda
+    pref = table.cum_lambda[1:]  # psi just after each jump
     mask = (u >= math.log(x_lo)) & (u <= math.log(x_hi)) & (lam > 0)
     xj = np.exp(u[mask])
     after = pref[mask] / xj          # limit from the right of each jump

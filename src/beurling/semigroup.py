@@ -1,30 +1,35 @@
 """Enumeration of generalized integers (the free commutative monoid on P).
 
-The generator scheme is a min-heap seeded with the unit: popping n emits it
-and pushes n * p_j for every prime index j >= max_prime_index(n) whose product
-stays below the bound.  Every exponent vector is produced exactly once, in
-non-decreasing order of value; coincident prime values at distinct indices
-yield distinct generalized integers (multiset semantics).
+One min-heap, seeded with the unit, produces every generalized integer below
+the bound: popping row n pushes n * p_j for every prime index j >= the largest
+prime index of n whose product stays below the bound.  Each exponent vector is
+produced exactly once, in non-decreasing order of value; coincident prime
+values at distinct indices yield distinct generalized integers (multiset
+semantics).
 
-Two routes are provided:
+The heap records three typed columns per row and nothing else: the log value,
+the parent row (the row it was pushed from; -1 for the unit) and the largest
+prime index.  Everything else is derived from them:
 
-* :func:`iter_integers` / :func:`enumerate_integers` -- full
-  :class:`GenInteger` objects carrying sparse exponent vectors, with
-  deterministic lexicographic tie-breaking.  Use for dumps, inspection and
-  small systems.
-* :func:`jump_arrays` -- a lean variant of the same heap scheme that tracks
-  only (log value, von Mangoldt weight).  It is several times faster and is
-  what the counting-table builder consumes for large bounds.  Within a group
-  of exactly equal log values the two routes may order elements differently;
-  prefix counts and prefix Lambda sums are unaffected because strict-inequality
-  queries never split such a group.
+* the von Mangoldt weight, by following parent pointers to the row's smallest
+  prime index: a row is a prime power exactly when that equals its largest;
+* the order inside groups of exactly equal log values, dense-lexicographic on
+  the exponent vectors (rebuilt for tied rows only, so systems without ties
+  skip this step);
+* the sparse exponent vectors, rebuilt parent-to-child when iterating an
+  :class:`EnumerationResult` or writing a dump.
+
+:func:`enumerate_integers` returns all columns and :func:`jump_arrays` only
+(log value, Lambda weight); both come from the same heap in the same row order.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,22 +38,17 @@ from .systems import PrimeSequence
 
 DEFAULT_MAX_INTEGERS = 10**8
 
-LOG_ROUNDING_TOL = 1e-12  # relative slack between log_value and the exponent sum
 
-
-class GenInteger:
-    """One generalized integer: log-value plus sparse exponent vector.
+class GenInteger(NamedTuple):
+    """One row of an enumeration: log-value plus sparse exponent vector.
 
     ``exponents`` is a tuple of (prime_index, exponent) pairs with ascending
     indices and positive exponents; the unit is the empty tuple with
     log_value 0.
     """
 
-    __slots__ = ("log_value", "exponents")
-
-    def __init__(self, log_value: float, exponents: tuple):
-        self.log_value = log_value
-        self.exponents = exponents
+    log_value: float
+    exponents: tuple
 
     @property
     def value(self) -> float:
@@ -62,110 +62,116 @@ class GenInteger:
     def prime_power(self) -> bool:
         return len(self.exponents) == 1
 
-    def __repr__(self):
-        return f"GenInteger(value={self.value:.6g}, exponents={self.exponents})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GenInteger)
-            and self.log_value == other.log_value
-            and self.exponents == other.exponents
-        )
-
-    def __hash__(self):
-        return hash((self.log_value, self.exponents))
-
-
-class _LexKey:
-    """Dense-lexicographic order on sparse exponent vectors, for value ties.
-
-    Comparing position by position from prime index 0, a missing entry counts
-    as exponent 0, and the smaller exponent at the first differing position
-    wins.  Only consulted by the heap when two log values compare equal.
-    """
-
-    __slots__ = ("exps",)
-
-    def __init__(self, exps: tuple):
-        self.exps = exps
-
-    def __eq__(self, other):
-        return self.exps == other.exps
-
-    def __lt__(self, other):
-        a, b = self.exps, other.exps
-        i = j = 0
-        while i < len(a) and j < len(b):
-            ia, ea = a[i]
-            ib, eb = b[j]
-            if ia < ib:
-                return False  # a positive where b is 0
-            if ib < ia:
-                return True
-            if ea != eb:
-                return ea < eb
-            i += 1
-            j += 1
-        return i == len(a) and j < len(b)
-
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """All generalized integers below ``bound``, sorted by log value."""
+    """All generalized integers below ``bound`` as row columns, sorted by log value.
 
-    integers: list
+    Row 0 is the unit.  ``parent[r]`` is the row that r was generated from
+    (r divided by its largest prime), so it always precedes r; ``index[r]`` is
+    that largest prime index.  Both are -1 for the unit.  Iterating yields
+    :class:`GenInteger` rows.
+    """
+
+    logs: np.ndarray     # float64 log values, non-decreasing
+    lambdas: np.ndarray  # float64 von Mangoldt weights
+    parent: np.ndarray   # C int (int32)
+    index: np.ndarray    # C int (int32)
     bound: float
 
     def __len__(self):
-        return len(self.integers)
+        return len(self.logs)
 
     def __iter__(self):
-        return iter(self.integers)
+        exps = [()] * len(self)
+        for r, (lv, p, j) in enumerate(zip(self.logs.tolist(), self.parent.tolist(),
+                                           self.index.tolist())):
+            if p >= 0:
+                e = exps[p]
+                if e and e[-1][0] == j:
+                    exps[r] = e[:-1] + ((j, e[-1][1] + 1),)
+                else:
+                    exps[r] = e + ((j, 1),)
+            yield GenInteger(lv, exps[r])
 
 
-def iter_integers(primes: PrimeSequence, bound: float, max_count: int = DEFAULT_MAX_INTEGERS):
-    """Yield every generalized integer with value < bound, sorted ascending.
-
-    Emits the unit first.  Ties in value are ordered by lexicographically
-    smaller exponent vector.  Raises :class:`CapacityError` past ``max_count``.
-    """
+def _enumerate(primes: PrimeSequence, bound: float, max_count: int) -> EnumerationResult:
+    """The one heap, plus the columns derived from it."""
     if not math.isfinite(bound) or bound <= 1.0:
         raise ValueError(f"bound must be finite and > 1, got {bound}")
     logs = primes.logs.tolist()
     n = len(logs)
     log_bound = math.log(bound)
-    heap = [(0.0, _LexKey(()), ())]
-    count = 0
+    heap = [(0.0, -1, -1)]  # (log value, largest prime index, parent row)
+    out_logs, out_parent, out_index = array("d"), array("i"), array("i")
     while heap:
-        lv, _, exps = heappop(heap)
-        count += 1
-        if count > max_count:
+        lv, j, p = heappop(heap)
+        row = len(out_logs)
+        if row >= max_count:
             raise CapacityError(f"enumeration exceeded max_count={max_count}")
-        yield GenInteger(lv, exps)
-        start = exps[-1][0] if exps else 0
-        for j in range(start, n):
-            clv = lv + logs[j]
+        out_logs.append(lv)
+        out_parent.append(p)
+        out_index.append(j)
+        for k in range(j if j > 0 else 0, n):
+            clv = lv + logs[k]
             if clv >= log_bound:
                 break  # logs are non-decreasing
-            if exps and exps[-1][0] == j:
-                cexps = exps[:-1] + ((j, exps[-1][1] + 1),)
-            else:
-                cexps = exps + ((j, 1),)
-            heappush(heap, (clv, _LexKey(cexps), cexps))
+            heappush(heap, (clv, k, row))
+    row_logs = np.frombuffer(out_logs)
+    parent = np.frombuffer(out_parent, dtype=np.intc)
+    index = np.frombuffer(out_index, dtype=np.intc)
+
+    # Pointer jumping: top[r] becomes the ancestor just below the unit, whose
+    # index is the smallest prime index of r.
+    rows = np.arange(len(parent), dtype=np.intc)
+    top = np.where(parent > 0, parent, rows)
+    while True:
+        nxt = top[top]
+        if np.array_equal(nxt, top):
+            break
+        top = nxt
+    power = index[top] == index
+    power[0] = False
+    lambdas = np.zeros(len(parent))
+    lambdas[power] = primes.logs[index[power]]
+
+    tied = np.flatnonzero(row_logs[1:] == row_logs[:-1])
+    if tied.size:
+        tied = np.union1d(tied, tied + 1)
+        dense = _dense_exponents(tied, parent, index, primes, log_bound)
+        order = rows.copy()
+        order[tied] = tied[np.lexsort((*dense.T[::-1], row_logs[tied]))]
+        inverse = np.empty_like(order)
+        inverse[order] = rows
+        parent = inverse[parent[order]]
+        parent[0] = -1
+        index = index[order]
+        lambdas = lambdas[order]
+    return EnumerationResult(row_logs, lambdas, parent, index, float(bound))
+
+
+def _dense_exponents(rows, parent, index, primes: PrimeSequence, log_bound: float):
+    """Dense exponent vectors of ``rows``, counted by walking up parent pointers."""
+    max_exponent = int(log_bound / primes.logs[0])
+    dense = np.zeros((len(rows), len(primes)), dtype=np.min_scalar_type(max_exponent))
+    at, k = rows, np.arange(len(rows))
+    while at.size:
+        dense[k, index[at]] += 1
+        at = parent[at]
+        live = at > 0
+        at, k = at[live], k[live]
+    return dense
 
 
 def enumerate_integers(
     primes: PrimeSequence, bound: float, max_count: int = DEFAULT_MAX_INTEGERS
 ) -> EnumerationResult:
-    """Materialized form of :func:`iter_integers`."""
-    return EnumerationResult(list(iter_integers(primes, bound, max_count)), float(bound))
+    """Every generalized integer with value < bound, sorted ascending.
 
-
-def von_mangoldt(n: GenInteger, primes: PrimeSequence) -> float:
-    """log p_j when n = p_j^m (m >= 1), else 0 (including the unit)."""
-    if n.prime_power:
-        return float(primes.logs[n.exponents[0][0]])
-    return 0.0
+    Row 0 is the unit.  Ties in value are ordered by lexicographically smaller
+    dense exponent vector.  Raises :class:`CapacityError` past ``max_count``.
+    """
+    return _enumerate(primes, bound, max_count)
 
 
 def jump_arrays(
@@ -173,47 +179,32 @@ def jump_arrays(
 ):
     """Sorted log values and Lambda weights of all generalized integers < bound.
 
-    Same heap scheme as :func:`iter_integers` but carrying only (log value,
-    max prime index, prime-power base index), so no exponent tuples are built.
-    Returns ``(logs, lambdas)`` as float arrays of equal length.
+    The ``logs`` and ``lambdas`` columns of :func:`enumerate_integers`, in the
+    same row order.  Returns ``(logs, lambdas)`` as float arrays of equal length.
     """
-    if not math.isfinite(bound) or bound <= 1.0:
-        raise ValueError(f"bound must be finite and > 1, got {bound}")
-    logs = primes.logs.tolist()
-    n = len(logs)
-    log_bound = math.log(bound)
-    # entry: (log_value, start_index, base); base = -1 unit, -2 composite,
-    # j >= 0 for the prime power p_j^m
-    heap = [(0.0, 0, -1)]
-    out_logs: list = []
-    out_lam: list = []
-    count = 0
-    while heap:
-        lv, start, base = heappop(heap)
-        count += 1
-        if count > max_count:
-            raise CapacityError(f"enumeration exceeded max_count={max_count}")
-        out_logs.append(lv)
-        out_lam.append(logs[base] if base >= 0 else 0.0)
-        j = start
-        while j < n:
-            clv = lv + logs[j]
-            if clv >= log_bound:
-                break
-            cbase = j if (base == -1 or base == j) else -2
-            heappush(heap, (clv, j, cbase))
-            j += 1
-    return np.asarray(out_logs), np.asarray(out_lam)
+    en = _enumerate(primes, bound, max_count)
+    return en.logs, en.lambdas
 
 
 def write_dump(en, primes: PrimeSequence, path) -> None:
     """Raw text dump, one record per integer: value<TAB>exponents<TAB>lambda.
 
     The exponent vector is serialized as ``i:a,j:b`` pairs with ascending
-    prime index; the unit has an empty exponent field.
+    prime index; the unit has an empty exponent field.  Fields are built
+    parent-to-child: a row either raises its parent's last exponent or appends
+    a new ``j:1`` pair to its parent's field.
     """
+    index = en.index.tolist()
+    heads = [""] * len(en)  # each row's field before its last pair
+    lasts = [0] * len(en)   # the exponent of that last pair
+    rows = zip(en.logs.tolist(), en.parent.tolist(), index, en.lambdas.tolist())
     with open(path, "w") as fh:
-        for g in en:
-            exps = ",".join(f"{i}:{e}" for i, e in g.exponents)
-            lam = von_mangoldt(g, primes)
-            fh.write(f"{g.value:.17g}\t{exps}\t{lam:.17g}\n")
+        for r, (lv, p, j, lam) in enumerate(rows):
+            field = ""
+            if p >= 0:
+                if p and index[p] != j:
+                    heads[r], lasts[r] = f"{heads[p]}{index[p]}:{lasts[p]},", 1
+                else:
+                    heads[r], lasts[r] = heads[p], lasts[p] + 1
+                field = f"{heads[r]}{j}:{lasts[r]}"
+            fh.write(f"{math.exp(lv):.17g}\t{field}\t{lam:.17g}\n")

@@ -137,7 +137,7 @@ def laplace_psi(table: CountingTable, s: complex) -> complex:
     s = complex(s)
     if s.real <= 0:
         raise DomainError(f"Re s must be positive, got {s}")
-    psi_total = float(table.prefix_lambda[-1]) if table.total_count else 0.0
+    psi_total = float(table.cum_lambda[-1])
     acc = complex(np.sum(table.lambdas * np.exp(-s * table.jump_logs)))
     return (acc - psi_total * table.bound ** complex(-s)) / s
 

@@ -93,7 +93,7 @@ def test_criterion_4_laplace_identity(rational_1e6):
     closed_err = max(abs(lap - math.log(2) / 6.0), abs(lap - rhs))
 
     primes, table = rational_1e6.value
-    psi_total = float(table.prefix_lambda[-1])
+    psi_total = float(table.cum_lambda[-1])
     worst_excess = -math.inf
     count = 0
     for sigma in np.linspace(1.5, 3.0, 5):

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from beurling.cli import main
+from conftest import brute_force_enumerate
 
 
 @pytest.fixture
@@ -39,6 +40,29 @@ def test_gen_small_system(runner, tmp_path):
     counting = (tmp_path / "o" / "counting.csv").read_text().splitlines()
     assert counting[0] == "x,N,psi,psi_over_x,E1_log_x"
     assert (tmp_path / "o" / "run.log").exists()
+
+
+def test_gen_dump_matches_oracle_on_ties(runner, tmp_path):
+    values, bound = [2, 2, 3], 50
+    res = runner.invoke(main, [
+        "gen", "--variant", "explicit-list", "--params", "2,2,3",
+        "--bound", str(bound), "--dump", "--out", str(tmp_path / "o"),
+    ])
+    assert res.exit_code == 0, res.output
+    got = (tmp_path / "o" / "enumeration.csv").read_text().splitlines()
+
+    def dense(exps):
+        return [dict(exps).get(i, 0) for i in range(len(values))]
+
+    oracle = sorted(brute_force_enumerate(values, bound), key=lambda r: (r[0], dense(r[1])))
+    want = []
+    for lv, exps in oracle:
+        lam = math.log(values[exps[0][0]]) if len(exps) == 1 else 0.0
+        field = ",".join(f"{i}:{e}" for i, e in exps)
+        want.append(f"{math.exp(lv):.17g}\t{field}\t{lam:.17g}")
+    assert len(got) == len(want) == 43
+    for g, w in zip(got, want):
+        assert g == w
 
 
 def test_check_requires_density_before_writing(runner, tmp_path):
@@ -198,6 +222,20 @@ def test_report_aggregates(runner, tmp_path):
     summary = read_json(out / "summary.json")
     assert set(summary["verdicts"]) == {"l1", "zhang"}
     assert summary["system"]["variant"] == "rational-primes"
+
+
+def test_report_rebuilds_check_summary(runner, tmp_path):
+    out = tmp_path / "o"
+    res = runner.invoke(main, [
+        "check", "--variant", "rational-primes", "--bound", "1000",
+        "--density-a", "1", "--checks", "l1,chebyshev", "--out", str(out),
+    ])
+    assert res.exit_code == 0, res.output
+    written = (out / "summary.json").read_bytes()
+    (out / "summary.json").unlink()
+    res = runner.invoke(main, ["report", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert (out / "summary.json").read_bytes() == written
 
 
 def test_report_empty_dir(runner, tmp_path):

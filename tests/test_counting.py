@@ -22,7 +22,9 @@ def table_for(values, bound, a=None):
 def test_build_examples():
     _, t = table_for([2, 3], 13)
     assert t.total_count == 8
-    assert t.prefix_count.tolist() == list(range(1, 9))
+    # counts just past each jump 1, 2, 3, 4, 6, 8, 9, 12
+    past_jumps = np.array([1.5, 2.5, 3.5, 4.5, 6.5, 8.5, 9.5, 12.5])
+    assert t.count_n(past_jumps).tolist() == list(range(1, 9))
 
     seq = materialize(PrimeSystemSpec.explicit([7.0]), 5.0)  # empty below bound
     t = build_table_from_system(seq, 5.0)
@@ -38,7 +40,7 @@ def test_build_table_from_enumeration_agrees():
     t2 = build_table_from_system(seq, 200, a=1.0)
     assert t1.total_count == t2.total_count
     assert np.array_equal(np.sort(t1.jump_logs), np.sort(t2.jump_logs))
-    assert t1.prefix_lambda[-1] == pytest.approx(t2.prefix_lambda[-1], rel=1e-14)
+    assert t1.cum_lambda[-1] == pytest.approx(t2.cum_lambda[-1], rel=1e-14)
 
 
 def test_count_examples(rational_1e4):
@@ -102,7 +104,8 @@ def test_psi_equals_resummation(rational_1e4):
     _, t = rational_1e4
     # prefix sums in table order reproduce a direct cumulative sum exactly
     direct = np.cumsum(t.lambdas)
-    assert np.array_equal(direct, t.prefix_lambda)
+    assert np.array_equal(direct, t.cum_lambda[1:])
+    assert t.cum_lambda[0] == 0.0
 
 
 def test_count_matches_raw_enumeration(rational_1e4, rng):

@@ -8,10 +8,8 @@ from beurling import (
     CapacityError,
     PrimeSystemSpec,
     enumerate_integers,
-    iter_integers,
     jump_arrays,
     materialize,
-    von_mangoldt,
     zeta_euler,
 )
 from beurling.semigroup import write_dump
@@ -58,18 +56,19 @@ def test_empty_system_yields_unit():
     assert len(seq) == 0
     en = enumerate_integers(seq, 100)
     assert len(en) == 1
-    unit = en.integers[0]
+    unit = next(iter(en))
     assert unit.log_value == 0.0 and unit.exponents == ()
     assert unit.max_prime_index == -1 and not unit.prime_power
 
 
 def test_von_mangoldt():
     seq = system([2, 3], 20)
-    by_value = {round(g.value): g for g in enumerate_integers(seq, 20)}
-    assert von_mangoldt(by_value[8], seq) == pytest.approx(math.log(2), abs=1e-15)
-    assert von_mangoldt(by_value[9], seq) == pytest.approx(math.log(3), abs=1e-15)
-    assert von_mangoldt(by_value[6], seq) == 0.0
-    assert von_mangoldt(by_value[1], seq) == 0.0
+    en = enumerate_integers(seq, 20)
+    lam = {round(g.value): w for g, w in zip(en, en.lambdas.tolist())}
+    assert lam[8] == pytest.approx(math.log(2), abs=1e-15)
+    assert lam[9] == pytest.approx(math.log(3), abs=1e-15)
+    assert lam[6] == 0.0
+    assert lam[1] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -107,7 +106,7 @@ def test_log_value_consistent_with_exponents():
 def test_no_duplicate_exponent_vectors():
     seq = system([2, 2, 3, 5], 300)
     seen = set()
-    for g in iter_integers(seq, 300):
+    for g in enumerate_integers(seq, 300):
         assert g.exponents not in seen
         seen.add(g.exponents)
 
@@ -118,13 +117,29 @@ def test_jump_arrays_matches_generic_route():
         logs, lams = jump_arrays(seq, bound)
         en = enumerate_integers(seq, bound)
         gen_logs = [g.log_value for g in en]
-        gen_lams = [von_mangoldt(g, seq) for g in en]
-        assert sorted(logs.tolist()) == sorted(gen_logs)
-        # within a tie group the two routes may order differently; compare
-        # the (log, lambda) multisets
-        assert Counter(zip(logs.tolist(), lams.tolist())) == Counter(
-            zip(gen_logs, gen_lams)
-        )
+        assert logs.tolist() == gen_logs
+        assert lams.tolist() == en.lambdas.tolist()
+        # Lambda is log p on prime powers p^m and 0 elsewhere, unit included
+        for g, w in zip(en, lams.tolist()):
+            assert w == (seq.logs[g.exponents[0][0]] if g.prime_power else 0.0)
+
+
+@pytest.mark.parametrize(
+    "values,bound", [([2, 2], 200), ([2, 2, 3], 500), ([1.5, 1.5, 2.5, 3.5], 400)]
+)
+def test_one_row_order_on_tie_systems(values, bound):
+    seq = system(values, bound)
+    logs, lams = jump_arrays(seq, bound)
+    en = enumerate_integers(seq, bound)
+    assert np.any(logs[1:] == logs[:-1])  # the system has value ties
+    assert np.array_equal(logs, en.logs)
+    assert np.array_equal(lams, en.lambdas)
+    # rows follow (log value, dense exponent vector), and parents precede rows
+    dense = [tuple(dict(g.exponents).get(i, 0) for i in range(len(seq))) for g in en]
+    keys = list(zip(en.logs.tolist(), dense))
+    assert keys == sorted(keys)
+    assert en.parent[0] == -1
+    assert np.all(en.parent[1:] < np.arange(1, len(en)))
 
 
 def test_capacity_error():
