@@ -24,10 +24,12 @@ from .semigroup import EnumerationResult, GenInteger, enumerate_integers, jump_a
 from .systems import PrimeSequence, PrimeSystemSpec, materialize, rational_primes_below
 from .zeta import (
     BoundaryScan,
+    IdentityReport,
     ZetaResult,
     boundary_scan,
     fourier_E1_boundary,
     g_eval,
+    identity_check,
     laplace_psi,
     neg_logderiv,
     zeta_dirichlet,
@@ -45,6 +47,7 @@ __all__ = [
     "DomainError",
     "EnumerationResult",
     "GenInteger",
+    "IdentityReport",
     "IntegralReport",
     "InvalidSystemError",
     "OmegaReport",
@@ -60,6 +63,7 @@ __all__ = [
     "estimate_density",
     "fourier_E1_boundary",
     "g_eval",
+    "identity_check",
     "jump_arrays",
     "l1_condition",
     "laplace_psi",

@@ -1,11 +1,12 @@
 """Batch front end: parse a system config, run checks, emit reports.
 
-Configuration is a flat INI file plus command-line overrides (flag > file >
-default).  Outputs are deterministic: data files carry no timestamps and all
-iteration orders are fixed, so re-running an identical config reproduces the
-files byte for byte; a separate run.log records the wall-clock time.
+Configuration is an INI file plus command-line overrides (flag > file >
+default), with each check's parameters in the INI section named after it; all
+of it is resolved and range-checked before any file is written.  The table
+commands run through one path, ``_run``, over the ``CHECKS`` table.  Data
+files are deterministic; run.log alone records the wall-clock time.
 
-Exit codes: 0 success, 2 validation error, 3 capacity exceeded.
+Exit codes: 0 success, 1 identity-check failed, 2 bad configuration, 3 over capacity.
 """
 
 from __future__ import annotations
@@ -23,14 +24,41 @@ import numpy as np
 
 from . import counting, hypothesis, semigroup, zeta
 from .errors import CapacityError, InvalidSystemError
-from .systems import PrimeSystemSpec, materialize
+from .systems import VARIANTS, PrimeSystemSpec, materialize
 
-ALL_CHECKS = ("l1", "zhang", "little-o", "chebyshev", "identity", "boundary")
+
+def _identity(cfg, primes, table):
+    p = cfg.params["identity"]
+    return zeta.identity_check(table, primes, np.linspace(p["sigma_lo"], p["sigma_hi"], 5),
+                               np.linspace(p["t_lo"], p["t_hi"], 4), cfg.density_a)
+
+
+# Every check: (cfg, primes, table) -> a report with ``to_dict()``.  Entries look
+# their library function up when called, so rebinding a module attribute reaches them.
+CHECKS = {
+    "l1": lambda cfg, primes, table: hypothesis.l1_condition(table, cfg.density_a),
+    "zhang": lambda cfg, primes, table: hypothesis.zhang_condition(table, cfg.density_a),
+    "little-o": lambda cfg, primes, table: hypothesis.little_o_trend(table, cfg.density_a),
+    "chebyshev": lambda cfg, primes, table: hypothesis.chebyshev_verdict(
+        table, cfg.params["chebyshev"]["window_lo"], cfg.params["chebyshev"]["window_hi"]),
+    "identity": _identity,
+    "boundary": lambda cfg, primes, table: zeta.boundary_scan(table, **cfg.params["boundary"]),
+}
 CHECKS_NEEDING_A = {"l1", "zhang", "little-o", "boundary"}
 
+# The checks that also write a CSV: file name, header, and rows from the report.
+CSV_TABLES = {
+    "identity": ("identity.csv", "sigma,t,laplace_re,laplace_im,rhs_re,rhs_im,abs_diff,allowance",
+                 lambda rep: ((sigma, t, lap.real, lap.imag, rhs.real, rhs.imag, diff, allowance)
+                              for sigma, t, lap, rhs, diff, allowance in rep.rows)),
+    "boundary": ("boundary.csv", "t,G_re,G_im,G_abs",
+                 lambda scan: ((t, v.real, v.imag, abs(v)) for t, v in zip(scan.ts, scan.values))),
+}
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+
+def _s_grid_ok(sigma_lo, sigma_hi, t_lo, t_hi) -> bool:
+    """A finite s-grid inside Re s > 1, where the Euler-product side converges."""
+    return all(map(math.isfinite, (sigma_lo, sigma_hi, t_lo, t_hi))) and min(sigma_lo, sigma_hi) > 1.0
 
 
 class ConfigError(Exception):
@@ -46,24 +74,31 @@ class RunConfig:
     output_dir: str = "out"
     formats: tuple = ("csv", "json")
     max_integers: int = semigroup.DEFAULT_MAX_INTEGERS
-    params: dict = field(default_factory=dict)  # per-check parameter sections
+    params: dict = field(default_factory=dict)  # {check: {key: value}}, requested checks only
 
-    def validate(self):
+    def __post_init__(self):
+        """Range-check every field, so that no invalid config exists."""
         if not math.isfinite(self.bound) or self.bound <= 1.0:
             raise ConfigError(f"bound must be finite and > 1, got {self.bound}")
         for c in self.checks:
-            if c not in ALL_CHECKS:
-                raise ConfigError(f"unknown check {c!r}; choose from {', '.join(ALL_CHECKS)}")
+            if c not in CHECKS:
+                raise ConfigError(f"unknown check {c!r}; choose from {', '.join(CHECKS)}")
         need_a = sorted(set(self.checks) & CHECKS_NEEDING_A)
         if need_a and self.density_a is None:
             raise ConfigError(f"checks {', '.join(need_a)} require --density-a (or density_a in [system])")
-        for f in self.formats:
-            if f not in ("csv", "json"):
-                raise ConfigError(f"unknown format {f!r}")
-
-    def check_param(self, section: str, key: str, default, cast=float):
-        sec = self.params.get(section, {})
-        return cast(sec[key]) if key in sec else default
+        if not self.formats or not set(self.formats) <= {"csv", "json"}:
+            raise ConfigError(f"formats must be csv and/or json, got {','.join(self.formats) or 'none'}")
+        if self.max_integers < 1:
+            raise ConfigError(f"max_integers must be at least 1, got {self.max_integers}")
+        cheb = self.params.get("chebyshev")
+        if cheb and not 1.0 < cheb["window_lo"] <= cheb["window_hi"] <= self.bound:
+            raise ConfigError(f"[chebyshev] needs 1 < window_lo <= window_hi <= bound = {self.bound:g}")
+        ident = self.params.get("identity")
+        if ident and not _s_grid_ok(**ident):
+            raise ConfigError("[identity] needs finite values with sigma_lo, sigma_hi > 1")
+        bd = self.params.get("boundary")
+        if bd and not (0.0 < bd["t_max"] < math.inf and bd["points"] >= 2 and bd["floor"] >= 0.0):
+            raise ConfigError("[boundary] needs 0 < t_max < inf, points >= 2 and floor >= 0")
 
 
 def _parse_list(text: str):
@@ -71,247 +106,160 @@ def _parse_list(text: str):
 
 
 def load_config(config_path, overrides) -> RunConfig:
-    """Merge the INI file (if any) with CLI overrides."""
+    """Merge the INI file (if any) with CLI overrides and resolve check parameters."""
     cp = configparser.ConfigParser()
-    if config_path is not None:
-        read = cp.read(config_path)
-        if not read:
+    try:
+        if config_path is not None and not cp.read(config_path):
             raise ConfigError(f"cannot read config file {config_path}")
-    sys_sec = cp["system"] if cp.has_section("system") else {}
-    run_sec = cp["run"] if cp.has_section("run") else {}
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse config file {config_path}: {exc}") from exc
 
-    variant = overrides.get("variant") or sys_sec.get("variant")
+    def pick(key, section, default, cast=str):
+        """Flag > file > default; a value that does not cast is a ConfigError."""
+        value = overrides.get(key)
+        if value is None:
+            value = cp.get(section, key, fallback=None)
+        if value is None:
+            return default
+        try:
+            return cast(value)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad {key} {value!r}: {exc}") from exc
+
+    variant = pick("variant", "system", None)
     if variant is None:
         raise ConfigError("a system variant is required (--variant or [system] variant)")
-    params_text = overrides.get("params")
-    if params_text is None:
-        params_text = sys_sec.get("params", "")
-    params = tuple(float(p) for p in _parse_list(params_text)) if params_text else ()
-
-    density = overrides.get("density_a")
-    if density is None and "density_a" in sys_sec:
-        density = float(sys_sec["density_a"])
-
-    bound = overrides.get("bound")
+    bound = pick("bound", "system", None, float)
     if bound is None:
-        if "bound" not in sys_sec:
-            raise ConfigError("a bound is required (--bound or [system] bound)")
-        bound = float(sys_sec["bound"])
-
-    checks = overrides.get("checks")
-    if checks is None:
-        checks = _parse_list(run_sec.get("checks", ""))
-
-    formats = overrides.get("formats")
-    if formats is None:
-        formats = _parse_list(run_sec.get("formats", "csv, json"))
-
-    out_dir = overrides.get("output_dir") or run_sec.get("output_dir", "out")
-    max_integers = overrides.get("max_integers")
-    if max_integers is None:
-        max_integers = int(float(run_sec.get("max_integers", str(semigroup.DEFAULT_MAX_INTEGERS))))
-
-    per_check = {
-        sec: dict(cp[sec]) for sec in cp.sections() if sec not in ("system", "run")
+        raise ConfigError("a bound is required (--bound or [system] bound)")
+    density = pick("density_a", "system", None, float)
+    checks = pick("checks", "run", (), _parse_list)
+    defaults = {
+        "chebyshev": {"window_lo": min(2.0, bound), "window_hi": bound},
+        "identity": {"sigma_lo": 1.5, "sigma_hi": 3.0, "t_lo": -5.0, "t_hi": 5.0},
+        "boundary": {"t_max": 5.0, "points": 201, "floor": 1e-3},
     }
-    try:
-        spec = PrimeSystemSpec(variant, params, density)
-    except InvalidSystemError as exc:
-        raise ConfigError(str(exc)) from exc
     return RunConfig(
-        spec=spec,
-        bound=float(bound),
+        spec=PrimeSystemSpec(
+            variant, pick("params", "system", (), lambda v: tuple(map(float, _parse_list(v)))), density),
+        bound=bound,
         density_a=density,
-        checks=tuple(checks),
-        output_dir=out_dir,
-        formats=tuple(formats),
-        max_integers=max_integers,
-        params=per_check,
+        checks=checks,
+        output_dir=pick("output_dir", "run", "out"),
+        formats=pick("formats", "run", ("csv", "json"), _parse_list),
+        max_integers=pick("max_integers", "run", semigroup.DEFAULT_MAX_INTEGERS,
+                          lambda v: int(float(v))),
+        params={name: {key: pick(key, name, d, type(d)) for key, d in defaults[name].items()}
+                for name in checks if name in defaults},
     )
 
 
+def _fail(message, code: int):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
+
+
+def _within_capacity(build, *args):
+    """``build(*args)``; an enumeration past max_integers exits 3."""
+    try:
+        return build(*args)
+    except CapacityError as exc:
+        _fail(exc, 3)
+
+
 def _prepare(cfg: RunConfig):
+    """The output directory, the primes and their counting table."""
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     primes = materialize(cfg.spec, cfg.bound)
-    table = counting.build_table_from_system(primes, cfg.bound, cfg.density_a, cfg.max_integers)
-    return primes, table
+    return out, primes, _within_capacity(counting.build_table_from_system, primes, cfg.bound,
+                                         cfg.density_a, cfg.max_integers)
 
 
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _base_report(cfg: RunConfig, name: str) -> dict:
-    return {
-        "check": name,
-        "parameters": {
-            "variant": cfg.spec.variant,
-            "params": list(cfg.spec.params),
-            "bound": cfg.bound,
-            "density_a": cfg.density_a,
-        },
-    }
+def _write_csv(path: Path, header: str, rows) -> None:
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
 
 
-def _run_identity(cfg: RunConfig, primes, table, out: Path):
-    sigmas = np.linspace(cfg.check_param("identity", "sigma_lo", 1.5),
-                         cfg.check_param("identity", "sigma_hi", 3.0), 5)
-    ts = np.linspace(cfg.check_param("identity", "t_lo", -5.0),
-                     cfg.check_param("identity", "t_hi", 5.0), 4)
-    psi_total = float(table.cum_lambda[-1])
-    rows = []
-    worst = 0.0
-    ok = True
-    for sigma in sigmas:
-        for t in ts:
-            s = complex(sigma, t)
-            lap = zeta.laplace_psi(table, s)
-            nld = zeta.neg_logderiv(primes, s, cfg.density_a)
-            rhs = nld.value / s
-            allowance = nld.truncation_bound / abs(s) + psi_total * table.bound ** (-sigma) / sigma + 1e-9
-            diff = abs(lap - rhs)
-            worst = max(worst, diff - allowance)
-            ok = ok and diff <= allowance
-            rows.append((sigma, t, lap, rhs, diff, allowance))
-    if "csv" in cfg.formats:
-        with open(out / "identity.csv", "w") as fh:
-            fh.write("sigma,t,laplace_re,laplace_im,rhs_re,rhs_im,abs_diff,allowance\n")
-            for sigma, t, lap, rhs, diff, allowance in rows:
-                fh.write(",".join(map(_fmt, (sigma, t, lap.real, lap.imag,
-                                             rhs.real, rhs.imag, diff, allowance))) + "\n")
-    rep = _base_report(cfg, "identity")
-    rep["verdict"] = "pass" if ok else "fail"
-    rep["max_excess_over_allowance"] = max(worst, 0.0)
-    rep["grid_points"] = len(rows)
-    rep["caveats"] = ["agreement is within truncation allowances, not exact beyond closed-form systems"]
-    return rep
-
-
-def _run_boundary(cfg: RunConfig, table, out: Path):
-    t_max = cfg.check_param("boundary", "t_max", 5.0)
-    points = cfg.check_param("boundary", "points", 201, int)
-    floor = cfg.check_param("boundary", "floor", 1e-3)
-    scan = zeta.boundary_scan(table, t_max, points, floor)
-    if "csv" in cfg.formats:
-        with open(out / "boundary.csv", "w") as fh:
-            fh.write("t,G_re,G_im,G_abs\n")
-            for t, v in zip(scan.ts, scan.values):
-                fh.write(",".join(map(_fmt, (t, v.real, v.imag, abs(v)))) + "\n")
-    rep = _base_report(cfg, "boundary")
-    rep["verdict"] = f"zero-free-halfwidth={scan.zero_free_halfwidth:.6g}"
-    rep["floor"] = floor
-    rep["t_max"] = t_max
-    rep["caveats"] = ["boundary values truncated at the enumeration bound; diagnostic, not a proof"]
-    return rep
-
-
-def _run_checks(cfg: RunConfig, primes, table, out: Path) -> dict:
-    reports = {}
-    for name in cfg.checks:
-        if name == "l1":
-            r = hypothesis.l1_condition(table, cfg.density_a)
-            rep = _base_report(cfg, "l1")
-            rep.update(r.to_dict())
-        elif name == "zhang":
-            r = hypothesis.zhang_condition(table, cfg.density_a)
-            rep = _base_report(cfg, "zhang")
-            rep.update(r.to_dict())
-        elif name == "little-o":
-            r = hypothesis.little_o_trend(table, cfg.density_a)
-            rep = _base_report(cfg, "little-o")
-            rep.update(r.to_dict())
-        elif name == "chebyshev":
-            lo = cfg.check_param("chebyshev", "window_lo", min(2.0, cfg.bound))
-            hi = cfg.check_param("chebyshev", "window_hi", cfg.bound)
-            r = hypothesis.chebyshev_verdict(table, lo, hi)
-            rep = _base_report(cfg, "chebyshev")
-            rep.update(r.to_dict())
-            rep["verdict"] = (
-                f"ratio_min={r.ratio_min:.12g},ratio_max={r.ratio_max:.12g}"
-            )
-        elif name == "identity":
-            rep = _run_identity(cfg, primes, table, out)
-        elif name == "boundary":
-            rep = _run_boundary(cfg, table, out)
-        reports[name] = rep
-        if "json" in cfg.formats:
-            _write_json(out / f"report-{name}.json", rep)
-    return reports
-
-
-def _write_summary(reports: dict, out: Path) -> None:
+def _write_summary(reports: list, out: Path) -> None:
     """summary.json from per-check reports, as ``check`` and ``report`` both write it."""
-    params = list(reports.values())[-1]["parameters"]
+    params = reports[-1]["parameters"]
     headline = {}
-    for name, rep in reports.items():
+    for rep in reports:
         if rep.get("checkpoints"):
-            headline[name] = rep["checkpoints"][-1][1]
+            headline[rep["check"]] = rep["checkpoints"][-1][1]
         elif "ratio_min" in rep:
-            headline[name] = [rep["ratio_min"], rep["ratio_max"]]
+            headline[rep["check"]] = [rep["ratio_min"], rep["ratio_max"]]
     _write_json(out / "summary.json", {
         "system": {"variant": params["variant"], "params": params["params"]},
         "bound": params["bound"],
         "density_a": params["density_a"],
-        "verdicts": {name: rep.get("verdict") for name, rep in reports.items()},
+        "verdicts": {rep["check"]: rep.get("verdict") for rep in reports},
         "headline": headline,
     })
 
 
-_common_options = [
-    click.option("--config", "config_path", type=click.Path(), default=None,
-                 help="INI config file; CLI flags override it."),
-    click.option("--bound", type=float, default=None, help="Enumeration bound B (> 1)."),
-    click.option("--density-a", type=float, default=None, help="Declared density a > 0."),
-    click.option("--out", "output_dir", type=click.Path(), default=None,
-                 help="Output directory (default: out)."),
-    click.option("--format", "formats", type=str, default=None,
-                 help="Comma list from {csv, json} (default both)."),
-    click.option("--max-integers", type=int, default=None,
-                 help=f"Capacity limit on enumerated integers (default {semigroup.DEFAULT_MAX_INTEGERS})."),
-    click.option("--variant", type=click.Choice(["explicit-list", "rational-primes",
-                                                 "single-prime", "scaled-rational"]),
-                 default=None, help="System variant (overrides config)."),
-    click.option("--params", type=str, default=None,
-                 help="Comma list of variant parameters (primes, q, or scale c)."),
-]
-
-
 def common_options(fn):
-    for opt in reversed(_common_options):
+    for opt in reversed([
+        click.option("--config", "config_path", type=click.Path(), default=None,
+                     help="INI config file; CLI flags override it."),
+        click.option("--bound", type=float, default=None, help="Enumeration bound B (> 1)."),
+        click.option("--density-a", type=float, default=None, help="Declared density a > 0."),
+        click.option("--out", "output_dir", type=click.Path(), default=None,
+                     help="Output directory (default: out)."),
+        click.option("--format", "formats", type=str, default=None,
+                     help="Comma list from {csv, json} (default both)."),
+        click.option("--max-integers", type=int, default=None, help="Capacity limit on enumerated"
+                     f" integers (default {semigroup.DEFAULT_MAX_INTEGERS})."),
+        click.option("--variant", type=click.Choice(VARIANTS), default=None,
+                     help="System variant (overrides config)."),
+        click.option("--params", type=str, default=None,
+                     help="Comma list of variant parameters (primes, q, or scale c)."),
+    ]):
         fn = opt(fn)
     return fn
 
 
-def _load(config_path, bound, density_a, output_dir, formats, max_integers,
-          variant, params, checks=None) -> RunConfig:
-    overrides = {
-        "bound": bound,
-        "density_a": density_a,
-        "output_dir": output_dir,
-        "formats": _parse_list(formats) if formats else None,
-        "max_integers": max_integers,
-        "variant": variant,
-        "params": params,
-        "checks": checks,
-    }
+def _load(opts: dict, checks) -> RunConfig:
+    """The config of a command's common options; a bad one exits 2 before anything
+    is written.  ``checks`` is a comma list, or None to read ``[run] checks``."""
     try:
-        cfg = load_config(config_path, overrides)
-        cfg.validate()
+        return load_config(opts["config_path"], dict(opts, checks=checks))
     except (ConfigError, InvalidSystemError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    return cfg
-
-
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        _fail(exc, 2)
 
 
 def _run_log(out: Path, cfg: RunConfig, command: str) -> None:
     with open(out / "run.log", "a") as fh:
         fh.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S%z')} {command} "
                  f"variant={cfg.spec.variant} bound={cfg.bound} checks={','.join(cfg.checks)}\n")
+
+
+def _run(cfg: RunConfig, command: str):
+    """Build the table, run ``cfg.checks`` and write their reports and run.log,
+    then echo one verdict line per check.  Returns (out, table, reports)."""
+    out, primes, table = _prepare(cfg)
+    parameters = {"variant": cfg.spec.variant, "params": list(cfg.spec.params),
+                  "bound": cfg.bound, "density_a": cfg.density_a}
+    reports = {}
+    for name in cfg.checks:
+        result = CHECKS[name](cfg, primes, table)
+        if name in CSV_TABLES and "csv" in cfg.formats:
+            filename, header, rows = CSV_TABLES[name]
+            _write_csv(out / filename, header, rows(result))
+        reports[name] = {"check": name, "parameters": parameters, **result.to_dict()}
+        if "json" in cfg.formats:
+            _write_json(out / f"report-{name}.json", reports[name])
+    _run_log(out, cfg, command)
+    for name, rep in reports.items():
+        click.echo(f"{name}: {rep['verdict']}")
+    return out, table, reports
 
 
 @click.group()
@@ -323,20 +271,16 @@ def main():
 @common_options
 @click.option("--dump/--no-dump", default=True,
               help="Write enumeration.csv (TAB-separated value/exponents/lambda records).")
-def gen(config_path, bound, density_a, output_dir, formats, max_integers,
-        variant, params, dump):
+def gen(dump, **opts):
     """Enumerate the generalized integers and write enumeration/counting files."""
-    cfg = _load(config_path, bound, density_a, output_dir, formats, max_integers, variant, params)
-    out = _outdir(cfg)
+    cfg = _load(opts, "")
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
     primes = materialize(cfg.spec, cfg.bound)
-    try:
-        en = semigroup.enumerate_integers(primes, cfg.bound, cfg.max_integers)
-    except CapacityError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
+    en = _within_capacity(semigroup.enumerate_integers, primes, cfg.bound, cfg.max_integers)
     if dump and "csv" in cfg.formats:
-        semigroup.write_dump(en, primes, out / "enumeration.csv")
-    table = counting.build_table(en, primes, cfg.density_a)
+        semigroup.write_dump(en, path=out / "enumeration.csv")
+    table = counting.build_table(en, cfg.density_a)
     if "csv" in cfg.formats:
         counting.write_counting_csv(table, out / "counting.csv")
     _run_log(out, cfg, "gen")
@@ -347,28 +291,16 @@ def gen(config_path, bound, density_a, output_dir, formats, max_integers,
 @common_options
 @click.option("--checks", "checks_text", type=str, default=None,
               help="Comma list from {l1, zhang, little-o, chebyshev, identity, boundary}.")
-def check(config_path, bound, density_a, output_dir, formats, max_integers,
-          variant, params, checks_text):
+def check(checks_text, **opts):
     """Run the requested hypothesis checks and write per-check reports."""
-    cfg = _load(config_path, bound, density_a, output_dir, formats, max_integers,
-                variant, params, checks=_parse_list(checks_text) if checks_text else None)
+    cfg = _load(opts, checks_text or None)
     if not cfg.checks:
-        click.echo("error: no checks requested", err=True)
-        sys.exit(2)
-    out = _outdir(cfg)
-    try:
-        primes, table = _prepare(cfg)
-    except CapacityError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
+        _fail("no checks requested", 2)
+    out, table, reports = _run(cfg, "check")
     if "csv" in cfg.formats:
         counting.write_counting_csv(table, out / "counting.csv")
-    reports = _run_checks(cfg, primes, table, out)
     if "json" in cfg.formats:
-        _write_summary(reports, out)
-    _run_log(out, cfg, "check")
-    for name, rep in reports.items():
-        click.echo(f"{name}: {rep.get('verdict')}")
+        _write_summary(list(reports.values()), out)
 
 
 @main.command(name="zeta-sweep")
@@ -379,77 +311,44 @@ def check(config_path, bound, density_a, output_dir, formats, max_integers,
 @click.option("--t-lo", type=float, default=-5.0)
 @click.option("--t-hi", type=float, default=5.0)
 @click.option("--t-steps", type=int, default=5)
-def zeta_sweep(config_path, bound, density_a, output_dir, formats, max_integers,
-               variant, params, sigma_lo, sigma_hi, sigma_steps, t_lo, t_hi, t_steps):
+def zeta_sweep(sigma_lo, sigma_hi, sigma_steps, t_lo, t_hi, t_steps, **opts):
     """Evaluate zeta by all three methods on a grid and write zeta_sweep.csv."""
-    cfg = _load(config_path, bound, density_a, output_dir, formats, max_integers, variant, params)
-    if sigma_lo <= 1.0:
-        click.echo("error: sigma grid must stay in Re s > 1", err=True)
-        sys.exit(2)
-    out = _outdir(cfg)
-    try:
-        primes, table = _prepare(cfg)
-    except CapacityError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-    with open(out / "zeta_sweep.csv", "w") as fh:
-        fh.write("sigma,t,euler_re,euler_im,euler_bound,stieltjes_re,stieltjes_im,"
-                 "stieltjes_bound,dirichlet_re,dirichlet_im,dirichlet_bound\n")
+    cfg = _load(opts, "")
+    if not _s_grid_ok(sigma_lo, sigma_hi, t_lo, t_hi) or min(sigma_steps, t_steps) < 1:
+        _fail("the sigma/t grid must be finite, in Re s > 1, with at least one step each", 2)
+    out, primes, table = _prepare(cfg)
+
+    def rows():
         for sigma in np.linspace(sigma_lo, sigma_hi, sigma_steps):
             for t in np.linspace(t_lo, t_hi, t_steps):
                 s = complex(sigma, t)
                 ze = zeta.zeta_euler(primes, s, cfg.density_a)
                 zs = zeta.zeta_stieltjes(table, s)
                 zd = zeta.zeta_dirichlet(table, s)
-                fh.write(",".join(map(_fmt, (
-                    sigma, t, ze.re, ze.im, ze.truncation_bound,
-                    zs.re, zs.im, zs.truncation_bound,
-                    zd.re, zd.im, zd.truncation_bound))) + "\n")
+                yield (sigma, t, ze.re, ze.im, ze.truncation_bound, zs.re, zs.im,
+                       zs.truncation_bound, zd.re, zd.im, zd.truncation_bound)
+
+    _write_csv(out / "zeta_sweep.csv",
+               "sigma,t,euler_re,euler_im,euler_bound,stieltjes_re,stieltjes_im,"
+               "stieltjes_bound,dirichlet_re,dirichlet_im,dirichlet_bound", rows())
     _run_log(out, cfg, "zeta-sweep")
     click.echo(f"wrote {out / 'zeta_sweep.csv'}")
 
 
 @main.command(name="identity-check")
 @common_options
-def identity_check(config_path, bound, density_a, output_dir, formats, max_integers,
-                   variant, params):
+def identity_check_cmd(**opts):
     """Compare the psi Laplace transform against -zeta'/(s zeta) on a grid."""
-    cfg = _load(config_path, bound, density_a, output_dir, formats, max_integers, variant, params)
-    out = _outdir(cfg)
-    try:
-        primes, table = _prepare(cfg)
-    except CapacityError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-    rep = _run_identity(cfg, primes, table, out)
-    if "json" in cfg.formats:
-        _write_json(out / "report-identity.json", rep)
-    _run_log(out, cfg, "identity-check")
-    click.echo(f"identity: {rep['verdict']}")
-    if rep["verdict"] != "pass":
+    _, _, reports = _run(_load(opts, "identity"), "identity-check")
+    if reports["identity"]["verdict"] != "pass":
         sys.exit(1)
 
 
 @main.command(name="boundary-scan")
 @common_options
-def boundary_scan_cmd(config_path, bound, density_a, output_dir, formats, max_integers,
-                      variant, params):
+def boundary_scan_cmd(**opts):
     """Scan the boundary values G(1+it) and report the floor-clearing interval."""
-    cfg = _load(config_path, bound, density_a, output_dir, formats, max_integers, variant, params)
-    if cfg.density_a is None:
-        click.echo("error: boundary-scan requires --density-a", err=True)
-        sys.exit(2)
-    out = _outdir(cfg)
-    try:
-        primes, table = _prepare(cfg)
-    except CapacityError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-    rep = _run_boundary(cfg, table, out)
-    if "json" in cfg.formats:
-        _write_json(out / "report-boundary.json", rep)
-    _run_log(out, cfg, "boundary-scan")
-    click.echo(f"boundary: {rep['verdict']}")
+    _run(_load(opts, "boundary"), "boundary-scan")
 
 
 @main.command()
@@ -460,13 +359,8 @@ def report(output_dir):
     out = Path(output_dir)
     files = sorted(out.glob("report-*.json"))
     if not files:
-        click.echo(f"error: no report-*.json files in {out}", err=True)
-        sys.exit(2)
-    reports = {}
-    for path in files:
-        rep = json.loads(path.read_text())
-        reports[rep["check"]] = rep
-    _write_summary(reports, out)
+        _fail(f"no report-*.json files in {out}", 2)
+    _write_summary([json.loads(path.read_text()) for path in files], out)
     click.echo(f"wrote {out / 'summary.json'}")
 
 

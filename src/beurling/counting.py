@@ -92,12 +92,8 @@ class CountingTable:
         return out if out.ndim else float(out)
 
 
-def build_table(
-    en: EnumerationResult,
-    primes: PrimeSequence,
-    a: float | None = None,
-) -> CountingTable:
-    """Build a table from the columns of an enumeration of ``primes``."""
+def build_table(en: EnumerationResult, a: float | None = None) -> CountingTable:
+    """Build a table from the columns of an enumeration."""
     return _assemble(en.logs, en.lambdas, en.bound, a)
 
 

@@ -85,6 +85,7 @@ class ChebyshevReport:
             "ratio_min": self.ratio_min,
             "ratio_max": self.ratio_max,
             "grid_size": self.grid_size,
+            "verdict": f"ratio_min={self.ratio_min:.12g},ratio_max={self.ratio_max:.12g}",
         }
 
 

@@ -186,7 +186,7 @@ def jump_arrays(
     return en.logs, en.lambdas
 
 
-def write_dump(en, primes: PrimeSequence, path) -> None:
+def write_dump(en, path) -> None:
     """Raw text dump, one record per integer: value<TAB>exponents<TAB>lambda.
 
     The exponent vector is serialized as ``i:a,j:b`` pairs with ascending

@@ -142,6 +142,51 @@ def laplace_psi(table: CountingTable, s: complex) -> complex:
     return (acc - psi_total * table.bound ** complex(-s)) / s
 
 
+@dataclass(frozen=True)
+class IdentityReport:
+    """The Laplace identity integral psi(e^u) e^{-su} du = -zeta'(s)/(s zeta(s))
+    checked on an s-grid, each point against its truncation allowance."""
+
+    rows: tuple  # ((sigma, t, laplace, rhs, abs_diff, allowance), ...)
+    verdict: str  # pass | fail
+    max_excess: float  # largest abs_diff - allowance, floored at 0
+
+    def to_dict(self):
+        return {
+            "verdict": self.verdict,
+            "max_excess_over_allowance": self.max_excess,
+            "grid_points": len(self.rows),
+            "caveats": ["agreement is within truncation allowances, not exact beyond closed-form systems"],
+        }
+
+
+def identity_check(table: CountingTable, primes: PrimeSequence, sigmas, ts,
+                   a: float | None = None) -> IdentityReport:
+    """Compare :func:`laplace_psi` with :func:`neg_logderiv` / s at every
+    (sigma, t) of the grid.
+
+    A point passes when the difference stays within the allowance: the Euler
+    side's truncation bound over |s|, plus psi(B) B^{-sigma} / sigma for the
+    range beyond B that the transform omits, plus 1e-9 for rounding.
+    """
+    psi_total = float(table.cum_lambda[-1])
+    rows = []
+    worst = 0.0
+    ok = True
+    for sigma in sigmas:
+        for t in ts:
+            s = complex(sigma, t)
+            lap = laplace_psi(table, s)
+            nld = neg_logderiv(primes, s, a)
+            rhs = nld.value / s
+            allowance = nld.truncation_bound / abs(s) + psi_total * table.bound ** (-sigma) / sigma + 1e-9
+            diff = abs(lap - rhs)
+            worst = max(worst, diff - allowance)
+            ok = ok and diff <= allowance
+            rows.append((sigma, t, lap, rhs, diff, allowance))
+    return IdentityReport(tuple(rows), "pass" if ok else "fail", max(worst, 0.0))
+
+
 def g_eval(source, s: complex, a: float | None = None) -> ZetaResult:
     """G(s) = zeta(s) - a/(s-1), direct region Re s > 1.
 
@@ -197,6 +242,15 @@ class BoundaryScan:
     values: np.ndarray
     floor: float
     zero_free_halfwidth: float
+    t_max: float
+
+    def to_dict(self):
+        return {
+            "verdict": f"zero-free-halfwidth={self.zero_free_halfwidth:.6g}",
+            "floor": self.floor,
+            "t_max": self.t_max,
+            "caveats": ["boundary values truncated at the enumeration bound; diagnostic, not a proof"],
+        }
 
 
 def boundary_scan(table: CountingTable, t_max: float, points: int = 201,
@@ -215,4 +269,4 @@ def boundary_scan(table: CountingTable, t_max: float, points: int = 201,
         cutoff = float(np.min(abs_ts[~ok]))
         inside = abs_ts[abs_ts < cutoff]
         halfwidth = float(np.max(inside)) if inside.size else 0.0
-    return BoundaryScan(ts, vals, floor, halfwidth)
+    return BoundaryScan(ts, vals, floor, halfwidth, t_max)

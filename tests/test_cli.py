@@ -5,8 +5,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from beurling.cli import main
+from beurling import PrimeSystemSpec, materialize, zeta
+from beurling.cli import load_config, main
 from conftest import brute_force_enumerate
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 @pytest.fixture
@@ -150,6 +153,59 @@ def test_config_file_with_overrides(runner, tmp_path):
     assert rep["parameters"]["bound"] == 100.0
 
 
+def _system_ini(bound="1e3"):
+    return f"[system]\nvariant = explicit-list\nparams = 2, 3\nbound = {bound}\ndensity_a = 0.5\n"
+
+
+BAD_INPUTS = [
+    ("params-text", ["check", "--checks", "l1", "--params", "2,abc"], _system_ini()),
+    ("bound-text", ["check", "--checks", "l1"], _system_ini("abc")),
+    ("window-text", ["check", "--checks", "chebyshev"], _system_ini() + "[chebyshev]\nwindow_lo = abc\n"),
+    ("window-past-bound", ["check", "--checks", "chebyshev"],
+     _system_ini() + "[chebyshev]\nwindow_lo = 5e3\n"),
+    ("identity-sigma", ["identity-check"], _system_ini() + "[identity]\nsigma_lo = 1.0\n"),
+    ("sweep-sigma", ["zeta-sweep", "--sigma-hi", "0.5"], _system_ini()),
+    ("boundary-points", ["boundary-scan"], _system_ini() + "[boundary]\npoints = 0\n"),
+    ("no-format", ["check", "--checks", "l1", "--format", ""], _system_ini()),
+    ("max-integers-0", ["gen", "--max-integers", "0"], _system_ini()),
+    ("max-integers-negative", ["gen", "--max-integers", "-1"], _system_ini()),
+    ("no-section-header", ["check", "--checks", "l1"], "variant = explicit-list\n"),
+]
+
+
+@pytest.mark.parametrize("argv, ini", [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_bad_input_exits_2_before_writing(runner, tmp_path, argv, ini):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(ini)
+    out = tmp_path / "o"
+    res = runner.invoke(main, argv + ["--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output
+    assert not out.exists()
+
+
+def test_demo_configs_load_and_validate():
+    paths = sorted(DEMO_CONFIGS.glob("*.ini"))
+    assert paths
+    for path in paths:
+        cfg = load_config(path, {})
+        assert set(cfg.params) == set(cfg.checks) & {"chebyshev", "identity", "boundary"}
+
+
+def test_single_prime_demo_reports_failure(runner, tmp_path):
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["check", "--config", str(DEMO_CONFIGS / "single_prime.ini"),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    summary = read_json(out / "summary.json")
+    assert summary["verdicts"]["l1"] == "divergent-evidence"
+    assert summary["verdicts"]["little-o"] == "violated"
+    ratio_min, ratio_max = summary["headline"]["chebyshev"]
+    assert ratio_min < 1e-3  # psi(x)/x falls to 0: no positive lower Chebyshev bound
+    assert ratio_max < 0.5
+
+
 def test_missing_config_file(runner, tmp_path):
     res = runner.invoke(main, [
         "gen", "--config", str(tmp_path / "absent.ini"), "--out", str(tmp_path / "o"),
@@ -194,6 +250,38 @@ def test_identity_check_single_prime(runner, tmp_path):
     rep = read_json(out / "report-identity.json")
     assert rep["verdict"] == "pass"
     assert rep["max_excess_over_allowance"] == 0.0
+
+
+def test_identity_check_failure_exits_1(runner, tmp_path, monkeypatch):
+    # the {3} primes against the {2} table: the identity cannot hold
+    real, three = zeta.identity_check, materialize(PrimeSystemSpec.single(3.0), 1024)
+    monkeypatch.setattr(zeta, "identity_check",
+                        lambda table, primes, *grid: real(table, three, *grid))
+    out = tmp_path / "o"
+    res = runner.invoke(main, [
+        "identity-check", "--variant", "single-prime", "--params", "2",
+        "--bound", "1024", "--out", str(out),
+    ])
+    assert res.exit_code == 1, res.output
+    assert "identity: fail" in res.output
+    rep = read_json(out / "report-identity.json")
+    assert rep["verdict"] == "fail"
+    assert rep["max_excess_over_allowance"] > 0
+
+
+@pytest.mark.parametrize("command, name, argv", [
+    ("identity-check", "identity", ["--variant", "single-prime", "--params", "2", "--bound", "1024"]),
+    ("boundary-scan", "boundary", ["--variant", "rational-primes", "--bound", "1e4", "--density-a", "1"]),
+])
+def test_single_check_commands_match_check(runner, tmp_path, command, name, argv):
+    alone, full = tmp_path / "alone", tmp_path / "check"
+    r1 = runner.invoke(main, [command, *argv, "--out", str(alone)])
+    r2 = runner.invoke(main, ["check", "--checks", name, *argv, "--out", str(full)])
+    assert r1.exit_code == r2.exit_code == 0, r1.output + r2.output
+    assert r1.output == r2.output == f"{name}: {read_json(alone / f'report-{name}.json')['verdict']}\n"
+    written = strip_log(alone)
+    assert set(written) == {f"report-{name}.json", f"{name}.csv"}
+    assert written == {k: v for k, v in strip_log(full).items() if k in written}
 
 
 def test_boundary_scan_command(runner, tmp_path):

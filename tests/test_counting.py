@@ -36,7 +36,7 @@ def test_build_examples():
 def test_build_table_from_enumeration_agrees():
     seq = materialize(PrimeSystemSpec.explicit([2, 3, 5]), 200)
     en = enumerate_integers(seq, 200)
-    t1 = build_table(en, seq, a=1.0)
+    t1 = build_table(en, a=1.0)
     t2 = build_table_from_system(seq, 200, a=1.0)
     assert t1.total_count == t2.total_count
     assert np.array_equal(np.sort(t1.jump_logs), np.sort(t2.jump_logs))

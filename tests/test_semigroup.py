@@ -171,7 +171,7 @@ def test_write_dump_format(tmp_path):
     seq = system([2, 3], 13)
     en = enumerate_integers(seq, 13)
     path = tmp_path / "dump.tsv"
-    write_dump(en, seq, path)
+    write_dump(en, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 8
     value, exps, lam = lines[3].split("\t")

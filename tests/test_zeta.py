@@ -12,6 +12,7 @@ from beurling import (
     build_table_from_system,
     fourier_E1_boundary,
     g_eval,
+    identity_check,
     laplace_psi,
     materialize,
     neg_logderiv,
@@ -155,6 +156,21 @@ def test_laplace_psi_is_negld_over_s_at_large_sigma():
     assert abs(lhs - rhs) <= 1e-25
 
 
+def test_identity_check_passes_and_flags_mismatched_primes():
+    # {2} to 2^10 is exhaustive, so its allowance is only the omitted range
+    two = system([2.0], 2.0**10)
+    table = build_table_from_system(two, 2.0**10)
+    sigmas, ts = np.linspace(1.5, 3.0, 5), np.linspace(-5.0, 5.0, 4)
+    good = identity_check(table, two, sigmas, ts)
+    assert good.verdict == "pass" and good.max_excess == 0.0
+    assert len(good.rows) == good.to_dict()["grid_points"] == 20
+    sigma, t, lap, rhs, diff, allowance = good.rows[0]
+    assert (sigma, t) == (1.5, -5.0) and diff == abs(lap - rhs) <= allowance
+    bad = identity_check(table, system([3.0], 2.0**10), sigmas, ts)
+    assert bad.verdict == "fail" and bad.max_excess > 0
+    assert bad.to_dict()["max_excess_over_allowance"] == bad.max_excess
+
+
 def test_laplace_psi_empty_and_domain():
     seq = materialize(PrimeSystemSpec.explicit([7.0]), 5.0)
     t = build_table_from_system(seq, 5.0)
@@ -249,6 +265,8 @@ def test_boundary_scan_reports_failure():
     t = build_table_from_system(seq, 5.0, a=0.0)
     scan = boundary_scan(t, 2.0, points=41, floor=10.0)
     assert scan.zero_free_halfwidth == 0.0
+    assert scan.to_dict()["verdict"] == "zero-free-halfwidth=0"
+    assert scan.to_dict()["t_max"] == 2.0
 
 
 # --- cross-check against sympy closed forms for a tiny hand-built system ---
