@@ -133,7 +133,7 @@ def load_config(config_path, overrides) -> RunConfig:
     if bound is None:
         raise ConfigError("a bound is required (--bound or [system] bound)")
     density = pick("density_a", "system", None, float)
-    checks = pick("checks", "run", (), _parse_list)
+    checks = tuple(dict.fromkeys(pick("checks", "run", (), _parse_list)))  # first-seen order
     defaults = {
         "chebyshev": {"window_lo": min(2.0, bound), "window_hi": bound},
         "identity": {"sigma_lo": 1.5, "sigma_hi": 3.0, "t_lo": -5.0, "t_hi": 5.0},
@@ -360,7 +360,16 @@ def report(output_dir):
     files = sorted(out.glob("report-*.json"))
     if not files:
         _fail(f"no report-*.json files in {out}", 2)
-    _write_summary([json.loads(path.read_text()) for path in files], out)
+    reports = []
+    for path in files:
+        try:
+            rep = json.loads(path.read_text())
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            _fail(f"{path} is not valid JSON: {exc}", 2)
+        if not isinstance(rep, dict) or not {"check", "parameters"} <= rep.keys():
+            _fail(f"{path} lacks check or parameters", 2)
+        reports.append(rep)
+    _write_summary(reports, out)
     click.echo(f"wrote {out / 'summary.json'}")
 
 

@@ -12,7 +12,7 @@ and e^{-u} N(e^u) for u <= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,13 +36,14 @@ class CountingTable:
 
     jump_logs: np.ndarray      # sorted log values, with multiplicity
     lambdas: np.ndarray        # Lambda weight of each jump
-    cum_lambda: np.ndarray     # Lambda summed over the first k jumps, k = 0..n
     bound: float
     a: float | None = None     # declared density, optional
+    cum_lambda: np.ndarray = field(init=False)  # Lambda summed over the first k jumps, k = 0..n
 
     def __post_init__(self):
-        if self.a is not None and self.a < 0:
-            raise ValueError("density a must be non-negative")
+        if self.a is not None and not 0.0 <= self.a < math.inf:
+            raise ValueError("density a must be finite and non-negative")
+        object.__setattr__(self, "cum_lambda", np.concatenate(([0.0], np.cumsum(self.lambdas))))
 
     @property
     def total_count(self) -> int:
@@ -52,6 +53,10 @@ class CountingTable:
     def log_bound(self) -> float:
         return math.log(self.bound)
 
+    def _below(self, u) -> np.ndarray:
+        """Number of jumps with log value strictly below u (the strict lookup)."""
+        return np.searchsorted(self.jump_logs, np.asarray(u) - QUERY_EPS, side="left")
+
     def _index_below(self, x) -> np.ndarray:
         """Number of jumps with log value strictly below log(x)."""
         x = np.asarray(x, dtype=float)
@@ -59,7 +64,7 @@ class CountingTable:
             raise ValueError("query point must be positive")
         if np.any(x > self.bound):
             raise ValueError(f"query point beyond enumeration bound {self.bound}")
-        return np.searchsorted(self.jump_logs, np.log(x) - QUERY_EPS, side="left")
+        return self._below(np.log(x))
 
     def count_n(self, x):
         """N(x): number of generalized integers with value strictly below x."""
@@ -78,8 +83,7 @@ class CountingTable:
         u = np.asarray(u, dtype=float)
         if np.any(u > self.log_bound):
             raise ValueError(f"e^u beyond enumeration bound {self.bound}")
-        n = np.searchsorted(self.jump_logs, u - QUERY_EPS, side="left")
-        out = np.exp(-u) * n - self.a * (u > 0)
+        out = np.exp(-u) * self._below(u) - self.a * (u > 0)
         return out if out.ndim else float(out)
 
     def normalized_psi(self, u):
@@ -87,14 +91,13 @@ class CountingTable:
         u = np.asarray(u, dtype=float)
         if np.any(u < 0) or np.any(u > self.log_bound):
             raise ValueError("u must lie in [0, log bound]")
-        k = np.searchsorted(self.jump_logs, u - QUERY_EPS, side="left")
-        out = np.exp(-u) * self.cum_lambda[k]
+        out = np.exp(-u) * self.cum_lambda[self._below(u)]
         return out if out.ndim else float(out)
 
 
 def build_table(en: EnumerationResult, a: float | None = None) -> CountingTable:
     """Build a table from the columns of an enumeration."""
-    return _assemble(en.logs, en.lambdas, en.bound, a)
+    return CountingTable(en.logs, en.lambdas, en.bound, a)
 
 
 def build_table_from_system(
@@ -105,17 +108,7 @@ def build_table_from_system(
 ) -> CountingTable:
     """Enumerate and tabulate in one pass via the lean jump stream."""
     logs, lams = semigroup.jump_arrays(primes, bound, max_count)
-    return _assemble(logs, lams, float(bound), a)
-
-
-def _assemble(logs: np.ndarray, lams: np.ndarray, bound: float, a) -> CountingTable:
-    return CountingTable(
-        jump_logs=logs,
-        lambdas=lams,
-        cum_lambda=np.concatenate(([0.0], np.cumsum(lams))),
-        bound=bound,
-        a=a,
-    )
+    return CountingTable(logs, lams, float(bound), a)
 
 
 def estimate_density(table: CountingTable, samples: int = 32):
@@ -127,7 +120,7 @@ def estimate_density(table: CountingTable, samples: int = 32):
     """
     b = table.bound
     a_hat = table.total_count / b
-    lo = max(2.0, b / 10.0)
+    lo = min(max(2.0, b / 10.0), b)
     xs = np.geomspace(lo, b, samples)
     ratios = table.count_n(xs) / xs
     return a_hat, float(np.max(np.abs(ratios - a_hat)))

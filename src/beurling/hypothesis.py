@@ -127,39 +127,46 @@ def _require_density(table: CountingTable, a) -> float:
     if a is None:
         raise ValueError("this check requires a declared density a")
     a = float(a)
-    if a <= 0:
-        raise ValueError("density a must be positive")
+    if not 0.0 < a < math.inf:
+        raise ValueError("density a must be positive and finite")
     return a
 
 
-def _integral_verdict(partial, bound, frac):
-    """Decade heuristic: flat last decade vs non-decreasing increments."""
-    xs = [x for x in (bound / 1e3, bound / 1e2, bound / 10.0, bound) if x > 1.0]
-    xs = [1.0] + xs
+def _rising(vals) -> bool:
+    """The last three values do not decrease (up to 1e-12 relative)."""
+    return (len(vals) >= 3 and vals[-1] >= vals[-2] * (1 - 1e-12)
+            and vals[-2] >= vals[-3] * (1 - 1e-12))
+
+
+def _decaying(vals, ratio: float) -> bool:
+    """The last value is at most ``ratio`` times the largest of the first half."""
+    return vals[-1] <= ratio * max(vals[: max(1, len(vals) // 2)])
+
+
+def _evidence(partial, bound, checkpoints, frac):
+    """(checkpoint partials, decade verdict, tail estimate): the verdict weighs
+    a flat last decade against non-decreasing per-decade increments."""
+    if checkpoints is None:
+        checkpoints = default_checkpoints(bound)
+    pts = tuple((float(x), partial(x)) for x in np.sort(np.asarray(checkpoints, dtype=float)))
+    xs = [1.0] + [x for x in (bound / 1e3, bound / 1e2, bound / 10.0, bound) if x > 1.0]
     ps = [partial(x) for x in xs]
-    incr = [b - a for a, b in zip(ps, ps[1:])]
-    total = ps[-1]
-    tail_estimate = incr[-1] if incr else 0.0
-    if (len(incr) >= 3 and incr[-1] > 0
-            and incr[-1] >= incr[-2] * (1 - 1e-12) and incr[-2] >= incr[-3] * (1 - 1e-12)):
-        return DIVERGENT, tail_estimate
-    if total == 0.0 or (incr and incr[-1] < frac * total):
-        return CONVERGENT, tail_estimate
-    return INCONCLUSIVE, tail_estimate
+    incr = [q - p for p, q in zip(ps, ps[1:])]
+    if _rising(incr) and incr[-1] > 0:
+        verdict = DIVERGENT
+    elif ps[-1] == 0.0 or (incr and incr[-1] < frac * ps[-1]):
+        verdict = CONVERGENT
+    else:
+        verdict = INCONCLUSIVE
+    return pts, verdict, incr[-1] if incr else 0.0
 
 
-def _l1_partial_fn(table: CountingTable, a: float):
-    """Exact partial X -> integral_1^X |N(x) - ax| / x^2 dx."""
-    ulo, uhi, xlo, xhi, c = _pieces(table)
-
-    def piece(cc, lo_x, lo_u, hi_x, hi_u):
-        m = np.clip(cc / a, lo_x, hi_x)
-        lnm = np.log(m)
-        pos = (cc / lo_x + a * lo_u) - (cc / m + a * lnm)
-        neg = (a * hi_u + cc / hi_x) - (a * lnm + cc / m)
-        return np.maximum(pos, 0.0) + np.maximum(neg, 0.0)
-
-    cum = np.concatenate(([0.0], np.cumsum(piece(c, xlo, ulo, xhi, uhi))))
+def _integral_report(table: CountingTable, piece, xhi, uhi, checkpoints, frac,
+                     caveat) -> IntegralReport:
+    """Exact partials of integral_1^X f dx, where ``piece(k, x, log x)`` integrates
+    f from jump k to x inside piece k; ``k = slice(None)`` with the right ends
+    ``xhi``, ``uhi`` of all pieces takes every piece whole."""
+    cum = np.concatenate(([0.0], np.cumsum(piece(slice(None), xhi, uhi))))
 
     def partial(x):
         x = float(x)
@@ -169,22 +176,27 @@ def _l1_partial_fn(table: CountingTable, a: float):
             return float(cum[-1])
         ux = math.log(x)
         k = int(np.searchsorted(table.jump_logs, ux, side="right")) - 1
-        return float(cum[k] + piece(c[k], xlo[k], ulo[k], x, ux))
+        return float(cum[k] + piece(k, x, ux))
 
-    return partial
+    pts, verdict, tail = _evidence(partial, table.bound, checkpoints, frac)
+    return IntegralReport(pts, max(tail, 0.0), verdict, exact=True, caveats=(caveat,))
 
 
 def l1_condition(table: CountingTable, a: float | None = None, checkpoints=None,
                  convergent_frac: float = 0.01) -> IntegralReport:
     """Exact piecewise partials of the L1 integral integral_1^X |N-ax|/x^2 dx."""
     a = _require_density(table, a)
-    partial = _l1_partial_fn(table, a)
-    if checkpoints is None:
-        checkpoints = default_checkpoints(table.bound)
-    pts = tuple((float(x), partial(x)) for x in np.sort(np.asarray(checkpoints, dtype=float)))
-    verdict, tail = _integral_verdict(partial, table.bound, convergent_frac)
-    return IntegralReport(pts, max(tail, 0.0), verdict, exact=True,
-                          caveats=("integral truncated at the enumeration bound",))
+    ulo, uhi, xlo, xhi, c = _pieces(table)
+
+    def piece(k, x, ux):
+        m = np.clip(c[k] / a, xlo[k], x)
+        lnm = np.log(m)
+        pos = (c[k] / xlo[k] + a * ulo[k]) - (c[k] / m + a * lnm)
+        neg = (a * ux + c[k] / x) - (a * lnm + c[k] / m)
+        return np.maximum(pos, 0.0) + np.maximum(neg, 0.0)
+
+    return _integral_report(table, piece, xhi, uhi, checkpoints, convergent_frac,
+                            "integral truncated at the enumeration bound")
 
 
 def _zhang_sup_pieces(table: CountingTable, a: float):
@@ -221,38 +233,17 @@ def zhang_condition(table: CountingTable, a: float | None = None, checkpoints=No
     """Exact piecewise partials of integral_1^X S(x)/x dx (truncated tail sup)."""
     a = _require_density(table, a)
     ulo, uhi, xlo, xhi, c, r = _zhang_sup_pieces(table, a)
-    # On [xlo, thr) the left branch c/x - a exceeds R; beyond it S = R.
-    thr = np.clip(c / (a + r), xlo, xhi)
-    lnthr = np.log(thr)
-    left = np.maximum((c / xlo + a * ulo) - (c / thr + a * lnthr), 0.0)
-    right = np.maximum(r * (uhi - lnthr), 0.0)
-    cum = np.concatenate(([0.0], np.cumsum(left + right)))
 
-    def partial(x):
-        x = float(x)
-        if x <= 1.0:
-            return 0.0
-        if x >= table.bound:
-            return float(cum[-1])
-        ux = math.log(x)
-        k = int(np.searchsorted(table.jump_logs, ux, side="right")) - 1
-        t = min(thr[k], x)
-        lnt = math.log(t)
-        part = max((c[k] / xlo[k] + a * ulo[k]) - (c[k] / t + a * lnt), 0.0)
-        part += max(r[k] * (ux - lnt), 0.0)
-        return float(cum[k] + part)
+    def piece(k, x, ux):
+        # On [xlo, t) the left branch c/x - a exceeds R; beyond it S = R.
+        t = np.clip(c[k] / (a + r[k]), xlo[k], x)
+        lnt = np.log(t)
+        left = (c[k] / xlo[k] + a * ulo[k]) - (c[k] / t + a * lnt)
+        return np.maximum(left, 0.0) + np.maximum(r[k] * (ux - lnt), 0.0)
 
-    if checkpoints is None:
-        checkpoints = default_checkpoints(table.bound)
-    pts = tuple((float(x), partial(x)) for x in np.sort(np.asarray(checkpoints, dtype=float)))
-    verdict, tail = _integral_verdict(partial, table.bound, convergent_frac)
-    return IntegralReport(
-        pts, max(tail, 0.0), verdict, exact=True,
-        caveats=(
-            "sup over t >= x truncated to t <= bound; S is under-estimated, "
-            "so convergence verdicts are tail-caveated",
-        ),
-    )
+    return _integral_report(table, piece, xhi, uhi, checkpoints, convergent_frac,
+                            "sup over t >= x truncated to t <= bound; S is under-estimated, "
+                            "so convergence verdicts are tail-caveated")
 
 
 def _dyadic_windows(bound: float, lo_limit: float = 1.0, max_windows: int = 64):
@@ -294,13 +285,12 @@ def little_o_trend(table: CountingTable, a: float | None = None, grid_points: in
     counts = table.count_n(grid)
     d_grid = np.log(grid) * np.abs(counts - a * grid) / grid
     vals = [s for _, _, s in sups]
-    if len(vals) >= 4:
-        if vals[-1] >= vals[-2] * (1 - 1e-12) and vals[-2] >= vals[-3] * (1 - 1e-12):
-            verdict = VIOLATED
-        elif vals[-1] <= decay_ratio * max(vals[: max(1, len(vals) // 2)]):
-            verdict = CONSISTENT
-        else:
-            verdict = INCONCLUSIVE
+    if len(vals) < 4:
+        verdict = INCONCLUSIVE
+    elif _rising(vals):
+        verdict = VIOLATED
+    elif _decaying(vals, decay_ratio):
+        verdict = CONSISTENT
     else:
         verdict = INCONCLUSIVE
     return TrendReport(grid, d_grid, tuple(sups), verdict)
@@ -345,16 +335,9 @@ def omega_lemma_check(omega, x_max: float, checkpoints=None, rel_tol: float = 1e
             return 0.0
         return float(np.interp(min(math.log(x), u_max), us, cum))
 
-    if checkpoints is None:
-        checkpoints = default_checkpoints(x_max)
-    pts = tuple((float(x), partial(x)) for x in np.sort(np.asarray(checkpoints, dtype=float)))
-    verdict, _ = _integral_verdict(partial, x_max, convergent_frac)
-    xs = np.exp(us)
-    dvals = w * us
-    sups = _window_sups(_dyadic_windows(x_max), xs, dvals)
-    vals = [s for _, _, s in sups]
-    half_max = max(vals[: max(1, len(vals) // 2)])
-    decaying = vals[-1] <= decay_ratio * half_max
+    pts, verdict, _ = _evidence(partial, x_max, checkpoints, convergent_frac)
+    sups = _window_sups(_dyadic_windows(x_max), np.exp(us), w * us)
+    decaying = _decaying([s for _, _, s in sups], decay_ratio)
     contradiction = verdict == CONVERGENT and not decaying
     return OmegaReport(pts, verdict, tuple(sups), decaying, contradiction)
 

@@ -58,17 +58,8 @@ def zeta_euler(primes: PrimeSequence, s: complex, a: float | None = None) -> Zet
     s = _require_halfplane(s, 1.0)
     t = np.exp(-s * primes.logs)
     value = complex(np.prod(1.0 / (1.0 - t))) if len(primes) else 1.0 + 0.0j
-    bound, model = _euler_tail(primes, s.real, a, abs(value))
-    return ZetaResult(value, "euler-product", bound, primes.bound, model)
-
-
-def _euler_tail(primes: PrimeSequence, sigma: float, a, scale: float):
-    if primes.exhaustive:
-        return 0.0, "finite"
-    if a is None:
-        return 0.0, "none"
-    tail = a * float(exp1((sigma - 1.0) * math.log(primes.bound)))
-    return scale * math.expm1(tail), "density"
+    return _euler_side(value, primes, a, lambda: abs(value) * math.expm1(
+        a * float(exp1((s.real - 1.0) * math.log(primes.bound)))))
 
 
 def neg_logderiv(primes: PrimeSequence, s: complex, a: float | None = None) -> ZetaResult:
@@ -76,31 +67,38 @@ def neg_logderiv(primes: PrimeSequence, s: complex, a: float | None = None) -> Z
     s = _require_halfplane(s, 1.0)
     t = np.exp(-s * primes.logs)
     value = complex(np.sum(primes.logs * t / (1.0 - t))) if len(primes) else 0.0 + 0.0j
+    # sum_{p>=B} log p p^{-sigma} ~ a * integral_B^inf x^{-sigma} dx
+    return _euler_side(value, primes, a,
+                       lambda: a * primes.bound ** (1.0 - s.real) / (s.real - 1.0))
+
+
+def _euler_side(value: complex, primes: PrimeSequence, a, density_bound) -> ZetaResult:
+    """The result with its tail model: finite (exhaustive list), none (no a),
+    or density, bounded by ``density_bound()``."""
     if primes.exhaustive:
         bound, model = 0.0, "finite"
     elif a is None:
         bound, model = 0.0, "none"
     else:
-        # sum_{p>=B} log p p^{-sigma} ~ a * integral_B^inf x^{-sigma} dx
-        sigma = s.real
-        bound, model = a * primes.bound ** (1.0 - sigma) / (sigma - 1.0), "density"
+        bound, model = density_bound(), "density"
     return ZetaResult(value, "euler-product", bound, primes.bound, model)
 
 
-def _last_e1(table: CountingTable) -> float:
-    return abs(table.total_count / table.bound - table.a)
+def _density_bound(table: CountingTable, s: complex) -> float:
+    """Tail bound (a + |E1(log B)|) B^{1-sigma} |s| / (sigma-1) of a density-completed sum."""
+    sigma = s.real
+    last_e1 = abs(table.total_count / table.bound - table.a)
+    return (table.a + last_e1) * table.bound ** (1.0 - sigma) * abs(s) / (sigma - 1.0)
 
 
 def zeta_dirichlet(table: CountingTable, s: complex) -> ZetaResult:
     """Dirichlet sum over the enumerated integers, density-completed beyond B."""
     s = _require_halfplane(s, 1.0)
-    sigma = s.real
     b = table.bound
     value = complex(np.sum(np.exp(-s * table.jump_logs)))
     if table.a is not None:
         value += table.a * b ** (1.0 - s) / (s - 1.0)
-        bound = (table.a + _last_e1(table)) * b ** (1.0 - sigma) * abs(s) / (sigma - 1.0)
-        model = "density"
+        bound, model = _density_bound(table, s), "density"
     else:
         bound, model = 0.0, "none"
     return ZetaResult(value, "dirichlet-sum", bound, b, model)
@@ -120,8 +118,7 @@ def zeta_stieltjes(table: CountingTable, s: complex) -> ZetaResult:
     value = complex(np.sum(np.exp(-s * table.jump_logs))) - n * b ** complex(-s)
     if table.a is not None:
         value += s * table.a * b ** (1.0 - s) / (s - 1.0)
-        bound = (table.a + _last_e1(table)) * b ** (1.0 - sigma) * abs(s) / (sigma - 1.0)
-        model = "density"
+        bound, model = _density_bound(table, s), "density"
     else:
         bound = abs(s) * n * b ** (-sigma) * (1.0 + 1.0 / (sigma - 1.0))
         model = "none"
@@ -197,16 +194,12 @@ def g_eval(source, s: complex, a: float | None = None) -> ZetaResult:
     s = complex(s)
     if s == 1:
         raise DomainError("G(s) has the subtraction pole at s = 1")
-    if isinstance(source, CountingTable):
-        if a is None:
-            a = source.a
-        if a is None:
-            raise ValueError("g_eval requires a density a")
-        zr = zeta_stieltjes(source, s)
-    else:
-        if a is None:
-            raise ValueError("g_eval requires a density a")
-        zr = zeta_euler(source, s, a)
+    on_table = isinstance(source, CountingTable)
+    if a is None and on_table:
+        a = source.a
+    if a is None:
+        raise ValueError("g_eval requires a density a")
+    zr = zeta_stieltjes(source, s) if on_table else zeta_euler(source, s, a)
     return ZetaResult(zr.value - a / (s - 1.0), zr.method, zr.truncation_bound,
                       zr.prime_bound, zr.tail_model)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from beurling import PrimeSystemSpec, materialize, zeta
+from beurling import PrimeSystemSpec, hypothesis, materialize, zeta
 from beurling.cli import load_config, main
 from conftest import brute_force_enumerate
 
@@ -329,3 +329,27 @@ def test_report_rebuilds_check_summary(runner, tmp_path):
 def test_report_empty_dir(runner, tmp_path):
     res = runner.invoke(main, ["report", "--out", str(tmp_path)])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("text", ["{not json", '{"check": "l1"}', '["check", "parameters"]'],
+                         ids=["invalid-json", "no-parameters", "not-an-object"])
+def test_report_rejects_malformed_report(runner, tmp_path, text):
+    (tmp_path / "report-l1.json").write_text(text)
+    res = runner.invoke(main, ["report", "--out", str(tmp_path)])
+    assert res.exit_code == 2, res.output
+    assert "error:" in res.output
+    assert [p.name for p in tmp_path.iterdir()] == ["report-l1.json"]
+
+
+def test_repeated_check_names_run_once(runner, tmp_path, monkeypatch):
+    real, calls = hypothesis.l1_condition, []
+    monkeypatch.setattr(hypothesis, "l1_condition",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    argv = ["check", "--variant", "rational-primes", "--bound", "1000", "--density-a", "1"]
+    twice = runner.invoke(main, [*argv, "--checks", "l1,l1", "--out", str(tmp_path / "twice")])
+    assert twice.exit_code == 0, twice.output
+    assert len(calls) == 1
+    once = runner.invoke(main, [*argv, "--checks", "l1", "--out", str(tmp_path / "once")])
+    assert once.exit_code == 0, once.output
+    assert twice.output == once.output == f"l1: {read_json(tmp_path / 'once' / 'report-l1.json')['verdict']}\n"
+    assert strip_log(tmp_path / "twice") == strip_log(tmp_path / "once")

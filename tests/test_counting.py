@@ -134,6 +134,9 @@ def test_estimate_density(rational_1e4):
     a_hat, drift = estimate_density(t)
     assert a_hat == pytest.approx(1.0, abs=2e-3)
     assert drift < 2e-3
+    # 1 < B < 2: only the unit is enumerated, and the grid must stay below B
+    _, unit_only = table_for([2.0], 1.5)
+    assert estimate_density(unit_only) == (1.0 / 1.5, 0.0)
 
 
 def test_counting_csv(tmp_path, rational_1e4):

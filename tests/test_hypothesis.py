@@ -73,18 +73,32 @@ def test_l1_single_prime_divergent():
     assert rep.tail_estimate > 1.0
 
 
-def test_l1_partials_non_decreasing(rational_2000):
-    rep = l1_condition(rational_2000)
+@pytest.mark.parametrize("condition", [l1_condition, zhang_condition], ids=lambda f: f.__name__)
+def test_l1_partials_non_decreasing(rational_2000, condition):
+    rep = condition(rational_2000)
     ps = [p for _, p in rep.checkpoints]
     assert all(b >= a for a, b in zip(ps, ps[1:]))
+
+
+@pytest.mark.parametrize("condition", [l1_condition, zhang_condition], ids=lambda f: f.__name__)
+def test_partials_continuous_across_jumps(rational_2000, condition):
+    # a partial inside a piece (the scalar path) must meet the whole-piece
+    # cumulative sums on both sides of each jump
+    for n in (2, 3, 10, 97, 1000, 1999):
+        rep = condition(rational_2000, checkpoints=[n * (1 - 1e-12), n, n * (1 + 1e-12)])
+        ps = [p for _, p in rep.checkpoints]
+        assert max(ps) - min(ps) <= 1e-10, (n, ps)
 
 
 def test_l1_requires_density():
     t = table_for([2.0], 8.0)
     with pytest.raises(ValueError):
         l1_condition(t)
-    with pytest.raises(ValueError):
-        l1_condition(t, a=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            l1_condition(t, a=bad)
+        with pytest.raises(ValueError):
+            table_for([2.0], 8.0, a=bad)
 
 
 # --- Zhang tail-sup condition ---

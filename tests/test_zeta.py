@@ -57,6 +57,19 @@ def test_euler_empty_system():
     assert zeta_euler(seq, 3.0).value == 1.0
 
 
+@pytest.mark.parametrize("euler_side", [zeta_euler, neg_logderiv], ids=lambda f: f.__name__)
+def test_euler_side_tail_models(euler_side):
+    finite = euler_side(system([2.0], 3.0), 2.0, a=1.0)
+    assert (finite.tail_model, finite.truncation_bound) == ("finite", 0.0)
+    truncated = materialize(PrimeSystemSpec.rational(1.0), 1e3)
+    none = euler_side(truncated, 2.0)
+    assert (none.tail_model, none.truncation_bound) == ("none", 0.0)
+    density = euler_side(truncated, 2.0, a=1.0)
+    assert density.tail_model == "density"
+    assert 0.0 < density.truncation_bound < 0.01
+    assert density.value == none.value
+
+
 def test_euler_domain():
     seq = system([2.0], 3.0)
     with pytest.raises(DomainError):
