@@ -22,7 +22,7 @@ from beurling import (
 GAMMA = 0.5772156649015329
 BOUND = 1e6
 
-primes = materialize(PrimeSystemSpec.rational(1.0), BOUND)
+primes = materialize(PrimeSystemSpec.rational(), BOUND)
 table = build_table_from_system(primes, BOUND, 1.0)
 print(f"{len(primes)} primes below {BOUND:g}, {table.total_count} integers enumerated")
 

@@ -33,12 +33,13 @@ def _identity(cfg, primes, table):
                                np.linspace(p["t_lo"], p["t_hi"], 4), cfg.density_a)
 
 
-# Every check: (cfg, primes, table) -> a report with ``to_dict()``.  Entries look
-# their library function up when called, so rebinding a module attribute reaches them.
+# Every check: (cfg, primes, table) -> a report with ``to_dict()``; the table carries
+# the density.  Entries look their library function up when called, so rebinding a
+# module attribute reaches them.
 CHECKS = {
-    "l1": lambda cfg, primes, table: hypothesis.l1_condition(table, cfg.density_a),
-    "zhang": lambda cfg, primes, table: hypothesis.zhang_condition(table, cfg.density_a),
-    "little-o": lambda cfg, primes, table: hypothesis.little_o_trend(table, cfg.density_a),
+    "l1": lambda cfg, primes, table: hypothesis.l1_condition(table),
+    "zhang": lambda cfg, primes, table: hypothesis.zhang_condition(table),
+    "little-o": lambda cfg, primes, table: hypothesis.little_o_trend(table),
     "chebyshev": lambda cfg, primes, table: hypothesis.chebyshev_verdict(
         table, cfg.params["chebyshev"]["window_lo"], cfg.params["chebyshev"]["window_hi"]),
     "identity": _identity,
@@ -80,6 +81,8 @@ class RunConfig:
         """Range-check every field, so that no invalid config exists."""
         if not math.isfinite(self.bound) or self.bound <= 1.0:
             raise ConfigError(f"bound must be finite and > 1, got {self.bound}")
+        if self.density_a is not None and not 0.0 < self.density_a < math.inf:
+            raise ConfigError(f"density_a must be finite and > 0, got {self.density_a}")
         for c in self.checks:
             if c not in CHECKS:
                 raise ConfigError(f"unknown check {c!r}; choose from {', '.join(CHECKS)}")
@@ -132,7 +135,6 @@ def load_config(config_path, overrides) -> RunConfig:
     bound = pick("bound", "system", None, float)
     if bound is None:
         raise ConfigError("a bound is required (--bound or [system] bound)")
-    density = pick("density_a", "system", None, float)
     checks = tuple(dict.fromkeys(pick("checks", "run", (), _parse_list)))  # first-seen order
     defaults = {
         "chebyshev": {"window_lo": min(2.0, bound), "window_hi": bound},
@@ -140,10 +142,10 @@ def load_config(config_path, overrides) -> RunConfig:
         "boundary": {"t_max": 5.0, "points": 201, "floor": 1e-3},
     }
     return RunConfig(
-        spec=PrimeSystemSpec(
-            variant, pick("params", "system", (), lambda v: tuple(map(float, _parse_list(v)))), density),
+        spec=PrimeSystemSpec(variant, pick("params", "system", (),
+                                           lambda v: tuple(map(float, _parse_list(v))))),
         bound=bound,
-        density_a=density,
+        density_a=pick("density_a", "system", None, float),
         checks=checks,
         output_dir=pick("output_dir", "run", "out"),
         formats=pick("formats", "run", ("csv", "json"), _parse_list),
@@ -366,8 +368,9 @@ def report(output_dir):
             rep = json.loads(path.read_text())
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             _fail(f"{path} is not valid JSON: {exc}", 2)
-        if not isinstance(rep, dict) or not {"check", "parameters"} <= rep.keys():
-            _fail(f"{path} lacks check or parameters", 2)
+        if not (isinstance(rep, dict) and "check" in rep and isinstance(rep.get("parameters"), dict)
+                and {"variant", "params", "bound", "density_a"} <= rep["parameters"].keys()):
+            _fail(f"{path} lacks check, or parameters with variant, params, bound and density_a", 2)
         reports.append(rep)
     _write_summary(reports, out)
     click.echo(f"wrote {out / 'summary.json'}")

@@ -111,28 +111,28 @@ def build_table_from_system(
     return CountingTable(logs, lams, float(bound), a)
 
 
-def estimate_density(table: CountingTable, samples: int = 32):
+def estimate_density(table: CountingTable):
     """Estimate a-hat = N(B)/B with a last-decade drift diagnostic.
 
     Returns ``(a_hat, drift)`` where drift is the maximum deviation of N(x)/x
-    from a-hat over a geometric grid spanning the last decade below the bound.
+    from a-hat over a 32-point geometric grid spanning the last decade below the bound.
     Diagnostic only; hypothesis checks never substitute it for a declared a.
     """
     b = table.bound
     a_hat = table.total_count / b
     lo = min(max(2.0, b / 10.0), b)
-    xs = np.geomspace(lo, b, samples)
+    xs = np.geomspace(lo, b, 32)
     ratios = table.count_n(xs) / xs
     return a_hat, float(np.max(np.abs(ratios - a_hat)))
 
 
-def write_counting_csv(table: CountingTable, path, points: int = 200) -> None:
-    """CSV of (x, N(x), psi(x), psi(x)/x, E1(log x)) on a geometric grid.
+def write_counting_csv(table: CountingTable, path) -> None:
+    """CSV of (x, N(x), psi(x), psi(x)/x, E1(log x)) on a 200-point geometric grid.
 
     E1 is written as nan when the table carries no density.  Numbers use 17
     significant digits and are locale independent.
     """
-    xs = np.geomspace(1.0, table.bound, points)
+    xs = np.geomspace(1.0, table.bound, 200)
     xs[-1] = table.bound
     ns = table.count_n(xs)
     ps = table.psi(xs)

@@ -20,7 +20,7 @@ so each piece splits into at most two signed parts with antiderivative
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,6 +31,14 @@ DIVERGENT = "divergent-evidence"
 INCONCLUSIVE = "inconclusive"
 CONSISTENT = "consistent-with-little-o"
 VIOLATED = "violated"
+
+# Verdict thresholds: an integral whose last decade adds under CONVERGENT_FRAC
+# of its total is convergent evidence; window suprema whose last one is at most
+# DECAY_RATIO times the largest of the first half are decaying.
+CONVERGENT_FRAC = 0.01
+DECAY_RATIO = 0.5
+CHECKPOINTS = 48      # default checkpoints, geometric from 2 to the bound
+TREND_SAMPLES = 400   # little_o_trend's reported sample grid
 
 
 @dataclass(frozen=True)
@@ -44,13 +52,7 @@ class IntegralReport:
     caveats: tuple = ()
 
     def to_dict(self):
-        return {
-            "checkpoints": [[x, p] for x, p in self.checkpoints],
-            "tail_estimate": self.tail_estimate,
-            "verdict": self.verdict,
-            "exact": self.exact,
-            "caveats": list(self.caveats),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -80,13 +82,8 @@ class ChebyshevReport:
     grid_size: int
 
     def to_dict(self):
-        return {
-            "window": list(self.window),
-            "ratio_min": self.ratio_min,
-            "ratio_max": self.ratio_max,
-            "grid_size": self.grid_size,
-            "verdict": f"ratio_min={self.ratio_min:.12g},ratio_max={self.ratio_max:.12g}",
-        }
+        return {**asdict(self),
+                "verdict": f"ratio_min={self.ratio_min:.12g},ratio_max={self.ratio_max:.12g}"}
 
 
 @dataclass(frozen=True)
@@ -100,25 +97,14 @@ class OmegaReport:
     contradiction: bool
 
     def to_dict(self):
-        return {
-            "checkpoints": [[x, p] for x, p in self.checkpoints],
-            "verdict": self.verdict,
-            "logweight_sups": [[lo, hi, s] for lo, hi, s in self.logweight_sups],
-            "decaying": self.decaying,
-            "contradiction": self.contradiction,
-        }
-
-
-def default_checkpoints(bound: float, points: int = 48) -> np.ndarray:
-    lo = min(2.0, bound)
-    return np.geomspace(lo, bound, points)
+        return asdict(self)
 
 
 def _pieces(table: CountingTable):
     """Inter-jump pieces: on [ulo_i, uhi_i) the count is constant c_i = i+1."""
     u = np.concatenate((table.jump_logs, [table.log_bound]))
-    ulo, uhi = u[:-1], u[1:]
-    return ulo, uhi, np.exp(ulo), np.exp(uhi), np.arange(1, table.total_count + 1, dtype=float)
+    x = np.exp(u)
+    return u[:-1], u[1:], x[:-1], x[1:], np.arange(1, table.total_count + 1, dtype=float)
 
 
 def _require_density(table: CountingTable, a) -> float:
@@ -138,31 +124,30 @@ def _rising(vals) -> bool:
             and vals[-2] >= vals[-3] * (1 - 1e-12))
 
 
-def _decaying(vals, ratio: float) -> bool:
-    """The last value is at most ``ratio`` times the largest of the first half."""
-    return vals[-1] <= ratio * max(vals[: max(1, len(vals) // 2)])
+def _decaying(vals) -> bool:
+    """The last value is at most DECAY_RATIO times the largest of the first half."""
+    return vals[-1] <= DECAY_RATIO * max(vals[: max(1, len(vals) // 2)])
 
 
-def _evidence(partial, bound, checkpoints, frac):
+def _evidence(partial, bound, checkpoints):
     """(checkpoint partials, decade verdict, tail estimate): the verdict weighs
     a flat last decade against non-decreasing per-decade increments."""
     if checkpoints is None:
-        checkpoints = default_checkpoints(bound)
+        checkpoints = np.geomspace(min(2.0, bound), bound, CHECKPOINTS)
     pts = tuple((float(x), partial(x)) for x in np.sort(np.asarray(checkpoints, dtype=float)))
     xs = [1.0] + [x for x in (bound / 1e3, bound / 1e2, bound / 10.0, bound) if x > 1.0]
     ps = [partial(x) for x in xs]
     incr = [q - p for p, q in zip(ps, ps[1:])]
     if _rising(incr) and incr[-1] > 0:
         verdict = DIVERGENT
-    elif ps[-1] == 0.0 or (incr and incr[-1] < frac * ps[-1]):
+    elif ps[-1] == 0.0 or (incr and incr[-1] < CONVERGENT_FRAC * ps[-1]):
         verdict = CONVERGENT
     else:
         verdict = INCONCLUSIVE
     return pts, verdict, incr[-1] if incr else 0.0
 
 
-def _integral_report(table: CountingTable, piece, xhi, uhi, checkpoints, frac,
-                     caveat) -> IntegralReport:
+def _integral_report(table: CountingTable, piece, xhi, uhi, checkpoints, caveat) -> IntegralReport:
     """Exact partials of integral_1^X f dx, where ``piece(k, x, log x)`` integrates
     f from jump k to x inside piece k; ``k = slice(None)`` with the right ends
     ``xhi``, ``uhi`` of all pieces takes every piece whole."""
@@ -178,12 +163,11 @@ def _integral_report(table: CountingTable, piece, xhi, uhi, checkpoints, frac,
         k = int(np.searchsorted(table.jump_logs, ux, side="right")) - 1
         return float(cum[k] + piece(k, x, ux))
 
-    pts, verdict, tail = _evidence(partial, table.bound, checkpoints, frac)
+    pts, verdict, tail = _evidence(partial, table.bound, checkpoints)
     return IntegralReport(pts, max(tail, 0.0), verdict, exact=True, caveats=(caveat,))
 
 
-def l1_condition(table: CountingTable, a: float | None = None, checkpoints=None,
-                 convergent_frac: float = 0.01) -> IntegralReport:
+def l1_condition(table: CountingTable, a: float | None = None, checkpoints=None) -> IntegralReport:
     """Exact piecewise partials of the L1 integral integral_1^X |N-ax|/x^2 dx."""
     a = _require_density(table, a)
     ulo, uhi, xlo, xhi, c = _pieces(table)
@@ -195,7 +179,7 @@ def l1_condition(table: CountingTable, a: float | None = None, checkpoints=None,
         neg = (a * ux + c[k] / x) - (a * lnm + c[k] / m)
         return np.maximum(pos, 0.0) + np.maximum(neg, 0.0)
 
-    return _integral_report(table, piece, xhi, uhi, checkpoints, convergent_frac,
+    return _integral_report(table, piece, xhi, uhi, checkpoints,
                             "integral truncated at the enumeration bound")
 
 
@@ -228,8 +212,7 @@ def tail_sup(table: CountingTable, a: float | None, xs) -> np.ndarray:
     return np.maximum(np.abs(c[k] / xs - a), r[k])
 
 
-def zhang_condition(table: CountingTable, a: float | None = None, checkpoints=None,
-                    convergent_frac: float = 0.01) -> IntegralReport:
+def zhang_condition(table: CountingTable, a: float | None = None, checkpoints=None) -> IntegralReport:
     """Exact piecewise partials of integral_1^X S(x)/x dx (truncated tail sup)."""
     a = _require_density(table, a)
     ulo, uhi, xlo, xhi, c, r = _zhang_sup_pieces(table, a)
@@ -241,17 +224,17 @@ def zhang_condition(table: CountingTable, a: float | None = None, checkpoints=No
         left = (c[k] / xlo[k] + a * ulo[k]) - (c[k] / t + a * lnt)
         return np.maximum(left, 0.0) + np.maximum(r[k] * (ux - lnt), 0.0)
 
-    return _integral_report(table, piece, xhi, uhi, checkpoints, convergent_frac,
+    return _integral_report(table, piece, xhi, uhi, checkpoints,
                             "sup over t >= x truncated to t <= bound; S is under-estimated, "
                             "so convergence verdicts are tail-caveated")
 
 
-def _dyadic_windows(bound: float, lo_limit: float = 1.0, max_windows: int = 64):
-    """Edges B, B/2, B/4, ... down to lo_limit, returned ascending."""
+def _dyadic_windows(bound: float):
+    """Edges B, B/2, B/4, ... down to 1 (at most 65 edges), returned ascending."""
     edges = [bound]
-    while edges[-1] / 2.0 > lo_limit and len(edges) < max_windows:
+    while edges[-1] / 2.0 > 1.0 and len(edges) < 64:
         edges.append(edges[-1] / 2.0)
-    edges.append(max(lo_limit, edges[-1] / 2.0))
+    edges.append(max(1.0, edges[-1] / 2.0))
     edges.reverse()
     return [(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
@@ -264,8 +247,7 @@ def _window_sups(windows, xs, vals):
     return out
 
 
-def little_o_trend(table: CountingTable, a: float | None = None, grid_points: int = 400,
-                   decay_ratio: float = 0.5) -> TrendReport:
+def little_o_trend(table: CountingTable, a: float | None = None) -> TrendReport:
     """Trend of D(x) = log(x)|N(x) - ax|/x against the o(x/log x) hypothesis.
 
     Window suprema are taken over both one-sided limits at every jump (the
@@ -281,7 +263,7 @@ def little_o_trend(table: CountingTable, a: float | None = None, grid_points: in
     cand_x = np.concatenate((xlo, xhi, edges))
     cand_d = np.concatenate((ulo * np.abs(c / xlo - a), uhi * np.abs(c / xhi - a), edge_d))
     sups = _window_sups(windows, cand_x, cand_d)
-    grid = np.geomspace(1.0, table.bound, grid_points)
+    grid = np.geomspace(1.0, table.bound, TREND_SAMPLES)
     counts = table.count_n(grid)
     d_grid = np.log(grid) * np.abs(counts - a * grid) / grid
     vals = [s for _, _, s in sups]
@@ -289,31 +271,29 @@ def little_o_trend(table: CountingTable, a: float | None = None, grid_points: in
         verdict = INCONCLUSIVE
     elif _rising(vals):
         verdict = VIOLATED
-    elif _decaying(vals, decay_ratio):
+    elif _decaying(vals):
         verdict = CONSISTENT
     else:
         verdict = INCONCLUSIVE
     return TrendReport(grid, d_grid, tuple(sups), verdict)
 
 
-def omega_lemma_check(omega, x_max: float, checkpoints=None, rel_tol: float = 1e-6,
-                      convergent_frac: float = 0.01, decay_ratio: float = 0.5,
-                      max_refinements: int = 12) -> OmegaReport:
+def omega_lemma_check(omega, x_max: float, checkpoints=None) -> OmegaReport:
     """Trapezoid partials of integral_1^{x_max} omega(x)/x dx plus the decay
     profile of omega(x) log x over dyadic tail windows.
 
     ``omega`` is a vectorized callable; samples must be non-increasing and
-    non-negative.  The grid is refined (doubled, in log x) until successive
-    integral estimates agree to ``rel_tol`` relative.  A convergent integral
-    with a non-decaying omega(x) log x profile is flagged as a contradiction
-    indicator; it should never fire on valid inputs.
+    non-negative.  The grid is refined (doubled, in log x, at most 12 times)
+    until successive integral estimates agree to 1e-6 relative.  A convergent
+    integral with a non-decaying omega(x) log x profile is flagged as a
+    contradiction indicator; it should never fire on valid inputs.
     """
     if x_max <= 1.0:
         raise ValueError("x_max must exceed 1")
     u_max = math.log(x_max)
     n = 1025
     prev = None
-    for _ in range(max_refinements):
+    for _ in range(12):
         us = np.linspace(0.0, u_max, n)
         w = np.asarray(omega(np.exp(us)), dtype=float)
         slack = 1e-12 * (1.0 + float(np.max(np.abs(w))))
@@ -324,7 +304,7 @@ def omega_lemma_check(omega, x_max: float, checkpoints=None, rel_tol: float = 1e
         du = us[1] - us[0]
         cum = np.concatenate(([0.0], np.cumsum((w[1:] + w[:-1]) * 0.5 * du)))
         total = float(cum[-1])
-        if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-12):
+        if prev is not None and abs(total - prev) <= 1e-6 * max(abs(total), 1e-12):
             break
         prev = total
         n = 2 * (n - 1) + 1
@@ -335,9 +315,9 @@ def omega_lemma_check(omega, x_max: float, checkpoints=None, rel_tol: float = 1e
             return 0.0
         return float(np.interp(min(math.log(x), u_max), us, cum))
 
-    pts, verdict, _ = _evidence(partial, x_max, checkpoints, convergent_frac)
+    pts, verdict, _ = _evidence(partial, x_max, checkpoints)
     sups = _window_sups(_dyadic_windows(x_max), np.exp(us), w * us)
-    decaying = _decaying([s for _, _, s in sups], decay_ratio)
+    decaying = _decaying([s for _, _, s in sups])
     contradiction = verdict == CONVERGENT and not decaying
     return OmegaReport(pts, verdict, tuple(sups), decaying, contradiction)
 

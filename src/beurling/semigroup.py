@@ -99,6 +99,8 @@ def _enumerate(primes: PrimeSequence, bound: float, max_count: int) -> Enumerati
     """The one heap, plus the columns derived from it."""
     if not math.isfinite(bound) or bound <= 1.0:
         raise ValueError(f"bound must be finite and > 1, got {bound}")
+    if bound > primes.bound and not primes.exhaustive:
+        raise ValueError(f"bound {bound} exceeds the bound {primes.bound} the primes were materialized to")
     logs = primes.logs.tolist()
     n = len(logs)
     log_bound = math.log(bound)

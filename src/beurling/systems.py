@@ -38,12 +38,10 @@ class PrimeSystemSpec:
     variant: one of ``explicit-list``, ``rational-primes``, ``single-prime``,
     ``scaled-rational``.  ``params`` is variant dependent: the listed prime
     values, nothing, the single prime q > 1, or the scale factor c > 0.
-    ``density_hint`` optionally records the density constant a with N(x) ~ ax.
     """
 
     variant: str
     params: tuple = ()
-    density_hint: float | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -65,27 +63,22 @@ class PrimeSystemSpec:
             if 2.0 * params[0] <= 1.0:
                 raise InvalidSystemError("scale factor makes the smallest prime <= 1")
         object.__setattr__(self, "params", params)
-        if self.density_hint is not None:
-            a = float(self.density_hint)
-            if not math.isfinite(a) or a <= 0.0:
-                raise InvalidSystemError("density hint must be finite and > 0")
-            object.__setattr__(self, "density_hint", a)
 
     @classmethod
-    def explicit(cls, values, density_hint=None):
-        return cls("explicit-list", tuple(values), density_hint)
+    def explicit(cls, values):
+        return cls("explicit-list", tuple(values))
 
     @classmethod
-    def rational(cls, density_hint=1.0):
-        return cls("rational-primes", (), density_hint)
+    def rational(cls):
+        return cls("rational-primes")
 
     @classmethod
-    def single(cls, q, density_hint=None):
-        return cls("single-prime", (q,), density_hint)
+    def single(cls, q):
+        return cls("single-prime", (q,))
 
     @classmethod
-    def scaled_rational(cls, c, density_hint=None):
-        return cls("scaled-rational", (c,), density_hint)
+    def scaled_rational(cls, c):
+        return cls("scaled-rational", (c,))
 
     def has_coincident_primes(self) -> bool:
         """True when the declared list contains a repeated prime value."""
@@ -98,23 +91,22 @@ class PrimeSystemSpec:
 class PrimeSequence:
     """Sorted generalized primes strictly between 1 and ``bound``.
 
-    ``logs`` caches the natural logs of ``values`` (all downstream arithmetic
-    is additive in log space).  ``exhaustive`` is True when the sequence
-    contains the *entire* system, i.e. there are no primes at or above the
-    bound; finite explicit systems materialized with a large enough bound set
-    it, and it switches truncation-tail models off.
+    ``logs`` holds the natural logs of ``values``, always derived from them
+    (all downstream arithmetic is additive in log space).  ``exhaustive`` is
+    True when the sequence contains the *entire* system, i.e. there are no
+    primes at or above the bound; finite explicit systems materialized with a
+    large enough bound set it, and it switches truncation-tail models off.
     """
 
     values: np.ndarray
-    logs: np.ndarray = field(default=None)
+    logs: np.ndarray = field(init=False)
     bound: float = math.inf
     exhaustive: bool = False
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if self.logs is None:
-            object.__setattr__(self, "logs", np.log(values))
+        object.__setattr__(self, "logs", np.log(values))
         if values.size:
             if np.any(np.diff(values) < 0):
                 raise InvalidSystemError("prime values must be non-decreasing")
@@ -133,19 +125,9 @@ def materialize(spec: PrimeSystemSpec, bound: float) -> PrimeSequence:
     bound = float(bound)
     if not math.isfinite(bound) or bound <= 1.0:
         raise InvalidSystemError(f"bound must be finite and > 1, got {bound}")
-    if spec.variant == "explicit-list":
+    if spec.variant in ("explicit-list", "single-prime"):  # a single prime is a list of one
         vals = np.array([p for p in spec.params if p < bound])
-        exhaustive = len(vals) == len(spec.params)
-    elif spec.variant == "single-prime":
-        q = spec.params[0]
-        vals = np.array([q] if q < bound else [])
-        exhaustive = q < bound
-    elif spec.variant == "rational-primes":
-        vals = rational_primes_below(bound)
-        exhaustive = False
-    else:  # scaled-rational
-        c = spec.params[0]
-        vals = c * rational_primes_below(bound / c + 1)
-        vals = vals[(vals > 1.0) & (vals < bound)]
-        exhaustive = False
-    return PrimeSequence(values=vals, logs=None, bound=bound, exhaustive=exhaustive)
+        return PrimeSequence(vals, bound=bound, exhaustive=len(vals) == len(spec.params))
+    c = spec.params[0] if spec.params else 1.0  # rational-primes is scaled-rational with c = 1
+    vals = c * rational_primes_below(bound / c + 1)
+    return PrimeSequence(vals[(vals > 1.0) & (vals < bound)], bound=bound)

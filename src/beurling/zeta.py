@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 from .counting import CountingTable
 from .errors import DomainError
@@ -55,6 +54,8 @@ def zeta_euler(primes: PrimeSequence, s: complex, a: float | None = None) -> Zet
     is about sum_{p>=B} p^{-sigma} ~ a * E1((sigma-1) log B) for a system of
     density a (prime counting ~ a x / log x).
     """
+    from scipy.special import exp1  # imported here: scipy costs most of the CLI's start-up
+
     s = _require_halfplane(s, 1.0)
     t = np.exp(-s * primes.logs)
     value = complex(np.prod(1.0 / (1.0 - t))) if len(primes) else 1.0 + 0.0j

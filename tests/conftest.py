@@ -83,7 +83,7 @@ class Timed:
 @pytest.fixture(scope="session")
 def rational_1e6():
     """Rational-primes system at bound 10^6 with a = 1, built once."""
-    spec = PrimeSystemSpec.rational(1.0)
+    spec = PrimeSystemSpec.rational()
     t0 = time.perf_counter()
     primes = materialize(spec, 1e6)
     table = build_table_from_system(primes, 1e6, 1.0)
@@ -93,7 +93,7 @@ def rational_1e6():
 
 @pytest.fixture(scope="session")
 def rational_1e4():
-    spec = PrimeSystemSpec.rational(1.0)
+    spec = PrimeSystemSpec.rational()
     primes = materialize(spec, 1e4)
     return primes, build_table_from_system(primes, 1e4, 1.0)
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,6 +173,8 @@ BAD_INPUTS = [
     ("max-integers-0", ["gen", "--max-integers", "0"], _system_ini()),
     ("max-integers-negative", ["gen", "--max-integers", "-1"], _system_ini()),
     ("no-section-header", ["check", "--checks", "l1"], "variant = explicit-list\n"),
+    *((f"density-a-{a}", ["check", "--checks", "l1", "--density-a", a], _system_ini())
+      for a in ("nan", "0", "-1", "inf")),
 ]
 
 
@@ -331,8 +336,9 @@ def test_report_empty_dir(runner, tmp_path):
     assert res.exit_code == 2
 
 
-@pytest.mark.parametrize("text", ["{not json", '{"check": "l1"}', '["check", "parameters"]'],
-                         ids=["invalid-json", "no-parameters", "not-an-object"])
+@pytest.mark.parametrize("text", ["{not json", '{"check": "l1"}', '["check", "parameters"]',
+                                  '{"check": "l1", "parameters": {"bound": 10}}'],
+                         ids=["invalid-json", "no-parameters", "not-an-object", "no-variant"])
 def test_report_rejects_malformed_report(runner, tmp_path, text):
     (tmp_path / "report-l1.json").write_text(text)
     res = runner.invoke(main, ["report", "--out", str(tmp_path)])
@@ -353,3 +359,12 @@ def test_repeated_check_names_run_once(runner, tmp_path, monkeypatch):
     assert once.exit_code == 0, once.output
     assert twice.output == once.output == f"l1: {read_json(tmp_path / 'once' / 'report-l1.json')['verdict']}\n"
     assert strip_log(tmp_path / "twice") == strip_log(tmp_path / "once")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported by zeta_euler alone, so commands that never call it skip its start-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, beurling.cli; print('scipy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert res.stdout.strip() == "False"

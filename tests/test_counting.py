@@ -142,13 +142,13 @@ def test_estimate_density(rational_1e4):
 def test_counting_csv(tmp_path, rational_1e4):
     _, t = rational_1e4
     path = tmp_path / "counting.csv"
-    write_counting_csv(t, path, points=50)
+    write_counting_csv(t, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x,N,psi,psi_over_x,E1_log_x"
-    assert len(lines) == 51
+    assert len(lines) == 201
     last = lines[-1].split(",")
     assert float(last[0]) == 1e4
     # determinism: identical bytes on rewrite
     path2 = tmp_path / "counting2.csv"
-    write_counting_csv(t, path2, points=50)
+    write_counting_csv(t, path2)
     assert path.read_bytes() == path2.read_bytes()

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ def table_for(values, bound, a=None):
 
 @pytest.fixture(scope="module")
 def rational_2000():
-    seq = materialize(PrimeSystemSpec.rational(1.0), 2000.0)
+    seq = materialize(PrimeSystemSpec.rational(), 2000.0)
     return build_table_from_system(seq, 2000.0, 1.0)
 
 
@@ -276,3 +277,22 @@ def test_reports_deterministic(rational_2000):
     z1 = zhang_condition(rational_2000).to_dict()
     z2 = zhang_condition(rational_2000).to_dict()
     assert z1 == z2
+
+
+def test_report_dicts_list_their_fields(rational_2000):
+    # each to_dict serializes as the hand-listed dicts it replaced
+    def same(report, expected):
+        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    l1 = l1_condition(rational_2000)
+    same(l1, {"checkpoints": [[x, p] for x, p in l1.checkpoints],
+              "tail_estimate": l1.tail_estimate, "verdict": l1.verdict, "exact": l1.exact,
+              "caveats": list(l1.caveats)})
+    ch = chebyshev_verdict(rational_2000, 10.0, 2000.0)
+    same(ch, {"window": list(ch.window), "ratio_min": ch.ratio_min, "ratio_max": ch.ratio_max,
+              "grid_size": ch.grid_size,
+              "verdict": f"ratio_min={ch.ratio_min:.12g},ratio_max={ch.ratio_max:.12g}"})
+    om = omega_lemma_check(lambda x: 1.0 / np.log(np.e * x) ** 2, 1e8)
+    same(om, {"checkpoints": [[x, p] for x, p in om.checkpoints], "verdict": om.verdict,
+              "logweight_sups": [[lo, hi, s] for lo, hi, s in om.logweight_sups],
+              "decaying": om.decaying, "contradiction": om.contradiction})

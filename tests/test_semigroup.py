@@ -7,6 +7,7 @@ import pytest
 from beurling import (
     CapacityError,
     PrimeSystemSpec,
+    build_table_from_system,
     enumerate_integers,
     jump_arrays,
     materialize,
@@ -54,11 +55,25 @@ def test_value_ties_ordered_lexicographically():
 def test_empty_system_yields_unit():
     seq = materialize(PrimeSystemSpec.explicit([7.0]), 5.0)
     assert len(seq) == 0
-    en = enumerate_integers(seq, 100)
+    en = enumerate_integers(seq, 5.0)
     assert len(en) == 1
     unit = next(iter(en))
     assert unit.log_value == 0.0 and unit.exponents == ()
     assert unit.max_prime_index == -1 and not unit.prime_power
+
+
+def test_enumeration_past_materialized_bound_raises():
+    seq = materialize(PrimeSystemSpec.rational(), 100)
+    for enumerate_ in (enumerate_integers, jump_arrays):
+        with pytest.raises(ValueError, match="materialized"):
+            enumerate_(seq, 1000)
+    with pytest.raises(ValueError, match="materialized"):
+        build_table_from_system(seq, 1000, 1.0)
+    assert build_table_from_system(seq, 100, 1.0).count_n(100) == 99
+    # an exhaustive sequence holds the whole system, so any bound is complete
+    finite = system([2, 3], 10)
+    assert finite.exhaustive
+    assert len(enumerate_integers(finite, 100)) == len(brute_force_enumerate([2, 3], 100))
 
 
 def test_von_mangoldt():

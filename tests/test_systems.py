@@ -18,7 +18,9 @@ def test_explicit_list_is_sorted():
 def test_single_prime():
     seq = materialize(PrimeSystemSpec.single(2.0), 10)
     assert seq.values.tolist() == [2.0]
-    assert materialize(PrimeSystemSpec.single(2.0), 2.0).values.size == 0
+    assert seq.exhaustive
+    beyond = materialize(PrimeSystemSpec.single(2.0), 2.0)
+    assert beyond.values.size == 0 and not beyond.exhaustive
 
 
 def test_rational_primes_below_30():
@@ -26,7 +28,7 @@ def test_rational_primes_below_30():
     assert seq.values.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-@pytest.mark.parametrize("bound", [2, 3, 10, 97, 1000, 10_000])
+@pytest.mark.parametrize("bound", [2, 2.5, 3, 10, 30.5, 97, 1000, 10_000])
 def test_rational_matches_trial_division(bound):
     seq = materialize(PrimeSystemSpec.rational(), bound)
     assert seq.values.tolist() == trial_division_primes(bound)
@@ -63,8 +65,6 @@ def test_invalid_specs():
         PrimeSystemSpec("no-such-variant")
     with pytest.raises(InvalidSystemError):
         PrimeSystemSpec("rational-primes", (2.0,))
-    with pytest.raises(InvalidSystemError):
-        PrimeSystemSpec.rational(density_hint=-1.0)
 
 
 def test_invalid_bounds():

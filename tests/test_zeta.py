@@ -45,7 +45,7 @@ def test_euler_single_prime_exact():
 
 
 def test_euler_rational_pi_squared_over_six():
-    seq = materialize(PrimeSystemSpec.rational(1.0), 1e5)
+    seq = materialize(PrimeSystemSpec.rational(), 1e5)
     r = zeta_euler(seq, 2.0, a=1.0)
     assert r.tail_model == "density"
     assert abs(r.value - math.pi**2 / 6.0) <= r.truncation_bound
@@ -61,7 +61,7 @@ def test_euler_empty_system():
 def test_euler_side_tail_models(euler_side):
     finite = euler_side(system([2.0], 3.0), 2.0, a=1.0)
     assert (finite.tail_model, finite.truncation_bound) == ("finite", 0.0)
-    truncated = materialize(PrimeSystemSpec.rational(1.0), 1e3)
+    truncated = materialize(PrimeSystemSpec.rational(), 1e3)
     none = euler_side(truncated, 2.0)
     assert (none.tail_model, none.truncation_bound) == ("none", 0.0)
     density = euler_side(truncated, 2.0, a=1.0)
@@ -91,7 +91,7 @@ def test_stieltjes_single_prime_no_density():
 
 
 def test_stieltjes_rational_apery():
-    seq = materialize(PrimeSystemSpec.rational(1.0), 1e5)
+    seq = materialize(PrimeSystemSpec.rational(), 1e5)
     t = build_table_from_system(seq, 1e5, 1.0)
     r = zeta_stieltjes(t, 3.0)
     apery = float(sympy.zeta(3))
@@ -114,7 +114,7 @@ def test_methods_agree_within_bounds():
 
 
 def test_dirichlet_vs_stieltjes_tail_models():
-    seq = materialize(PrimeSystemSpec.rational(1.0), 1e4)
+    seq = materialize(PrimeSystemSpec.rational(), 1e4)
     t = build_table_from_system(seq, 1e4, 1.0)
     s = 1.5
     r1 = zeta_dirichlet(t, s)
@@ -209,7 +209,7 @@ def test_g_pole():
 
 
 def test_g_limit_toward_gamma():
-    seq = materialize(PrimeSystemSpec.rational(1.0), 1e5)
+    seq = materialize(PrimeSystemSpec.rational(), 1e5)
     t = build_table_from_system(seq, 1e5, 1.0)
     errors = [abs(g_eval(t, 1.0 + d).value - EULER_GAMMA) for d in (0.1, 0.01, 0.001)]
     assert errors[0] > errors[1] > errors[2]
@@ -219,7 +219,7 @@ def test_g_limit_toward_gamma():
 # --- boundary values ---
 
 def test_fourier_gamma_at_zero():
-    seq = materialize(PrimeSystemSpec.rational(1.0), 1e4)
+    seq = materialize(PrimeSystemSpec.rational(), 1e4)
     t = build_table_from_system(seq, 1e4, 1.0)
     assert fourier_E1_boundary(t, 0.0) == pytest.approx(EULER_GAMMA, abs=1e-3)
 
@@ -235,7 +235,7 @@ def test_fourier_degenerate_unit_only():
 
 
 def test_fourier_conjugate_symmetry():
-    seq = materialize(PrimeSystemSpec.rational(1.0), 1e4)
+    seq = materialize(PrimeSystemSpec.rational(), 1e4)
     t = build_table_from_system(seq, 1e4, 1.0)
     for tt in (0.5, 1.3, 4.0):
         plus = fourier_E1_boundary(t, tt)
@@ -245,7 +245,7 @@ def test_fourier_conjugate_symmetry():
 
 def test_fourier_continuity_from_right():
     # G(1 + delta + it) should approach the boundary value as delta -> 0
-    seq = materialize(PrimeSystemSpec.rational(1.0), 1e4)
+    seq = materialize(PrimeSystemSpec.rational(), 1e4)
     t = build_table_from_system(seq, 1e4, 1.0)
     tt = 2.0
     target = fourier_E1_boundary(t, tt)
@@ -262,7 +262,7 @@ def test_fourier_requires_density():
 
 
 def test_boundary_scan_basic():
-    seq = materialize(PrimeSystemSpec.rational(1.0), 1e4)
+    seq = materialize(PrimeSystemSpec.rational(), 1e4)
     t = build_table_from_system(seq, 1e4, 1.0)
     scan = boundary_scan(t, 3.0, points=121, floor=1e-3)
     assert scan.ts.shape == scan.values.shape == (121,)
@@ -292,3 +292,11 @@ def test_hand_built_against_sympy():
         expected = complex((finite - 5 * sympy.exp(-sympy.log(7) * s_sym)).subs(s_sym, s))
         got = zeta_stieltjes(t, s)
         assert got.value == pytest.approx(expected, rel=1e-12)
+
+
+def test_dirichlet_without_density_has_no_tail():
+    seq = materialize(PrimeSystemSpec.rational(), 1e3)
+    zr = zeta_dirichlet(build_table_from_system(seq, 1e3), 2.0)
+    assert zr.tail_model == "none"
+    assert zr.truncation_bound == 0.0
+    assert zr.value == pytest.approx(sum(n ** -2.0 for n in range(1, 1000)), rel=1e-12)
