@@ -30,7 +30,7 @@ from .systems import VARIANTS, PrimeSystemSpec, materialize
 def _identity(cfg, primes, table):
     p = cfg.params["identity"]
     return zeta.identity_check(table, primes, np.linspace(p["sigma_lo"], p["sigma_hi"], 5),
-                               np.linspace(p["t_lo"], p["t_hi"], 4), cfg.density_a)
+                               np.linspace(p["t_lo"], p["t_hi"], 4))
 
 
 # Every check: (cfg, primes, table) -> a report with ``to_dict()``; the table carries
@@ -371,6 +371,11 @@ def report(output_dir):
         if not (isinstance(rep, dict) and "check" in rep and isinstance(rep.get("parameters"), dict)
                 and {"variant", "params", "bound", "density_a"} <= rep["parameters"].keys()):
             _fail(f"{path} lacks check, or parameters with variant, params, bound and density_a", 2)
+        # the headline fields that _write_summary reads; a report without checkpoints passes
+        cps = rep.get("checkpoints", [[None, None]])
+        if not (isinstance(cps, list) and cps and isinstance(cps[-1], list) and len(cps[-1]) == 2
+                and ("ratio_min" not in rep or "ratio_max" in rep)):
+            _fail(f"{path} has checkpoints not ending in an [X, partial] pair, or ratio_min alone", 2)
         reports.append(rep)
     _write_summary(reports, out)
     click.echo(f"wrote {out / 'summary.json'}")

@@ -107,15 +107,12 @@ def _pieces(table: CountingTable):
     return u[:-1], u[1:], x[:-1], x[1:], np.arange(1, table.total_count + 1, dtype=float)
 
 
-def _require_density(table: CountingTable, a) -> float:
-    if a is None:
-        a = table.a
-    if a is None:
+def _require_density(table: CountingTable) -> float:
+    if table.a is None:
         raise ValueError("this check requires a declared density a")
-    a = float(a)
-    if not 0.0 < a < math.inf:
+    if not 0.0 < table.a < math.inf:
         raise ValueError("density a must be positive and finite")
-    return a
+    return float(table.a)
 
 
 def _rising(vals) -> bool:
@@ -167,9 +164,9 @@ def _integral_report(table: CountingTable, piece, xhi, uhi, checkpoints, caveat)
     return IntegralReport(pts, max(tail, 0.0), verdict, exact=True, caveats=(caveat,))
 
 
-def l1_condition(table: CountingTable, a: float | None = None, checkpoints=None) -> IntegralReport:
+def l1_condition(table: CountingTable, checkpoints=None) -> IntegralReport:
     """Exact piecewise partials of the L1 integral integral_1^X |N-ax|/x^2 dx."""
-    a = _require_density(table, a)
+    a = _require_density(table)
     ulo, uhi, xlo, xhi, c = _pieces(table)
 
     def piece(k, x, ux):
@@ -200,9 +197,9 @@ def _zhang_sup_pieces(table: CountingTable, a: float):
     return ulo, uhi, xlo, xhi, c, r
 
 
-def tail_sup(table: CountingTable, a: float | None, xs) -> np.ndarray:
+def tail_sup(table: CountingTable, xs) -> np.ndarray:
     """S(x) = sup_{t in [x, B]} |N(t) - at| / t on query points (truncated sup)."""
-    a = _require_density(table, a)
+    a = _require_density(table)
     _, _, _, _, c, r = _zhang_sup_pieces(table, a)
     xs = np.asarray(xs, dtype=float)
     if np.any(xs < 1.0) or np.any(xs > table.bound):
@@ -212,9 +209,9 @@ def tail_sup(table: CountingTable, a: float | None, xs) -> np.ndarray:
     return np.maximum(np.abs(c[k] / xs - a), r[k])
 
 
-def zhang_condition(table: CountingTable, a: float | None = None, checkpoints=None) -> IntegralReport:
+def zhang_condition(table: CountingTable, checkpoints=None) -> IntegralReport:
     """Exact piecewise partials of integral_1^X S(x)/x dx (truncated tail sup)."""
-    a = _require_density(table, a)
+    a = _require_density(table)
     ulo, uhi, xlo, xhi, c, r = _zhang_sup_pieces(table, a)
 
     def piece(k, x, ux):
@@ -247,7 +244,7 @@ def _window_sups(windows, xs, vals):
     return out
 
 
-def little_o_trend(table: CountingTable, a: float | None = None) -> TrendReport:
+def little_o_trend(table: CountingTable) -> TrendReport:
     """Trend of D(x) = log(x)|N(x) - ax|/x against the o(x/log x) hypothesis.
 
     Window suprema are taken over both one-sided limits at every jump (the
@@ -255,7 +252,7 @@ def little_o_trend(table: CountingTable, a: float | None = None) -> TrendReport:
     window edges themselves, so no grid density tuning affects them; the
     geometric grid is only the reported sample series.
     """
-    a = _require_density(table, a)
+    a = _require_density(table)
     ulo, uhi, xlo, xhi, c = _pieces(table)
     windows = _dyadic_windows(table.bound)
     edges = np.array([lo for lo, _ in windows] + [windows[-1][1]])

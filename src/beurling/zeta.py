@@ -10,7 +10,6 @@ one the result is flagged ``no-tail-model`` rather than silently guessed.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -40,11 +39,23 @@ class ZetaResult:
         return self.value.imag
 
 
-def _require_halfplane(s: complex, least: float) -> complex:
-    s = complex(s)
-    if s.real <= least:
-        raise DomainError(f"Re s must exceed {least}, got {s}")
-    return s
+def _require_halfplane(s, least: float):
+    """``s`` as a complex, or a complex array, with every Re s > least."""
+    s = np.asarray(s, dtype=complex)
+    if np.any(s.real <= least):
+        raise DomainError(f"Re s must exceed {least}, got {complex(s.flat[np.argmin(s.real)])}")
+    return s if s.ndim else complex(s)
+
+
+def _stieltjes_sum(table: CountingTable, w, total, s):
+    """sum_k w_k n_k^{-s} - total B^{-s} at each point of ``s``, one exp pass over the
+    jumps per point (unit weights if ``w`` is None).  With total = W(B) this is
+    s * integral_1^B W(x) x^{-s-1} dx for the step function W with jumps w_k at the n_k."""
+    s = np.asarray(s, dtype=complex)
+    sums = np.array([np.sum(e if w is None else w * e)
+                     for e in (np.exp(-si * table.jump_logs) for si in s.flat)]).reshape(s.shape)
+    out = sums - total * np.exp(-s * table.log_bound)
+    return out if out.ndim else complex(out)
 
 
 def zeta_euler(primes: PrimeSequence, s: complex, a: float | None = None) -> ZetaResult:
@@ -95,14 +106,11 @@ def _density_bound(table: CountingTable, s: complex) -> float:
 def zeta_dirichlet(table: CountingTable, s: complex) -> ZetaResult:
     """Dirichlet sum over the enumerated integers, density-completed beyond B."""
     s = _require_halfplane(s, 1.0)
-    b = table.bound
-    value = complex(np.sum(np.exp(-s * table.jump_logs)))
-    if table.a is not None:
-        value += table.a * b ** (1.0 - s) / (s - 1.0)
-        bound, model = _density_bound(table, s), "density"
-    else:
-        bound, model = 0.0, "none"
-    return ZetaResult(value, "dirichlet-sum", bound, b, model)
+    if table.a is None:
+        bound, model, tail = 0.0, "none", 0.0
+    else:  # N ~ a x beyond B adds a B^{1-s}/(s-1) = (a B/(s-1)) B^{-s}
+        bound, model, tail = _density_bound(table, s), "density", table.a * table.bound / (s - 1.0)
+    return ZetaResult(_stieltjes_sum(table, None, -tail, s), "dirichlet-sum", bound, table.bound, model)
 
 
 def zeta_stieltjes(table: CountingTable, s: complex) -> ZetaResult:
@@ -116,28 +124,25 @@ def zeta_stieltjes(table: CountingTable, s: complex) -> ZetaResult:
     sigma = s.real
     b = table.bound
     n = table.total_count
-    value = complex(np.sum(np.exp(-s * table.jump_logs))) - n * b ** complex(-s)
     if table.a is not None:
-        value += s * table.a * b ** (1.0 - s) / (s - 1.0)
+        tail = s * table.a * b / (s - 1.0)
         bound, model = _density_bound(table, s), "density"
     else:
+        tail = 0.0
         bound = abs(s) * n * b ** (-sigma) * (1.0 + 1.0 / (sigma - 1.0))
         model = "none"
-    return ZetaResult(value, "stieltjes", bound, b, model)
+    return ZetaResult(_stieltjes_sum(table, None, n - tail, s), "stieltjes", bound, b, model)
 
 
-def laplace_psi(table: CountingTable, s: complex) -> complex:
-    """integral_0^{log B} psi(e^u) e^{-su} du, exact piecewise, Re s > 0.
+def laplace_psi(table: CountingTable, s):
+    """integral_0^{log B} psi(e^u) e^{-su} du, exact piecewise, Re s > 0, at a
+    point (a complex) or at each point of an array (an array).
 
     No tail is added; for identity comparisons against -zeta'/(s zeta) the
     caller should allow psi(B) * B^{-sigma} / sigma for the omitted range.
     """
-    s = complex(s)
-    if s.real <= 0:
-        raise DomainError(f"Re s must be positive, got {s}")
-    psi_total = float(table.cum_lambda[-1])
-    acc = complex(np.sum(table.lambdas * np.exp(-s * table.jump_logs)))
-    return (acc - psi_total * table.bound ** complex(-s)) / s
+    s = _require_halfplane(s, 0.0)
+    return _stieltjes_sum(table, table.lambdas, float(table.cum_lambda[-1]), s) / s
 
 
 @dataclass(frozen=True)
@@ -158,31 +163,25 @@ class IdentityReport:
         }
 
 
-def identity_check(table: CountingTable, primes: PrimeSequence, sigmas, ts,
-                   a: float | None = None) -> IdentityReport:
+def identity_check(table: CountingTable, primes: PrimeSequence, sigmas, ts) -> IdentityReport:
     """Compare :func:`laplace_psi` with :func:`neg_logderiv` / s at every
-    (sigma, t) of the grid.
+    (sigma, t) of the grid, the Euler side with the table's density.
 
     A point passes when the difference stays within the allowance: the Euler
     side's truncation bound over |s|, plus psi(B) B^{-sigma} / sigma for the
     range beyond B that the transform omits, plus 1e-9 for rounding.
     """
     psi_total = float(table.cum_lambda[-1])
+    points = [complex(sigma, t) for sigma in sigmas for t in ts]
     rows = []
-    worst = 0.0
-    ok = True
-    for sigma in sigmas:
-        for t in ts:
-            s = complex(sigma, t)
-            lap = laplace_psi(table, s)
-            nld = neg_logderiv(primes, s, a)
-            rhs = nld.value / s
-            allowance = nld.truncation_bound / abs(s) + psi_total * table.bound ** (-sigma) / sigma + 1e-9
-            diff = abs(lap - rhs)
-            worst = max(worst, diff - allowance)
-            ok = ok and diff <= allowance
-            rows.append((sigma, t, lap, rhs, diff, allowance))
-    return IdentityReport(tuple(rows), "pass" if ok else "fail", max(worst, 0.0))
+    for s, lap in zip(points, laplace_psi(table, np.array(points)).tolist()):
+        nld = neg_logderiv(primes, s, table.a)
+        rhs = nld.value / s
+        allowance = nld.truncation_bound / abs(s) + psi_total * table.bound ** (-s.real) / s.real + 1e-9
+        rows.append((s.real, s.imag, lap, rhs, abs(lap - rhs), allowance))
+    ok = all(diff <= allowance for *_, diff, allowance in rows)
+    return IdentityReport(tuple(rows), "pass" if ok else "fail",
+                          max([0.0] + [diff - allowance for *_, diff, allowance in rows]))
 
 
 def g_eval(source, s: complex, a: float | None = None) -> ZetaResult:
@@ -205,27 +204,24 @@ def g_eval(source, s: complex, a: float | None = None) -> ZetaResult:
                       zr.prime_bound, zr.tail_model)
 
 
-def fourier_E1_boundary(table: CountingTable, t: float) -> complex:
-    """Numerical boundary value G(1+it) = (1+it) E1-hat(t) + a, truncated at B.
+def fourier_E1_boundary(table: CountingTable, t):
+    """Numerical boundary value G(1+it) = (1+it) E1-hat(t) + a, truncated at B,
+    at a point (a complex) or at each point of an array (an array).
 
     E1-hat(t) = integral_0^{log B} E1(u) e^{-itu} du is computed exactly
     piecewise: on each interval where N = c the integrand is
-    (c e^{-u} - a) e^{-itu}, whose two parts integrate in closed form (the
-    a-part telescopes across pieces).
+    (c e^{-u} - a) e^{-itu}.  Times 1+it, the N-part is the Stieltjes sum of N at
+    s = 1+it; the a-part telescopes to -a (1 - e^{-i theta})/(it), theta = t log B,
+    that is -a log B e^{-i theta/2} sinc(theta/2pi), which holds at t = 0 too.
     """
     if table.a is None:
         raise ValueError("fourier_E1_boundary requires a declared density a")
-    a = table.a
-    ub = table.log_bound
-    n = table.total_count
-    s1 = 1.0 + 1j * t
-    part_n = (complex(np.sum(np.exp(-s1 * table.jump_logs))) - n * cmath.exp(-s1 * ub)) / s1
-    if t == 0.0:
-        part_a = -a * ub
-    else:
-        part_a = -a * (1.0 - cmath.exp(-1j * t * ub)) / (1j * t)
-    e1_hat = part_n + part_a
-    return s1 * e1_hat + a
+    t = np.asarray(t, dtype=float)
+    theta = t * table.log_bound
+    part_a = -table.a * table.log_bound * np.exp(-0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
+    s = 1.0 + 1j * t
+    g = _stieltjes_sum(table, None, table.total_count, s) + s * part_a + table.a
+    return g if np.ndim(g) else complex(g)
 
 
 @dataclass(frozen=True)
@@ -247,14 +243,13 @@ class BoundaryScan:
         }
 
 
-def boundary_scan(table: CountingTable, t_max: float, points: int = 201,
-                  floor: float = 1e-3) -> BoundaryScan:
+def boundary_scan(table: CountingTable, t_max: float, points: int, floor: float) -> BoundaryScan:
     """Scan |G(1+it)| on a symmetric grid and report the largest interval
     around t = 0 on which it stays above ``floor``.  Diagnostic evidence for
     the zero-free radius, not a proof.
     """
     ts = np.linspace(-t_max, t_max, points)
-    vals = np.array([fourier_E1_boundary(table, float(t)) for t in ts])
+    vals = fourier_E1_boundary(table, ts)
     ok = np.abs(vals) > floor
     abs_ts = np.abs(ts)
     if np.all(ok):

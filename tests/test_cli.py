@@ -336,9 +336,15 @@ def test_report_empty_dir(runner, tmp_path):
     assert res.exit_code == 2
 
 
+PARAMETERS = '"parameters": {"variant": "rational-primes", "params": [], "bound": 10, "density_a": 1}'
+
+
 @pytest.mark.parametrize("text", ["{not json", '{"check": "l1"}', '["check", "parameters"]',
-                                  '{"check": "l1", "parameters": {"bound": 10}}'],
-                         ids=["invalid-json", "no-parameters", "not-an-object", "no-variant"])
+                                  '{"check": "l1", "parameters": {"bound": 10}}',
+                                  '{"check": "l1", %s, "checkpoints": [5]}' % PARAMETERS,
+                                  '{"check": "chebyshev", %s, "ratio_min": 0.9}' % PARAMETERS],
+                         ids=["invalid-json", "no-parameters", "not-an-object", "no-variant",
+                              "checkpoint-not-a-pair", "ratio-min-alone"])
 def test_report_rejects_malformed_report(runner, tmp_path, text):
     (tmp_path / "report-l1.json").write_text(text)
     res = runner.invoke(main, ["report", "--out", str(tmp_path)])

@@ -95,9 +95,10 @@ def test_l1_requires_density():
     t = table_for([2.0], 8.0)
     with pytest.raises(ValueError):
         l1_condition(t)
+    # the table accepts a = 0, the check does not
+    with pytest.raises(ValueError):
+        l1_condition(table_for([2.0], 8.0, a=0.0))
     for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            l1_condition(t, a=bad)
         with pytest.raises(ValueError):
             table_for([2.0], 8.0, a=bad)
 
@@ -107,14 +108,14 @@ def test_l1_requires_density():
 def test_tail_sup_bound_on_naturals(rational_2000):
     # |N(t) - t| <= 1 for the ordinary integers, so S(x) <= 1/x
     xs = np.geomspace(2.0, 2000.0, 50)
-    s = tail_sup(rational_2000, None, xs)
+    s = tail_sup(rational_2000, xs)
     assert np.all(s <= 1.0 / xs + 1e-12)
     assert np.all(s >= 0)
 
 
 def test_tail_sup_non_increasing(rational_2000, rng):
     xs = np.sort(rng.uniform(1.0, 2000.0, 200))
-    s = tail_sup(rational_2000, None, xs)
+    s = tail_sup(rational_2000, xs)
     assert np.all(np.diff(s) <= 1e-15)
 
 
@@ -142,7 +143,7 @@ def test_zhang_single_prime_divergent():
 def test_zhang_partial_matches_quadrature(rational_2000):
     # independent check of the piecewise closed form by brute quadrature
     xs = np.geomspace(1.0001, 50.0, 20001)
-    s = tail_sup(rational_2000, None, xs)
+    s = tail_sup(rational_2000, xs)
     quad = np.trapezoid(s, np.log(xs))  # integral of S(e^u) du
     rep = zhang_condition(rational_2000, checkpoints=[50.0])
     assert rep.checkpoints[0][1] == pytest.approx(float(quad), abs=5e-3)
@@ -168,9 +169,10 @@ def test_trend_single_prime_violated():
     assert little_o_trend(t).verdict == VIOLATED
 
 
-def test_trend_wrong_density_violated(rational_2000):
+def test_trend_wrong_density_violated():
     # a = 2 makes |N - ax|/x tend to 1, so D grows like log x
-    rep = little_o_trend(rational_2000, a=2.0)
+    seq = materialize(PrimeSystemSpec.rational(), 2000.0)
+    rep = little_o_trend(build_table_from_system(seq, 2000.0, 2.0))
     assert rep.verdict == VIOLATED
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -188,8 +189,20 @@ def test_laplace_psi_empty_and_domain():
     seq = materialize(PrimeSystemSpec.explicit([7.0]), 5.0)
     t = build_table_from_system(seq, 5.0)
     assert laplace_psi(t, 1.0) == 0.0
-    with pytest.raises(DomainError):
-        laplace_psi(t, -1.0)
+    for bad in (-1.0, np.array([2.0, 1.0 + 3j, -0.5 + 1j]), np.array([2.0, 0.0])):
+        with pytest.raises(DomainError):
+            laplace_psi(t, bad)
+
+
+def test_laplace_psi_array_matches_points():
+    seq = system([2, 3, 5], 3000)
+    t = build_table_from_system(seq, 3000)
+    grid = np.array([[1.5 - 5j, 2.0, 3.0 + 2j], [0.5 + 1j, 10.0, 1.2 - 0.3j]])
+    values = laplace_psi(t, grid)
+    assert values.shape == grid.shape
+    for s, v in zip(grid.flat, values.flat):
+        assert v == pytest.approx(laplace_psi(t, complex(s)), rel=1e-13)
+    assert type(laplace_psi(t, 2.0)) is complex
 
 
 # --- G(s) ---
@@ -259,6 +272,48 @@ def test_fourier_requires_density():
     t = table_for([2.0], 8.0)
     with pytest.raises(ValueError):
         fourier_E1_boundary(t, 1.0)
+
+
+def test_fourier_array_matches_points():
+    seq = materialize(PrimeSystemSpec.rational(), 1e4)
+    t = build_table_from_system(seq, 1e4, 1.0)
+    ts = np.array([-4.0, -0.3, 0.0, 1e-9, 0.7, 2.5])
+    values = fourier_E1_boundary(t, ts)
+    assert values.shape == ts.shape
+    for tt, v in zip(ts, values):
+        assert v == pytest.approx(fourier_E1_boundary(t, float(tt)), rel=1e-13)
+    assert type(fourier_E1_boundary(t, 0.7)) is complex
+    scan = boundary_scan(t, 3.0, points=61, floor=1e-3)
+    for tt, v in zip(scan.ts, scan.values):
+        assert v == pytest.approx(fourier_E1_boundary(t, float(tt)), rel=1e-13)
+
+
+def test_fourier_continuous_at_zero():
+    # the a-part -a(1 - e^{-it log B})/(it) has the limit -a log B at t = 0
+    seq = materialize(PrimeSystemSpec.rational(), 1e4)
+    t = build_table_from_system(seq, 1e4, 1.0)
+    g0 = fourier_E1_boundary(t, 0.0)
+    for tt in (1e-8, -1e-8):
+        assert abs(fourier_E1_boundary(t, tt) - g0) <= 1e-6
+
+
+def test_fourier_against_mpmath_zeta():
+    # ordinary primes, a = 1: G(1+it) = zeta(1+it) - 1/(it), and the range beyond B
+    # that the table omits is s * integral_B^inf -{x} x^{-s-1} dx, about 1/(2B) in size
+    bound = 1e5
+    t = build_table_from_system(materialize(PrimeSystemSpec.rational(), bound), bound, 1.0)
+
+    def exact(tt):
+        return complex(mpmath.zeta(mpmath.mpc(1.0, tt)) - 1.0 / mpmath.mpc(0.0, tt))
+
+    targets = (0.5, 1.3, 4.0, -2.0)
+    for tt in targets:
+        assert abs(fourier_E1_boundary(t, tt) - exact(tt)) <= 1.0 / bound
+    scan = boundary_scan(t, 4.0, points=161, floor=1e-3)
+    for target in targets:
+        k = int(np.argmin(np.abs(scan.ts - target)))
+        assert abs(scan.ts[k] - target) < 1e-12
+        assert abs(scan.values[k] - exact(float(scan.ts[k]))) <= 1.0 / bound
 
 
 def test_boundary_scan_basic():
