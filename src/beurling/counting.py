@@ -106,7 +106,7 @@ def build_table_from_system(
     a: float | None = None,
     max_count: int = DEFAULT_MAX_INTEGERS,
 ) -> CountingTable:
-    """Enumerate and tabulate in one pass via the lean jump stream."""
+    """Enumerate and tabulate: the log and Lambda columns of the generation build."""
     logs, lams = semigroup.jump_arrays(primes, bound, max_count)
     return CountingTable(logs, lams, float(bound), a)
 

@@ -1,34 +1,30 @@
 """Enumeration of generalized integers (the free commutative monoid on P).
 
-One min-heap, seeded with the unit, produces every generalized integer below
-the bound: popping row n pushes n * p_j for every prime index j >= the largest
-prime index of n whose product stays below the bound.  Each exponent vector is
-produced exactly once, in non-decreasing order of value; coincident prime
-values at distinct indices yield distinct generalized integers (multiset
-semantics).
+The integers below the bound are built one prime factor at a time.
+Generation k holds the rows with k prime factors, counted with multiplicity;
+the children of a row n with largest prime index i are n * p_j for every
+j >= i whose product stays below the bound, one contiguous run of j per row.
+Each exponent vector is built exactly once, and coincident prime values at
+distinct indices yield distinct generalized integers (multiset semantics).
 
-The heap records three typed columns per row and nothing else: the log value,
-the parent row (the row it was pushed from; -1 for the unit) and the largest
-prime index.  Everything else is derived from them:
-
-* the von Mangoldt weight, by following parent pointers to the row's smallest
-  prime index: a row is a prime power exactly when that equals its largest;
-* the order inside groups of exactly equal log values, dense-lexicographic on
-  the exponent vectors (rebuilt for tied rows only, so systems without ties
-  skip this step);
-* the sparse exponent vectors, rebuilt parent-to-child when iterating an
-  :class:`EnumerationResult` or writing a dump.
+Every row has four typed columns: the log value (its parent's log plus
+log p_j, always summed in that order), the parent row (the row divided by
+its largest prime; -1 for the unit), that largest prime index, and the von
+Mangoldt weight (a row is a prime power exactly when its parent is the unit
+or a power of the same prime).  One stable sort by log value orders the rows;
+inside groups of exactly equal log values the order is dense-lexicographic on
+the exponent vectors, rebuilt for tied rows only.  The sparse exponent
+vectors are rebuilt parent-to-child when iterating an :class:`EnumerationResult`
+or writing a dump.
 
 :func:`enumerate_integers` returns all columns and :func:`jump_arrays` only
-(log value, Lambda weight); both come from the same heap in the same row order.
+(log value, Lambda weight), in the same row order.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
@@ -96,60 +92,58 @@ class EnumerationResult:
 
 
 def _enumerate(primes: PrimeSequence, bound: float, max_count: int) -> EnumerationResult:
-    """The one heap, plus the columns derived from it."""
+    """Build the rows one generation at a time, then sort them once."""
     if not math.isfinite(bound) or bound <= 1.0:
         raise ValueError(f"bound must be finite and > 1, got {bound}")
     if bound > primes.bound and not primes.exhaustive:
         raise ValueError(f"bound {bound} exceeds the bound {primes.bound} the primes were materialized to")
-    logs = primes.logs.tolist()
-    n = len(logs)
+    logs = primes.logs
     log_bound = math.log(bound)
-    heap = [(0.0, -1, -1)]  # (log value, largest prime index, parent row)
-    out_logs, out_parent, out_index = array("d"), array("i"), array("i")
-    while heap:
-        lv, j, p = heappop(heap)
-        row = len(out_logs)
-        if row >= max_count:
-            raise CapacityError(f"enumeration exceeded max_count={max_count}")
-        out_logs.append(lv)
-        out_parent.append(p)
-        out_index.append(j)
-        for k in range(j if j > 0 else 0, n):
-            clv = lv + logs[k]
-            if clv >= log_bound:
-                break  # logs are non-decreasing
-            heappush(heap, (clv, k, row))
-    row_logs = np.frombuffer(out_logs)
-    parent = np.frombuffer(out_parent, dtype=np.intc)
-    index = np.frombuffer(out_index, dtype=np.intc)
-
-    # Pointer jumping: top[r] becomes the ancestor just below the unit, whose
-    # index is the smallest prime index of r.
-    rows = np.arange(len(parent), dtype=np.intc)
-    top = np.where(parent > 0, parent, rows)
+    # Generation k: the rows with k prime factors, as (log, parent, index, Lambda)
+    # columns; row ids count in build order, so the unit is row 0.
+    gen = (np.zeros(1), np.full(1, -1, np.intc), np.full(1, -1, np.intc), np.zeros(1))
+    columns, rows = [], 0
     while True:
-        nxt = top[top]
-        if np.array_equal(nxt, top):
+        columns.append(gen)
+        lv, _, index, lam = gen
+        first, rows = rows, rows + len(lv)
+        # Children p_j for j from the row's largest index while the sum stays
+        # below the bound: one run per row, since logs are non-decreasing.
+        # fl(log B - lv) can admit a j whose sum rounds up to log B; step back.
+        lo = np.maximum(index, 0)
+        hi = np.searchsorted(logs, log_bound - lv, side="right")
+        while True:
+            live = np.flatnonzero(hi > lo)
+            over = live[lv[live] + logs[hi[live] - 1] >= log_bound]
+            if not over.size:
+                break
+            hi[over] -= 1
+        counts = np.maximum(hi - lo, 0)
+        size = int(counts.sum())
+        if rows + size > max_count:
+            raise CapacityError(f"enumeration exceeded max_count={max_count}")
+        if not size:
             break
-        top = nxt
-    power = index[top] == index
-    power[0] = False
-    lambdas = np.zeros(len(parent))
-    lambdas[power] = primes.logs[index[power]]
+        parent = np.repeat(np.arange(first, rows, dtype=np.intc), counts)
+        j = np.arange(size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+        step = logs[j]
+        # A prime power's parent is the unit, or a power of the same prime.
+        power = (parent == 0) | ((np.repeat(lam, counts) > 0) & (j == np.repeat(index, counts)))
+        gen = (np.repeat(lv, counts) + step, parent, j.astype(np.intc), np.where(power, step, 0.0))
+    row_logs, parent, index, lambdas = (np.concatenate(c) for c in zip(*columns))
 
+    order = np.argsort(row_logs, kind="stable")
+    row_logs = row_logs[order]
     tied = np.flatnonzero(row_logs[1:] == row_logs[:-1])
     if tied.size:
         tied = np.union1d(tied, tied + 1)
-        dense = _dense_exponents(tied, parent, index, primes, log_bound)
-        order = rows.copy()
-        order[tied] = tied[np.lexsort((*dense.T[::-1], row_logs[tied]))]
-        inverse = np.empty_like(order)
-        inverse[order] = rows
-        parent = inverse[parent[order]]
-        parent[0] = -1
-        index = index[order]
-        lambdas = lambdas[order]
-    return EnumerationResult(row_logs, lambdas, parent, index, float(bound))
+        dense = _dense_exponents(order[tied], parent, index, primes, log_bound)
+        order[tied] = order[tied][np.lexsort((*dense.T[::-1], row_logs[tied]))]
+    inverse = np.empty(rows, dtype=np.intc)
+    inverse[order] = np.arange(rows, dtype=np.intc)
+    parent = inverse[parent[order]]
+    parent[0] = -1
+    return EnumerationResult(row_logs, lambdas[order], parent, index[order], float(bound))
 
 
 def _dense_exponents(rows, parent, index, primes: PrimeSequence, log_bound: float):
@@ -199,14 +193,18 @@ def write_dump(en, path) -> None:
     index = en.index.tolist()
     heads = [""] * len(en)  # each row's field before its last pair
     lasts = [0] * len(en)   # the exponent of that last pair
-    rows = zip(en.logs.tolist(), en.parent.tolist(), index, en.lambdas.tolist())
     with open(path, "w") as fh:
-        for r, (lv, p, j, lam) in enumerate(rows):
-            field = ""
-            if p >= 0:
-                if p and index[p] != j:
-                    heads[r], lasts[r] = f"{heads[p]}{index[p]}:{lasts[p]},", 1
-                else:
-                    heads[r], lasts[r] = heads[p], lasts[p] + 1
-                field = f"{heads[r]}{j}:{lasts[r]}"
-            fh.write(f"{math.exp(lv):.17g}\t{field}\t{lam:.17g}\n")
+        # Python float lists a slice at a time: whole columns would set the peak RSS.
+        for start in range(0, len(en), 65536):
+            cut = slice(start, start + 65536)
+            rows = zip(en.logs[cut].tolist(), en.parent[cut].tolist(), index[cut],
+                       en.lambdas[cut].tolist())
+            for r, (lv, p, j, lam) in enumerate(rows, start):
+                field = ""
+                if p >= 0:
+                    if p and index[p] != j:
+                        heads[r], lasts[r] = f"{heads[p]}{index[p]}:{lasts[p]},", 1
+                    else:
+                        heads[r], lasts[r] = heads[p], lasts[p] + 1
+                    field = f"{heads[r]}{j}:{lasts[r]}"
+                fh.write(f"{math.exp(lv):.17g}\t{field}\t{lam:.17g}\n")

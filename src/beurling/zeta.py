@@ -187,16 +187,17 @@ def identity_check(table: CountingTable, primes: PrimeSequence, sigmas, ts) -> I
 def g_eval(source, s: complex, a: float | None = None) -> ZetaResult:
     """G(s) = zeta(s) - a/(s-1), direct region Re s > 1.
 
-    ``source`` is a PrimeSequence (Euler product) or a CountingTable
-    (Mellin-Stieltjes form, preferred near sigma = 1 where the Euler product
-    truncates badly).
+    ``source`` is a PrimeSequence (Euler product, density ``a``) or a
+    CountingTable (Mellin-Stieltjes form, preferred near sigma = 1 where the
+    Euler product truncates badly; the density is the table's own).
     """
     s = complex(s)
     if s == 1:
         raise DomainError("G(s) has the subtraction pole at s = 1")
     on_table = isinstance(source, CountingTable)
-    if a is None and on_table:
-        a = source.a
+    if on_table and a is not None:
+        raise ValueError("g_eval reads the density from the table; do not pass a")
+    a = source.a if on_table else a
     if a is None:
         raise ValueError("g_eval requires a density a")
     zr = zeta_stieltjes(source, s) if on_table else zeta_euler(source, s, a)

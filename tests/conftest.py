@@ -1,11 +1,11 @@
 """Shared fixtures and independent oracles.
 
-The oracles deliberately avoid the library's heap scheme: primes come from
-trial division, exponent vectors from nested recursion, and psi from a direct
-sum over classical prime powers.  The recursive enumeration accumulates log
-values by multiplying primes in ascending index order, one at a time, which
-is float-for-float the same accumulation path as the canonical heap parents,
-so value comparisons can be exact.
+The oracles deliberately avoid the library's generation-by-generation array
+build: primes come from trial division, exponent vectors from depth-first
+recursion, and psi from a direct sum over classical prime powers.  The
+recursion accumulates log values by multiplying primes in ascending index
+order, one at a time, which is float-for-float the same accumulation path as
+the library's parent rows, so value comparisons can be exact.
 """
 
 import math

@@ -140,7 +140,16 @@ def test_jump_arrays_matches_generic_route():
 
 
 @pytest.mark.parametrize(
-    "values,bound", [([2, 2], 200), ([2, 2, 3], 500), ([1.5, 1.5, 2.5, 3.5], 400)]
+    "values,bound",
+    [
+        ([2, 2], 200),
+        ([2, 2, 3], 500),
+        ([1.5, 1.5, 2.5, 3.5], 400),
+        # ties across generations: 4 is both 2*2 and the prime 4
+        ([2, 4], 1e4),
+        ([1.5, 2.25], 1e3),
+        ([2, 4, 8, 3, 9], 1e5),
+    ],
 )
 def test_one_row_order_on_tie_systems(values, bound):
     seq = system(values, bound)
@@ -157,12 +166,60 @@ def test_one_row_order_on_tie_systems(values, bound):
     assert np.all(en.parent[1:] < np.arange(1, len(en)))
 
 
+@pytest.mark.parametrize(
+    "values,bound",
+    [
+        ([2, 5], 1e6),  # log(2^6 5^6) lands 1.8e-15 below log 10^6
+        ([2, 4, 8, 3, 9], 1e5),
+        ([2, 2, 3], 500),
+        ([1.5, 1.5, 2.5, 3.5], 400),
+        ([1.01, 1.02], 200),
+        ([7], 5),
+    ],
+)
+def test_rows_match_brute_force_row_for_row(values, bound):
+    seq = system(values, bound)
+    en = enumerate_integers(seq, bound)
+    width = len(seq)
+    oracle = sorted(
+        (lv, tuple(dict(e).get(i, 0) for i in range(width)), e)
+        for lv, e in brute_force_enumerate(sorted(values), bound)
+    )
+    assert en.logs.tolist() == [lv for lv, _, _ in oracle]
+    assert [g.exponents for g in en] == [e for _, _, e in oracle]
+    row_of = {dense: r for r, (_, dense, _) in enumerate(oracle)}
+    for r, (_, dense, e) in enumerate(oracle):
+        if not e:
+            assert (en.parent[r], en.index[r], en.lambdas[r]) == (-1, -1, 0.0)
+            continue
+        j = e[-1][0]
+        down = list(dense)
+        down[j] -= 1
+        assert en.parent[r] == row_of[tuple(down)]
+        assert en.index[r] == j
+        assert en.lambdas[r] == (seq.logs[j] if len(e) == 1 else 0.0)
+
+
+TIE_GEN_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+                  2, 3, 5, 7, 11, 13, 17, 19]
+
+
 def test_capacity_error():
     seq = system([2, 3], 10_000)
     with pytest.raises(CapacityError):
         enumerate_integers(seq, 10_000, max_count=10)
     with pytest.raises(CapacityError):
         jump_arrays(seq, 10_000, max_count=10)
+    # the cap is exact: N(B) rows fit in max_count = N(B), not in N(B) - 1
+    for values, bound in [([2, 5], 1e6), (TIE_GEN_PRIMES, 5000)]:
+        seq = system(values, bound)
+        total = len(enumerate_integers(seq, bound))
+        for enumerate_ in (enumerate_integers, jump_arrays):
+            enumerate_(seq, bound, max_count=total)
+            with pytest.raises(CapacityError):
+                enumerate_(seq, bound, max_count=total - 1)
+    with pytest.raises(CapacityError):
+        enumerate_integers(system([7], 5), 5, max_count=0)
 
 
 def test_dirichlet_series_approaches_euler_product():

@@ -221,6 +221,16 @@ def test_g_pole():
         g_eval(seq, 1.0, a=1.0)
 
 
+def test_g_density_comes_from_the_table(rational_1e4):
+    seq, t = rational_1e4
+    on_table = g_eval(t, 1.01)
+    assert on_table.value == pytest.approx(zeta_stieltjes(t, 1.01).value - 1.0 / 0.01, rel=1e-15)
+    with pytest.raises(ValueError, match="density"):
+        g_eval(t, 1.01, a=2.0)
+    # a prime sequence carries no density, so there ``a`` is still the caller's
+    assert g_eval(seq, 2.0, a=2.0).value == pytest.approx(g_eval(seq, 2.0, a=1.0).value - 1.0, rel=1e-13)
+
+
 def test_g_limit_toward_gamma():
     seq = materialize(PrimeSystemSpec.rational(), 1e5)
     t = build_table_from_system(seq, 1e5, 1.0)
