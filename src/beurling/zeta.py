@@ -40,21 +40,49 @@ class ZetaResult:
 
 
 def _require_halfplane(s, least: float):
-    """``s`` as a complex, or a complex array, with every Re s > least."""
+    """``s`` as a complex, or a complex array, every point finite with Re s > least."""
     s = np.asarray(s, dtype=complex)
+    finite = np.isfinite(s)
+    if not np.all(finite):
+        raise DomainError(f"s must be finite, got {complex(s.flat[np.argmin(finite)])}")
     if np.any(s.real <= least):
         raise DomainError(f"Re s must exceed {least}, got {complex(s.flat[np.argmin(s.real)])}")
     return s if s.ndim else complex(s)
 
 
 def _stieltjes_sum(table: CountingTable, w, total, s):
-    """sum_k w_k n_k^{-s} - total B^{-s} at each point of ``s``, one exp pass over the
-    jumps per point (unit weights if ``w`` is None).  With total = W(B) this is
-    s * integral_1^B W(x) x^{-s-1} dx for the step function W with jumps w_k at the n_k."""
+    """sum_k w_k n_k^{-s} - total B^{-s} at each point of ``s`` (unit weights if
+    ``w`` is None).  With total = W(B) this is s * integral_1^B W(x) x^{-s-1} dx
+    for the step function W with jumps w_k at the n_k.
+
+    Jumps of weight 0 are dropped first.  Each point costs one exp pass over the
+    jumps, except on a grid of three or more points that share one real part and
+    whose imaginary parts are exactly t_0 + k dt: there only the first point takes
+    an exp, and each later one multiplies the previous terms by exp(-i dt u_k).
+    That factor has modulus 1, so the running product can neither overflow nor
+    underflow.
+    """
     s = np.asarray(s, dtype=complex)
-    sums = np.array([np.sum(e if w is None else w * e)
-                     for e in (np.exp(-si * table.jump_logs) for si in s.flat)]).reshape(s.shape)
-    out = sums - total * np.exp(-s * table.log_bound)
+    u = table.jump_logs
+    if w is not None:
+        keep = w != 0
+        u, w = u[keep], w[keep]
+    flat = s.ravel()
+    n, t = flat.size, flat.imag
+    dt = (t[-1] - t[0]) / (n - 1) if n > 2 else 0.0
+    on_grid = n > 2 and np.all(flat.real == flat[0].real) and np.array_equal(t, t[0] + dt * np.arange(n))
+    if on_grid:
+        ratio = np.multiply(-1j * dt, u, dtype=complex)
+        np.exp(ratio, out=ratio)
+    e = np.empty(u.shape, dtype=complex)
+    sums = np.empty(flat.shape, dtype=complex)
+    for k, sk in enumerate(flat):
+        if on_grid and k:
+            e *= ratio
+        else:
+            np.exp(np.multiply(-sk, u, out=e), out=e)
+        sums[k] = np.sum(e if w is None else w * e)
+    out = sums.reshape(s.shape) - total * np.exp(-s * table.log_bound)
     return out if out.ndim else complex(out)
 
 
@@ -218,6 +246,9 @@ def fourier_E1_boundary(table: CountingTable, t):
     if table.a is None:
         raise ValueError("fourier_E1_boundary requires a declared density a")
     t = np.asarray(t, dtype=float)
+    finite = np.isfinite(t)
+    if not np.all(finite):
+        raise DomainError(f"t must be finite, got {float(t.flat[np.argmin(finite)])}")
     theta = t * table.log_bound
     part_a = -table.a * table.log_bound * np.exp(-0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
     s = 1.0 + 1j * t

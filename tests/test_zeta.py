@@ -21,6 +21,7 @@ from beurling import (
     zeta_euler,
     zeta_stieltjes,
 )
+from beurling.zeta import _stieltjes_sum
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -77,6 +78,12 @@ def test_euler_domain():
         zeta_euler(seq, 1.0)
     with pytest.raises(DomainError):
         zeta_euler(seq, 0.5 + 14j)
+    table = build_table_from_system(seq, 3.0)
+    for bad in (math.nan, complex(2.0, math.nan), complex(math.inf, 0.0)):
+        for method, source in ((zeta_euler, seq), (neg_logderiv, seq),
+                               (zeta_dirichlet, table), (zeta_stieltjes, table)):
+            with pytest.raises(DomainError, match="finite"):
+                method(source, bad)
 
 
 # --- Stieltjes and Dirichlet forms ---
@@ -189,7 +196,8 @@ def test_laplace_psi_empty_and_domain():
     seq = materialize(PrimeSystemSpec.explicit([7.0]), 5.0)
     t = build_table_from_system(seq, 5.0)
     assert laplace_psi(t, 1.0) == 0.0
-    for bad in (-1.0, np.array([2.0, 1.0 + 3j, -0.5 + 1j]), np.array([2.0, 0.0])):
+    for bad in (-1.0, np.array([2.0, 1.0 + 3j, -0.5 + 1j]), np.array([2.0, 0.0]),
+                math.nan, complex(2.0, math.inf), np.array([2.0, complex(2.0, math.nan)])):
         with pytest.raises(DomainError):
             laplace_psi(t, bad)
 
@@ -197,11 +205,17 @@ def test_laplace_psi_empty_and_domain():
 def test_laplace_psi_array_matches_points():
     seq = system([2, 3, 5], 3000)
     t = build_table_from_system(seq, 3000)
-    grid = np.array([[1.5 - 5j, 2.0, 3.0 + 2j], [0.5 + 1j, 10.0, 1.2 - 0.3j]])
-    values = laplace_psi(t, grid)
-    assert values.shape == grid.shape
-    for s, v in zip(grid.flat, values.flat):
-        assert v == pytest.approx(laplace_psi(t, complex(s)), rel=1e-13)
+    scattered = np.array([[1.5 - 5j, 2.0, 3.0 + 2j], [0.5 + 1j, 10.0, 1.2 - 0.3j]])
+    # the identity check's shape (sigma rows of equally spaced t), one equally
+    # spaced row, and a diagonal whose t are equally spaced but whose sigma are not one
+    identity_grid = np.linspace(1.5, 3.0, 5)[:, None] + 1j * np.linspace(-5.0, 5.0, 4)
+    row = 2.0 + 1j * np.linspace(-3.0, 3.0, 3)
+    diagonal = np.linspace(1.5, 3.0, 4) + 1j * np.linspace(-3.0, 3.0, 4)
+    for grid in (scattered, identity_grid, row, diagonal):
+        values = laplace_psi(t, grid)
+        assert values.shape == grid.shape
+        for s, v in zip(grid.flat, values.flat):
+            assert v == pytest.approx(laplace_psi(t, complex(s)), rel=1e-13)
     assert type(laplace_psi(t, 2.0)) is complex
 
 
@@ -282,20 +296,47 @@ def test_fourier_requires_density():
     t = table_for([2.0], 8.0)
     with pytest.raises(ValueError):
         fourier_E1_boundary(t, 1.0)
+    dense = table_for([2.0], 8.0, a=1.0)
+    for bad in (math.nan, math.inf, np.array([0.0, -math.inf])):
+        with pytest.raises(DomainError, match="finite"):
+            fourier_E1_boundary(dense, bad)
 
 
 def test_fourier_array_matches_points():
     seq = materialize(PrimeSystemSpec.rational(), 1e4)
     t = build_table_from_system(seq, 1e4, 1.0)
-    ts = np.array([-4.0, -0.3, 0.0, 1e-9, 0.7, 2.5])
-    values = fourier_E1_boundary(t, ts)
-    assert values.shape == ts.shape
-    for tt, v in zip(ts, values):
-        assert v == pytest.approx(fourier_E1_boundary(t, float(tt)), rel=1e-13)
+    for ts in (np.array([-4.0, -0.3, 0.0, 1e-9, 0.7, 2.5]), np.linspace(-1.0, 2.0, 3)):
+        values = fourier_E1_boundary(t, ts)
+        assert values.shape == ts.shape
+        for tt, v in zip(ts, values):
+            assert v == pytest.approx(fourier_E1_boundary(t, float(tt)), rel=1e-13)
     assert type(fourier_E1_boundary(t, 0.7)) is complex
     scan = boundary_scan(t, 3.0, points=61, floor=1e-3)
     for tt, v in zip(scan.ts, scan.values):
         assert v == pytest.approx(fourier_E1_boundary(t, float(tt)), rel=1e-13)
+
+
+def test_boundary_grid_matches_points(rational_1e4):
+    # a long equally spaced grid steps each term by exp(-i dt log n); the error
+    # of that running product must stay far below the scan's floors
+    _, t = rational_1e4
+    scan = boundary_scan(t, 50.0, points=2001, floor=1e-3)
+    for tt, v in zip(scan.ts, scan.values):
+        g = fourier_E1_boundary(t, float(tt))
+        assert abs(v - g) <= 1e-12 * max(1.0, abs(g))
+
+
+def test_grid_sum_against_mpmath(rational_1e4):
+    # the grid's Stieltjes sum sum_k n_k^{-s} - N(B) B^{-s}, late in the running
+    # product, against exact sums over the table's integers
+    _, t = rational_1e4
+    ns = [int(n) for n in np.rint(np.exp(t.jump_logs))]
+    points = 1.0 + 1j * np.linspace(-50.0, 50.0, 2001)
+    sums = _stieltjes_sum(t, None, t.total_count, points)
+    for k in (1, 500, 1000, 1777, 2000):
+        s = mpmath.mpc(points[k].real, points[k].imag)
+        exact = mpmath.fsum(mpmath.power(n, -s) for n in ns) - t.total_count * mpmath.power(t.bound, -s)
+        assert abs(sums[k] - complex(exact)) <= 1e-12
 
 
 def test_fourier_continuous_at_zero():
