@@ -182,13 +182,6 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
-
-
 def _write_summary(reports: list, out: Path) -> None:
     """summary.json from per-check reports, as ``check`` and ``report`` both write it."""
     params = reports[-1]["parameters"]
@@ -254,7 +247,7 @@ def _run(cfg: RunConfig, command: str):
         result = CHECKS[name](cfg, primes, table)
         if name in CSV_TABLES and "csv" in cfg.formats:
             filename, header, rows = CSV_TABLES[name]
-            _write_csv(out / filename, header, rows(result))
+            counting.write_csv(out / filename, header, rows(result))
         reports[name] = {"check": name, "parameters": parameters, **result.to_dict()}
         if "json" in cfg.formats:
             _write_json(out / f"report-{name}.json", reports[name])
@@ -330,9 +323,9 @@ def zeta_sweep(sigma_lo, sigma_hi, sigma_steps, t_lo, t_hi, t_steps, **opts):
                 yield (sigma, t, ze.re, ze.im, ze.truncation_bound, zs.re, zs.im,
                        zs.truncation_bound, zd.re, zd.im, zd.truncation_bound)
 
-    _write_csv(out / "zeta_sweep.csv",
-               "sigma,t,euler_re,euler_im,euler_bound,stieltjes_re,stieltjes_im,"
-               "stieltjes_bound,dirichlet_re,dirichlet_im,dirichlet_bound", rows())
+    counting.write_csv(out / "zeta_sweep.csv",
+                       "sigma,t,euler_re,euler_im,euler_bound,stieltjes_re,stieltjes_im,"
+                       "stieltjes_bound,dirichlet_re,dirichlet_im,dirichlet_bound", rows())
     _run_log(out, cfg, "zeta-sweep")
     click.echo(f"wrote {out / 'zeta_sweep.csv'}")
 

@@ -1,7 +1,7 @@
 """Counting structures: N(x), psi(x) and their normalized forms.
 
-A :class:`CountingTable` is a sorted jump table over the log values of the
-enumerated generalized integers, with cumulative von Mangoldt weights.
+A :class:`CountingTable` keeps two sorted lists of jump logs: N's, one per
+generalized integer, and psi's, one per prime power with its Lambda weight.
 Queries follow the strict convention: N(x) counts n_k < x and psi(x) sums
 Lambda(n_k) over n_k < x, so a query landing exactly on a jump excludes it.
 The Heaviside convention is H(0) = 0 (characteristic function of the open
@@ -30,19 +30,28 @@ from .systems import PrimeSequence
 QUERY_EPS = 1e-9
 
 
+def _below(logs: np.ndarray, u) -> np.ndarray:
+    """Number of jumps in ``logs`` with log value strictly below u (the strict lookup)."""
+    return np.searchsorted(logs, np.asarray(u) - QUERY_EPS, side="left")
+
+
 @dataclass(frozen=True)
 class CountingTable:
     """Immutable jump table answering N and psi queries up to ``bound``."""
 
-    jump_logs: np.ndarray      # sorted log values, with multiplicity
-    lambdas: np.ndarray        # Lambda weight of each jump
+    jump_logs: np.ndarray      # N's jumps: sorted log values, with multiplicity
+    lambdas: np.ndarray        # Lambda of each jump; __post_init__ keeps psi's (Lambda > 0)
     bound: float
     a: float | None = None     # declared density, optional
-    cum_lambda: np.ndarray = field(init=False)  # Lambda summed over the first k jumps, k = 0..n
+    psi_logs: np.ndarray = field(init=False)    # psi's jumps: the prime-power logs, sorted
+    cum_lambda: np.ndarray = field(init=False)  # Lambda summed over psi's first k jumps, k = 0..P
 
     def __post_init__(self):
         if self.a is not None and not 0.0 <= self.a < math.inf:
             raise ValueError("density a must be finite and non-negative")
+        power = self.lambdas > 0
+        object.__setattr__(self, "psi_logs", self.jump_logs[power])
+        object.__setattr__(self, "lambdas", self.lambdas[power])
         object.__setattr__(self, "cum_lambda", np.concatenate(([0.0], np.cumsum(self.lambdas))))
 
     @property
@@ -53,27 +62,23 @@ class CountingTable:
     def log_bound(self) -> float:
         return math.log(self.bound)
 
-    def _below(self, u) -> np.ndarray:
-        """Number of jumps with log value strictly below u (the strict lookup)."""
-        return np.searchsorted(self.jump_logs, np.asarray(u) - QUERY_EPS, side="left")
-
-    def _index_below(self, x) -> np.ndarray:
-        """Number of jumps with log value strictly below log(x)."""
+    def _index_below(self, logs, x) -> np.ndarray:
+        """Number of jumps in ``logs`` with log value strictly below log(x)."""
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0):
             raise ValueError("query point must be positive")
         if np.any(x > self.bound):
             raise ValueError(f"query point beyond enumeration bound {self.bound}")
-        return self._below(np.log(x))
+        return _below(logs, np.log(x))
 
     def count_n(self, x):
         """N(x): number of generalized integers with value strictly below x."""
-        k = self._index_below(x)
+        k = self._index_below(self.jump_logs, x)
         return k if np.ndim(x) else int(k)
 
     def psi(self, x):
         """psi(x): sum of Lambda over generalized integers below x."""
-        out = self.cum_lambda[self._index_below(x)]
+        out = self.cum_lambda[self._index_below(self.psi_logs, x)]
         return out if np.ndim(x) else float(out)
 
     def normalized_error(self, u):
@@ -83,7 +88,7 @@ class CountingTable:
         u = np.asarray(u, dtype=float)
         if np.any(u > self.log_bound):
             raise ValueError(f"e^u beyond enumeration bound {self.bound}")
-        out = np.exp(-u) * self._below(u) - self.a * (u > 0)
+        out = np.exp(-u) * _below(self.jump_logs, u) - self.a * (u > 0)
         return out if out.ndim else float(out)
 
     def normalized_psi(self, u):
@@ -91,7 +96,7 @@ class CountingTable:
         u = np.asarray(u, dtype=float)
         if np.any(u < 0) or np.any(u > self.log_bound):
             raise ValueError("u must lie in [0, log bound]")
-        out = np.exp(-u) * self.cum_lambda[self._below(u)]
+        out = np.exp(-u) * self.cum_lambda[_below(self.psi_logs, u)]
         return out if out.ndim else float(out)
 
 
@@ -126,18 +131,22 @@ def estimate_density(table: CountingTable):
     return a_hat, float(np.max(np.abs(ratios - a_hat)))
 
 
+def write_csv(path, header: str, rows) -> None:
+    """CSV of ``rows`` under ``header``, numbers to 17 significant digits, locale free."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+
+
 def write_counting_csv(table: CountingTable, path) -> None:
     """CSV of (x, N(x), psi(x), psi(x)/x, E1(log x)) on a 200-point geometric grid.
 
-    E1 is written as nan when the table carries no density.  Numbers use 17
-    significant digits and are locale independent.
+    E1 is written as nan when the table carries no density.
     """
     xs = np.geomspace(1.0, table.bound, 200)
     xs[-1] = table.bound
     ns = table.count_n(xs)
     ps = table.psi(xs)
-    with open(path, "w") as fh:
-        fh.write("x,N,psi,psi_over_x,E1_log_x\n")
-        for x, n, p in zip(xs, ns, ps):
-            e1 = (n / x - table.a * (x > 1.0)) if table.a is not None else math.nan
-            fh.write(f"{x:.17g},{int(n)},{p:.17g},{p / x:.17g},{e1:.17g}\n")
+    e1 = ns / xs - table.a * (xs > 1.0) if table.a is not None else np.full_like(xs, math.nan)
+    write_csv(path, "x,N,psi,psi_over_x,E1_log_x", zip(xs, ns, ps, ps / xs, e1))

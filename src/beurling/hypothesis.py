@@ -331,10 +331,10 @@ def chebyshev_verdict(table: CountingTable, x_lo: float, x_hi: float) -> Chebysh
         raise ValueError("empty window")
     if not (1.0 < x_lo and x_hi <= table.bound):
         raise ValueError(f"window must lie in (1, bound={table.bound}]")
-    u = table.jump_logs
+    u = table.psi_logs
     lam = table.lambdas
     pref = table.cum_lambda[1:]  # psi just after each jump
-    mask = (u >= math.log(x_lo)) & (u <= math.log(x_hi)) & (lam > 0)
+    mask = (u >= math.log(x_lo)) & (u <= math.log(x_hi))
     xj = np.exp(u[mask])
     after = pref[mask] / xj          # limit from the right of each jump
     before = (pref[mask] - lam[mask]) / xj  # limit from the left

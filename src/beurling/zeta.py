@@ -50,23 +50,20 @@ def _require_halfplane(s, least: float):
     return s if s.ndim else complex(s)
 
 
-def _stieltjes_sum(table: CountingTable, w, total, s):
-    """sum_k w_k n_k^{-s} - total B^{-s} at each point of ``s`` (unit weights if
-    ``w`` is None).  With total = W(B) this is s * integral_1^B W(x) x^{-s-1} dx
-    for the step function W with jumps w_k at the n_k.
+def _stieltjes_sum(table: CountingTable, u, w, total, s):
+    """sum_k w_k n_k^{-s} - total B^{-s} at each point of ``s``, over one of the
+    table's jump lists ``u`` = log n_k: N's with unit weights (``w`` None) or
+    psi's with its Lambdas.  With total = W(B) this is
+    s * integral_1^B W(x) x^{-s-1} dx for the step function W with jumps w_k at
+    the n_k.
 
-    Jumps of weight 0 are dropped first.  Each point costs one exp pass over the
-    jumps, except on a grid of three or more points that share one real part and
-    whose imaginary parts are exactly t_0 + k dt: there only the first point takes
-    an exp, and each later one multiplies the previous terms by exp(-i dt u_k).
-    That factor has modulus 1, so the running product can neither overflow nor
-    underflow.
+    Each point costs one exp pass over the jumps, except on a grid of three or
+    more points that share one real part and whose imaginary parts are exactly
+    t_0 + k dt: there only the first point takes an exp, and each later one
+    multiplies the previous terms by exp(-i dt u_k).  That factor has modulus 1,
+    so the running product can neither overflow nor underflow.
     """
     s = np.asarray(s, dtype=complex)
-    u = table.jump_logs
-    if w is not None:
-        keep = w != 0
-        u, w = u[keep], w[keep]
     flat = s.ravel()
     n, t = flat.size, flat.imag
     dt = (t[-1] - t[0]) / (n - 1) if n > 2 else 0.0
@@ -138,7 +135,8 @@ def zeta_dirichlet(table: CountingTable, s: complex) -> ZetaResult:
         bound, model, tail = 0.0, "none", 0.0
     else:  # N ~ a x beyond B adds a B^{1-s}/(s-1) = (a B/(s-1)) B^{-s}
         bound, model, tail = _density_bound(table, s), "density", table.a * table.bound / (s - 1.0)
-    return ZetaResult(_stieltjes_sum(table, None, -tail, s), "dirichlet-sum", bound, table.bound, model)
+    return ZetaResult(_stieltjes_sum(table, table.jump_logs, None, -tail, s), "dirichlet-sum",
+                      bound, table.bound, model)
 
 
 def zeta_stieltjes(table: CountingTable, s: complex) -> ZetaResult:
@@ -159,7 +157,7 @@ def zeta_stieltjes(table: CountingTable, s: complex) -> ZetaResult:
         tail = 0.0
         bound = abs(s) * n * b ** (-sigma) * (1.0 + 1.0 / (sigma - 1.0))
         model = "none"
-    return ZetaResult(_stieltjes_sum(table, None, n - tail, s), "stieltjes", bound, b, model)
+    return ZetaResult(_stieltjes_sum(table, table.jump_logs, None, n - tail, s), "stieltjes", bound, b, model)
 
 
 def laplace_psi(table: CountingTable, s):
@@ -170,7 +168,7 @@ def laplace_psi(table: CountingTable, s):
     caller should allow psi(B) * B^{-sigma} / sigma for the omitted range.
     """
     s = _require_halfplane(s, 0.0)
-    return _stieltjes_sum(table, table.lambdas, float(table.cum_lambda[-1]), s) / s
+    return _stieltjes_sum(table, table.psi_logs, table.lambdas, float(table.cum_lambda[-1]), s) / s
 
 
 @dataclass(frozen=True)
@@ -252,7 +250,7 @@ def fourier_E1_boundary(table: CountingTable, t):
     theta = t * table.log_bound
     part_a = -table.a * table.log_bound * np.exp(-0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
     s = 1.0 + 1j * t
-    g = _stieltjes_sum(table, None, table.total_count, s) + s * part_a + table.a
+    g = _stieltjes_sum(table, table.jump_logs, None, table.total_count, s) + s * part_a + table.a
     return g if np.ndim(g) else complex(g)
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -374,3 +375,17 @@ def test_cli_import_leaves_scipy_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert res.stdout.strip() == "False"
+
+
+def test_tracer_wrapped_names_exist():
+    # perfbench/tracer.py wraps these library functions by name; a rename or
+    # removal here would otherwise break only the traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.WRAPPED
+    for module, names in tracer.WRAPPED.items():
+        mod = importlib.import_module(f"beurling.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"beurling.{module}.{name}"

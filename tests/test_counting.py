@@ -12,6 +12,7 @@ from beurling import (
     materialize,
 )
 from beurling.counting import QUERY_EPS, write_counting_csv
+from beurling.hypothesis import ChebyshevReport, chebyshev_verdict
 
 
 def table_for(values, bound, a=None):
@@ -38,9 +39,57 @@ def test_build_table_from_enumeration_agrees():
     en = enumerate_integers(seq, 200)
     t1 = build_table(en, a=1.0)
     t2 = build_table_from_system(seq, 200, a=1.0)
-    assert t1.total_count == t2.total_count
-    assert np.array_equal(np.sort(t1.jump_logs), np.sort(t2.jump_logs))
-    assert t1.cum_lambda[-1] == pytest.approx(t2.cum_lambda[-1], rel=1e-14)
+    assert vars(t1).keys() == vars(t2).keys()
+    for name, value in vars(t1).items():
+        assert np.array_equal(value, vars(t2)[name]), name
+
+
+def _prime_powers_below(values, bound):
+    """Prime powers p^k < bound, k >= 1, over the listed primes with multiplicity."""
+    count = 0
+    for p in values:
+        v = p
+        while v < bound:
+            count, v = count + 1, v * p
+    return count
+
+
+@pytest.mark.parametrize("spec, bound", [
+    (PrimeSystemSpec.explicit([2, 2, 3]), 50.0),
+    (PrimeSystemSpec.single(2), 2.0**10),
+    (PrimeSystemSpec.rational(), 1e4),
+], ids=["explicit-2-2-3", "single-2", "rational"])
+def test_psi_list_matches_per_jump_oracle(spec, bound):
+    # psi's jump list holds exactly the enumeration's rows with Lambda > 0, and
+    # every psi query equals the per-jump cumulative sum over all N(B) rows
+    seq = materialize(spec, bound)
+    en = enumerate_integers(seq, bound)
+    t = build_table(en, a=1.0)
+    assert np.array_equal(t.psi_logs, en.logs[en.lambdas > 0])
+    assert len(t.lambdas) == _prime_powers_below(seq.values.tolist(), bound)
+    assert len(t.cum_lambda) == len(t.lambdas) + 1
+
+    cum = np.concatenate(([0.0], np.cumsum(en.lambdas)))
+
+    def below(u):
+        return np.searchsorted(en.logs, np.asarray(u) - QUERY_EPS, side="left")
+
+    xs = np.concatenate((np.exp(en.logs[en.logs > 0]), np.geomspace(1.0, bound, 101)))
+    xs = np.clip(np.concatenate((xs, xs * (1 + 1e-12), xs * (1 - 1e-12))), 1.0, bound)
+    assert np.array_equal(t.psi(xs), cum[below(np.log(xs))])
+    us = np.log(xs)
+    assert np.array_equal(t.normalized_psi(us), np.exp(-us) * cum[below(us)])
+
+    for x_lo, x_hi in ((1.5, bound), (2.0, bound / 2), (3.0, 3.0), (bound / 3, bound)):
+        mask = (en.logs >= math.log(x_lo)) & (en.logs <= math.log(x_hi)) & (en.lambdas > 0)
+        xj = np.exp(en.logs[mask])
+        ends = [cum[below(math.log(x_lo))] / x_lo, cum[below(math.log(x_hi))] / x_hi]
+        oracle = ChebyshevReport(
+            (x_lo, x_hi),
+            float(np.min(np.concatenate(((cum[1:][mask] - en.lambdas[mask]) / xj, ends)))),
+            float(np.max(np.concatenate((cum[1:][mask] / xj, ends)))),
+            int(mask.sum()) * 2 + 2)
+        assert chebyshev_verdict(t, x_lo, x_hi) == oracle
 
 
 def test_count_examples(rational_1e4):

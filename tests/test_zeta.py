@@ -146,7 +146,7 @@ def test_neg_logderiv_matches_lambda_sum():
     seq = system([2, 3], 5000)
     t = build_table_from_system(seq, 5000)
     s = 2.0
-    direct = complex(np.sum(t.lambdas * np.exp(-s * t.jump_logs)))
+    direct = complex(np.sum(t.lambdas * np.exp(-s * t.psi_logs)))
     r = neg_logderiv(seq, s)
     assert abs(r.value - direct) <= math.log(5000) * 5000.0**-2 * 10
 
@@ -332,7 +332,7 @@ def test_grid_sum_against_mpmath(rational_1e4):
     _, t = rational_1e4
     ns = [int(n) for n in np.rint(np.exp(t.jump_logs))]
     points = 1.0 + 1j * np.linspace(-50.0, 50.0, 2001)
-    sums = _stieltjes_sum(t, None, t.total_count, points)
+    sums = _stieltjes_sum(t, t.jump_logs, None, t.total_count, points)
     for k in (1, 500, 1000, 1777, 2000):
         s = mpmath.mpc(points[k].real, points[k].imag)
         exact = mpmath.fsum(mpmath.power(n, -s) for n in ns) - t.total_count * mpmath.power(t.bound, -s)
