@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .counting import CountingTable
+from .counting import CountingTable, _below
 
 CONVERGENT = "convergent-evidence"
 DIVERGENT = "divergent-evidence"
@@ -39,6 +39,7 @@ CONVERGENT_FRAC = 0.01
 DECAY_RATIO = 0.5
 CHECKPOINTS = 48      # default checkpoints, geometric from 2 to the bound
 TREND_SAMPLES = 400   # little_o_trend's reported sample grid
+BLOCK = 65536         # pieces per pass of _integral_report's whole-piece sums
 
 
 @dataclass(frozen=True)
@@ -101,18 +102,24 @@ class OmegaReport:
 
 
 def _pieces(table: CountingTable):
-    """Inter-jump pieces: on [ulo_i, uhi_i) the count is constant c_i = i+1."""
-    u = np.concatenate((table.jump_logs, [table.log_bound]))
-    x = np.exp(u)
-    return u[:-1], u[1:], x[:-1], x[1:], np.arange(1, table.total_count + 1, dtype=float)
+    """The declared density a, the pieces (ulo, uhi, xlo, xhi, c) and h.
 
-
-def _require_density(table: CountingTable) -> float:
+    On [xlo_i, xhi_i) = [x_i, x_{i+1}), logs ulo_i and uhi_i, x_N = B, the
+    count is c_i = i + 1.  h[j] is the larger one-sided limit of |N(t)/t - a|
+    at jump x_j (x_0 = 1 is the unit), and h[N] the left limit at B; |c/t - a|
+    is V-shaped on a piece, so its extrema over any run of pieces sit in h.
+    """
     if table.a is None:
         raise ValueError("this check requires a declared density a")
     if not 0.0 < table.a < math.inf:
         raise ValueError("density a must be positive and finite")
-    return float(table.a)
+    a = float(table.a)
+    u = np.concatenate((table.jump_logs, [table.log_bound]))
+    x = np.exp(u)
+    n = np.arange(table.total_count + 1, dtype=float)  # N just left of each x_j
+    h = np.abs(n / x - a)
+    np.maximum(h[:-1], np.abs(n[1:] / x[:-1] - a), out=h[:-1])
+    return a, (u[:-1], u[1:], x[:-1], x[1:], n[1:]), h
 
 
 def _rising(vals) -> bool:
@@ -146,9 +153,15 @@ def _evidence(partial, bound, checkpoints):
 
 def _integral_report(table: CountingTable, piece, xhi, uhi, checkpoints, caveat) -> IntegralReport:
     """Exact partials of integral_1^X f dx, where ``piece(k, x, log x)`` integrates
-    f from jump k to x inside piece k; ``k = slice(None)`` with the right ends
-    ``xhi``, ``uhi`` of all pieces takes every piece whole."""
-    cum = np.concatenate(([0.0], np.cumsum(piece(slice(None), xhi, uhi))))
+    f from jump k to x inside piece k.  Whole pieces (k a slice, x and log x its
+    right ends) are summed BLOCK at a time, each block carrying the running sum
+    into its first term: one sequential pass, with BLOCK-long temporaries."""
+    cum = np.zeros(len(xhi) + 1)
+    for lo in range(0, len(xhi), BLOCK):
+        k = slice(lo, lo + BLOCK)
+        part = piece(k, xhi[k], uhi[k])
+        part[0] += cum[lo]
+        np.cumsum(part, out=cum[lo + 1 : lo + 1 + BLOCK])
 
     def partial(x):
         x = float(x)
@@ -166,8 +179,7 @@ def _integral_report(table: CountingTable, piece, xhi, uhi, checkpoints, caveat)
 
 def l1_condition(table: CountingTable, checkpoints=None) -> IntegralReport:
     """Exact piecewise partials of the L1 integral integral_1^X |N-ax|/x^2 dx."""
-    a = _require_density(table)
-    ulo, uhi, xlo, xhi, c = _pieces(table)
+    a, (ulo, uhi, xlo, xhi, c), _ = _pieces(table)
 
     def piece(k, x, ux):
         m = np.clip(c[k] / a, xlo[k], x)
@@ -180,39 +192,28 @@ def l1_condition(table: CountingTable, checkpoints=None) -> IntegralReport:
                             "integral truncated at the enumeration bound")
 
 
-def _zhang_sup_pieces(table: CountingTable, a: float):
-    """Per-piece data for S(x) = sup_{t in [x, B]} |N(t) - at| / t.
-
-    Within a piece |c/t - a| is V-shaped, so its sup over any subinterval sits
-    at an endpoint; a single backward scan gives the running max R_i of
-    everything to the right, and S(x) = max(|c_i/x - a|, R_i) on piece i.
-    """
-    ulo, uhi, xlo, xhi, c = _pieces(table)
-    g_lo = np.abs(c / xlo - a)
-    g_hi = np.abs(c / xhi - a)
-    m = np.maximum(g_lo, g_hi)
-    suffix = np.maximum.accumulate(m[::-1])[::-1]
-    suffix_next = np.concatenate((suffix[1:], [0.0]))
-    r = np.maximum(g_hi, suffix_next)
-    return ulo, uhi, xlo, xhi, c, r
-
-
 def tail_sup(table: CountingTable, xs) -> np.ndarray:
-    """S(x) = sup_{t in [x, B]} |N(t) - at| / t on query points (truncated sup)."""
-    a = _require_density(table)
-    _, _, _, _, c, r = _zhang_sup_pieces(table, a)
+    """S(x) = sup_{t in [x, B]} |N(t) - at| / t on query points (truncated sup).
+
+    Zhang's R[j] = max(h[j:]) is the sup from the left limit at jump x_j up to
+    B, one suffix max over h in place.  With n = N(x) under the strict
+    convention x lies in (x_{n-1}, x_n], so S(x) = max(|n/x - a|, R[n]): a
+    point on a jump keeps the jump's right limit.
+    """
+    a, _, r = _pieces(table)
     xs = np.asarray(xs, dtype=float)
     if np.any(xs < 1.0) or np.any(xs > table.bound):
         raise ValueError("query points must lie in [1, bound]")
-    k = np.clip(np.searchsorted(table.jump_logs, np.log(xs), side="right") - 1,
-                0, table.total_count - 1)
-    return np.maximum(np.abs(c[k] / xs - a), r[k])
+    np.maximum.accumulate(r[::-1], out=r[::-1])
+    n = table.count_n(xs)
+    return np.maximum(np.abs(n / xs - a), r[n])
 
 
 def zhang_condition(table: CountingTable, checkpoints=None) -> IntegralReport:
-    """Exact piecewise partials of integral_1^X S(x)/x dx (truncated tail sup)."""
-    a = _require_density(table)
-    ulo, uhi, xlo, xhi, c, r = _zhang_sup_pieces(table, a)
+    """Exact piecewise partials of integral_1^X S(x)/x dx (truncated tail sup);
+    on piece i, S(x) = max(|c_i/x - a|, R[i + 1]) with R as in ``tail_sup``."""
+    a, (ulo, uhi, xlo, xhi, c), h = _pieces(table)
+    r = np.maximum.accumulate(h[::-1], out=h[::-1])[::-1][1:]
 
     def piece(k, x, ux):
         # On [xlo, t) the left branch c/x - a exceeds R; beyond it S = R.
@@ -226,53 +227,49 @@ def zhang_condition(table: CountingTable, checkpoints=None) -> IntegralReport:
                             "so convergence verdicts are tail-caveated")
 
 
-def _dyadic_windows(bound: float):
-    """Edges B, B/2, B/4, ... down to 1 (at most 65 edges), returned ascending."""
+def _dyadic_edges(bound: float):
+    """Window edges B, B/2, B/4, ... down to 1 (at most 65 edges), returned ascending."""
     edges = [bound]
     while edges[-1] / 2.0 > 1.0 and len(edges) < 64:
         edges.append(edges[-1] / 2.0)
     edges.append(max(1.0, edges[-1] / 2.0))
-    edges.reverse()
-    return [(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    return edges[::-1]
 
 
-def _window_sups(windows, xs, vals):
-    out = []
-    for lo, hi in windows:
-        mask = (xs > lo) & (xs <= hi)
-        out.append((lo, hi, float(np.max(vals[mask])) if np.any(mask) else 0.0))
-    return out
+def _window_sups(edges, xs, vals):
+    """Max of vals over lo < xs <= hi for each pair of consecutive edges (0.0 if
+    none); ``xs`` is sorted, so one searchsorted cuts every window."""
+    cuts = np.searchsorted(xs, edges, side="right")
+    return [float(np.max(vals[i:j])) if j > i else 0.0 for i, j in zip(cuts, cuts[1:])]
 
 
 def little_o_trend(table: CountingTable) -> TrendReport:
     """Trend of D(x) = log(x)|N(x) - ax|/x against the o(x/log x) hypothesis.
 
-    Window suprema are taken over both one-sided limits at every jump (the
-    extrema of |N - ax| on a piece sit at its endpoints) together with the
-    window edges themselves, so no grid density tuning affects them; the
-    geometric grid is only the reported sample series.
+    The extrema of |N - ax| on a piece sit at its endpoints, so each window
+    (lo, hi]'s sup is the larger of log(x) h at the jumps x in it (both
+    one-sided limits) and D at hi itself; no grid density tuning affects
+    them, and the geometric grid is only the reported sample series.  Both
+    limits of a jump on an edge count in the window below it.
     """
-    a = _require_density(table)
-    ulo, uhi, xlo, xhi, c = _pieces(table)
-    windows = _dyadic_windows(table.bound)
-    edges = np.array([lo for lo, _ in windows] + [windows[-1][1]])
-    edge_d = np.log(edges) * np.abs(table.count_n(edges) - a * edges) / edges
-    cand_x = np.concatenate((xlo, xhi, edges))
-    cand_d = np.concatenate((ulo * np.abs(c / xlo - a), uhi * np.abs(c / xhi - a), edge_d))
-    sups = _window_sups(windows, cand_x, cand_d)
-    grid = np.geomspace(1.0, table.bound, TREND_SAMPLES)
-    counts = table.count_n(grid)
-    d_grid = np.log(grid) * np.abs(counts - a * grid) / grid
-    vals = [s for _, _, s in sups]
-    if len(vals) < 4:
+    a, (_, uhi, _, xhi, _), h = _pieces(table)
+
+    def d(x):
+        return np.log(x) * np.abs(table.count_n(x) - a * x) / x
+
+    edges = _dyadic_edges(table.bound)
+    h[1:] *= uhi
+    sups = list(map(max, _window_sups(edges, xhi, h[1:]), d(np.array(edges[1:])).tolist()))
+    if len(sups) < 4:
         verdict = INCONCLUSIVE
-    elif _rising(vals):
+    elif _rising(sups):
         verdict = VIOLATED
-    elif _decaying(vals):
+    elif _decaying(sups):
         verdict = CONSISTENT
     else:
         verdict = INCONCLUSIVE
-    return TrendReport(grid, d_grid, tuple(sups), verdict)
+    grid = np.geomspace(1.0, table.bound, TREND_SAMPLES)
+    return TrendReport(grid, d(grid), tuple(zip(edges, edges[1:], sups)), verdict)
 
 
 def omega_lemma_check(omega, x_max: float, checkpoints=None) -> OmegaReport:
@@ -313,10 +310,11 @@ def omega_lemma_check(omega, x_max: float, checkpoints=None) -> OmegaReport:
         return float(np.interp(min(math.log(x), u_max), us, cum))
 
     pts, verdict, _ = _evidence(partial, x_max, checkpoints)
-    sups = _window_sups(_dyadic_windows(x_max), np.exp(us), w * us)
-    decaying = _decaying([s for _, _, s in sups])
+    edges = _dyadic_edges(x_max)
+    sups = _window_sups(edges, np.exp(us), w * us)
+    decaying = _decaying(sups)
     contradiction = verdict == CONVERGENT and not decaying
-    return OmegaReport(pts, verdict, tuple(sups), decaying, contradiction)
+    return OmegaReport(pts, verdict, tuple(zip(edges, edges[1:], sups)), decaying, contradiction)
 
 
 def chebyshev_verdict(table: CountingTable, x_lo: float, x_hi: float) -> ChebyshevReport:
@@ -324,21 +322,21 @@ def chebyshev_verdict(table: CountingTable, x_lo: float, x_hi: float) -> Chebysh
 
     psi(x)/x decreases strictly between psi jumps, so the extrema sit at the
     one-sided limits at each jump abscissa plus the window endpoints; all of
-    those are evaluated, making the result grid free.
+    those are evaluated, making the result grid free.  The jumps are those
+    in [x_lo, x_hi) under the strict convention: the right limit of a jump on
+    x_hi lies outside the window, and its left limit is the endpoint value.
     """
     x_lo, x_hi = float(x_lo), float(x_hi)
     if x_lo > x_hi:
         raise ValueError("empty window")
     if not (1.0 < x_lo and x_hi <= table.bound):
         raise ValueError(f"window must lie in (1, bound={table.bound}]")
-    u = table.psi_logs
-    lam = table.lambdas
-    pref = table.cum_lambda[1:]  # psi just after each jump
-    mask = (u >= math.log(x_lo)) & (u <= math.log(x_hi))
-    xj = np.exp(u[mask])
-    after = pref[mask] / xj          # limit from the right of each jump
-    before = (pref[mask] - lam[mask]) / xj  # limit from the left
-    ends = np.array([table.psi(x_lo) / x_lo, table.psi(x_hi) / x_hi])
+    i, j = _below(table.psi_logs, np.log([x_lo, x_hi]))
+    xj = np.exp(table.psi_logs[i:j])
+    pref = table.cum_lambda[i + 1 : j + 1]  # psi just after each jump
+    after = pref / xj                       # limit from the right of each jump
+    before = (pref - table.lambdas[i:j]) / xj  # limit from the left
+    ends = table.cum_lambda[[i, j]] / np.array([x_lo, x_hi])
     ratio_max = float(np.max(np.concatenate((after, ends))))
     ratio_min = float(np.min(np.concatenate((before, ends))))
-    return ChebyshevReport((x_lo, x_hi), ratio_min, ratio_max, int(mask.sum()) * 2 + 2)
+    return ChebyshevReport((x_lo, x_hi), ratio_min, ratio_max, int(j - i) * 2 + 2)

@@ -110,8 +110,8 @@ class PrimeSequence:
         if values.size:
             if np.any(np.diff(values) < 0):
                 raise InvalidSystemError("prime values must be non-decreasing")
-            if values[0] <= 1.0 or values[-1] >= self.bound:
-                raise InvalidSystemError("prime values must lie strictly in (1, bound)")
+            if not np.all(np.isfinite(values)) or values[0] <= 1.0 or values[-1] >= self.bound:
+                raise InvalidSystemError("prime values must be finite and lie strictly in (1, bound)")
 
     def __len__(self):
         return len(self.values)

@@ -80,8 +80,11 @@ def test_psi_list_matches_per_jump_oracle(spec, bound):
     us = np.log(xs)
     assert np.array_equal(t.normalized_psi(us), np.exp(-us) * cum[below(us)])
 
+    # the window's jumps run from x_lo up to, not including, x_hi (strict convention)
+    rows = np.arange(len(en.logs))
     for x_lo, x_hi in ((1.5, bound), (2.0, bound / 2), (3.0, 3.0), (bound / 3, bound)):
-        mask = (en.logs >= math.log(x_lo)) & (en.logs <= math.log(x_hi)) & (en.lambdas > 0)
+        mask = ((rows >= below(math.log(x_lo))) & (rows < below(math.log(x_hi)))
+                & (en.lambdas > 0))
         xj = np.exp(en.logs[mask])
         ends = [cum[below(math.log(x_lo))] / x_lo, cum[below(math.log(x_hi))] / x_hi]
         oracle = ChebyshevReport(

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from beurling import (
     tail_sup,
     zhang_condition,
 )
+from beurling import hypothesis
 from beurling.hypothesis import (
     CONSISTENT,
     CONVERGENT,
     DIVERGENT,
     VIOLATED,
+    _pieces,
 )
 from conftest import diamond_partial_naturals
 
@@ -117,6 +120,13 @@ def test_tail_sup_non_increasing(rational_2000, rng):
     xs = np.sort(rng.uniform(1.0, 2000.0, 200))
     s = tail_sup(rational_2000, xs)
     assert np.all(np.diff(s) <= 1e-15)
+
+
+def test_tail_sup_strict_at_jumps(rational_2000):
+    # N(n) = n - 1 for the ordinary integers under the strict convention, so
+    # S(n) = |(n - 1)/n - 1| = 1/n, which the later pieces never exceed
+    ns = np.arange(1.0, 2001.0)
+    assert tail_sup(rational_2000, ns) == pytest.approx(1.0 / ns, rel=1e-12)
 
 
 def test_zhang_dominates_l1(rational_2000):
@@ -254,6 +264,14 @@ def test_chebyshev_exact_on_tiny_window():
     assert rep.ratio_min == pytest.approx(l2 / 4.0, abs=1e-14)
 
 
+def test_chebyshev_window_stops_before_jump_on_x_hi(rational_2000):
+    # the right limit psi(4+)/4 lies outside [2, 4]; the sup is psi(3+)/3
+    rep = chebyshev_verdict(rational_2000, 2.0, 4.0)
+    assert rep.ratio_max == pytest.approx(math.log(6.0) / 3.0, rel=1e-14)
+    assert rep.ratio_min == 0.0  # psi(2)/2, the left limit at x_lo
+    assert rep.grid_size == 2 * 2 + 2  # the jumps at 2 and 3
+
+
 def test_chebyshev_nested_windows(rational_2000):
     inner = chebyshev_verdict(rational_2000, 200.0, 1000.0)
     outer = chebyshev_verdict(rational_2000, 100.0, 2000.0)
@@ -298,3 +316,79 @@ def test_report_dicts_list_their_fields(rational_2000):
     same(om, {"checkpoints": [[x, p] for x, p in om.checkpoints], "verdict": om.verdict,
               "logweight_sups": [[lo, hi, s] for lo, hi, s in om.logweight_sups],
               "decaying": om.decaying, "contradiction": om.contradiction})
+
+
+# --- reference oracles and memory ---
+
+def _reference_zhang_r(table):
+    """Zhang's per-piece R from six N-length arrays: both one-sided values at
+    each piece's ends, their suffix max, shifted one piece, and the left end."""
+    a = table.a
+    x = np.exp(np.concatenate((table.jump_logs, [table.log_bound])))
+    c = np.arange(1, table.total_count + 1, dtype=float)
+    g_lo = np.abs(c / x[:-1] - a)
+    g_hi = np.abs(c / x[1:] - a)
+    m = np.maximum(g_lo, g_hi)
+    suffix = np.maximum.accumulate(m[::-1])[::-1]
+    suffix_next = np.concatenate((suffix[1:], [0.0]))
+    return np.maximum(g_hi, suffix_next)
+
+
+def _reference_window_sups(table):
+    """little-o window sups from one boolean mask per dyadic window over every
+    piece's two end values and the window edges."""
+    a, b = table.a, table.bound
+    edges = np.array([1.0] + [b / 2**k for k in range(64) if b / 2**k > 1.0][::-1])
+    u = np.concatenate((table.jump_logs, [table.log_bound]))
+    x = np.exp(u)
+    c = np.arange(1, table.total_count + 1, dtype=float)
+    cand_x = np.concatenate((x[:-1], x[1:], edges))
+    cand_d = np.concatenate((u[:-1] * np.abs(c / x[:-1] - a), u[1:] * np.abs(c / x[1:] - a),
+                             np.log(edges) * np.abs(table.count_n(edges) - a * edges) / edges))
+    out = []
+    for lo, hi in zip(edges, edges[1:]):
+        mask = (cand_x > lo) & (cand_x <= hi)
+        out.append((float(lo), float(hi), float(np.max(cand_d[mask])) if np.any(mask) else 0.0))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec, bound, a", [
+    (PrimeSystemSpec.rational(), 1e4, 1.0),
+    (PrimeSystemSpec.single(2.0), 2.0**12, 1.0),  # every dyadic edge is a jump
+    # with a small a the right limit at an edge jump tops the window above it,
+    # so the window that jump falls in shows
+    (PrimeSystemSpec.single(2.0), 2.0**12, 1e-3),
+    (PrimeSystemSpec.explicit([2.0, 2.0, 3.0]), 50.0, 1.0),
+    (PrimeSystemSpec.scaled_rational(1.2), 1e4, 0.6),
+], ids=["rational", "single-2", "single-2-small-a", "explicit-2-2-3", "scaled-1.2"])
+def test_jump_extrema_match_reference(spec, bound, a):
+    t = build_table_from_system(materialize(spec, bound), bound, a)
+    r = _reference_zhang_r(t)
+    _, _, h = _pieces(t)
+    assert np.array_equal(np.maximum.accumulate(h[::-1])[::-1][1:], r)
+    # on the first jump j of each value, N = j and |j/x_j - a| is part of R[j],
+    # so tail_sup reads R[j] = r[j - 1] itself
+    first = np.unique(t.jump_logs, return_index=True)[1][1:]
+    assert np.array_equal(tail_sup(t, np.exp(t.jump_logs[first])), r[first - 1])
+    assert little_o_trend(t).window_sups == _reference_window_sups(t)
+
+
+def test_integral_reports_independent_of_block(rational_2000, monkeypatch):
+    # whole pieces are summed a block at a time as one sequential pass
+    reports = [f(rational_2000).to_dict() for f in (l1_condition, zhang_condition)]
+    monkeypatch.setattr(hypothesis, "BLOCK", 7)
+    assert [f(rational_2000).to_dict() for f in (l1_condition, zhang_condition)] == reports
+
+
+@pytest.mark.parametrize("check", [l1_condition, zhang_condition, little_o_trend],
+                         ids=lambda f: f.__name__)
+def test_check_peak_memory_bounded(rational_1e6, check):
+    # each check holds fewer than eight float64 arrays of N(B) entries at once
+    _, table = rational_1e6.value
+    tracemalloc.start()
+    try:
+        check(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * table.total_count, peak / (8 * table.total_count)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from beurling import InvalidSystemError, PrimeSystemSpec, materialize
+from beurling import InvalidSystemError, PrimeSequence, PrimeSystemSpec, materialize
 from conftest import trial_division_primes
 
 
@@ -65,6 +65,14 @@ def test_invalid_specs():
         PrimeSystemSpec("no-such-variant")
     with pytest.raises(InvalidSystemError):
         PrimeSystemSpec("rational-primes", (2.0,))
+
+
+@pytest.mark.parametrize("values, bound", [
+    ([2.0, math.nan], 10.0), ([math.nan, 2.0], 10.0), ([2.0, math.inf], math.inf),
+], ids=["nan-last", "nan-first", "inf"])
+def test_non_finite_primes_rejected(values, bound):
+    with pytest.raises(InvalidSystemError):
+        PrimeSequence(np.array(values), bound=bound)
 
 
 def test_invalid_bounds():
