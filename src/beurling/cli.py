@@ -312,16 +312,15 @@ def zeta_sweep(sigma_lo, sigma_hi, sigma_steps, t_lo, t_hi, t_steps, **opts):
     if not _s_grid_ok(sigma_lo, sigma_hi, t_lo, t_hi) or min(sigma_steps, t_steps) < 1:
         _fail("the sigma/t grid must be finite, in Re s > 1, with at least one step each", 2)
     out, primes, table = _prepare(cfg)
+    sigmas, ts = np.linspace(sigma_lo, sigma_hi, sigma_steps), np.linspace(t_lo, t_hi, t_steps)
+    grid = (sigmas[:, None] + 1j * ts).ravel()
+    zs, zd = zeta.zeta_stieltjes(table, grid), zeta.zeta_dirichlet(table, grid)
 
     def rows():
-        for sigma in np.linspace(sigma_lo, sigma_hi, sigma_steps):
-            for t in np.linspace(t_lo, t_hi, t_steps):
-                s = complex(sigma, t)
-                ze = zeta.zeta_euler(primes, s, cfg.density_a)
-                zs = zeta.zeta_stieltjes(table, s)
-                zd = zeta.zeta_dirichlet(table, s)
-                yield (sigma, t, ze.re, ze.im, ze.truncation_bound, zs.re, zs.im,
-                       zs.truncation_bound, zd.re, zd.im, zd.truncation_bound)
+        for k, s in enumerate(grid.tolist()):
+            ze = zeta.zeta_euler(primes, s, cfg.density_a)
+            yield (s.real, s.imag, ze.re, ze.im, ze.truncation_bound, zs.re[k], zs.im[k],
+                   zs.truncation_bound[k], zd.re[k], zd.im[k], zd.truncation_bound[k])
 
     counting.write_csv(out / "zeta_sweep.csv",
                        "sigma,t,euler_re,euler_im,euler_bound,stieltjes_re,stieltjes_im,"

@@ -72,6 +72,17 @@ def test_euler_side_tail_models(euler_side):
     assert density.value == none.value
 
 
+@pytest.mark.parametrize("euler_side", [zeta_euler, neg_logderiv], ids=lambda f: f.__name__)
+def test_euler_side_takes_one_point(euler_side):
+    # p^{-s} over an array of s would pair point k with prime k, so that {2, 3} at
+    # s = [2, 3] would give (4/3)(27/26) for zeta_euler
+    seq = system([2, 3], 10)
+    for points in (np.array([2.0, 3.0]), np.array([2.0]), np.array([[2.0 + 1j]])):
+        with pytest.raises(DomainError, match="one point"):
+            euler_side(seq, points)
+    assert euler_side(seq, np.array(2.0)).value == euler_side(seq, 2.0).value
+
+
 def test_euler_domain():
     seq = system([2.0], 3.0)
     with pytest.raises(DomainError):
@@ -202,21 +213,36 @@ def test_laplace_psi_empty_and_domain():
             laplace_psi(t, bad)
 
 
-def test_laplace_psi_array_matches_points():
+def _value_and_bound(method, table, s):
+    """A table transform's value and truncation bound; laplace_psi reports no bound."""
+    if method is laplace_psi:
+        return laplace_psi(table, s), np.zeros(np.shape(s))
+    res = method(table, s)
+    return res.value, res.truncation_bound
+
+
+@pytest.mark.parametrize("method, a", [(laplace_psi, None), (zeta_stieltjes, None), (zeta_stieltjes, 1.0),
+                                       (zeta_dirichlet, None), (zeta_dirichlet, 1.0)],
+                         ids=["laplace_psi", "stieltjes", "stieltjes-density", "dirichlet", "dirichlet-density"])
+def test_table_transforms_array_match_points(method, a):
     seq = system([2, 3, 5], 3000)
-    t = build_table_from_system(seq, 3000)
+    t = build_table_from_system(seq, 3000, a)
     scattered = np.array([[1.5 - 5j, 2.0, 3.0 + 2j], [0.5 + 1j, 10.0, 1.2 - 0.3j]])
     # the identity check's shape (sigma rows of equally spaced t), one equally
-    # spaced row, and a diagonal whose t are equally spaced but whose sigma are not one
+    # spaced row, a diagonal whose t are equally spaced but whose sigma are not
+    # one, and no points at all
     identity_grid = np.linspace(1.5, 3.0, 5)[:, None] + 1j * np.linspace(-5.0, 5.0, 4)
     row = 2.0 + 1j * np.linspace(-3.0, 3.0, 3)
     diagonal = np.linspace(1.5, 3.0, 4) + 1j * np.linspace(-3.0, 3.0, 4)
-    for grid in (scattered, identity_grid, row, diagonal):
-        values = laplace_psi(t, grid)
-        assert values.shape == grid.shape
-        for s, v in zip(grid.flat, values.flat):
-            assert v == pytest.approx(laplace_psi(t, complex(s)), rel=1e-13)
-    assert type(laplace_psi(t, 2.0)) is complex
+    shift = 0.0 if method is laplace_psi else 1.0  # the zeta sums need Re s > 1
+    for grid in (scattered, identity_grid, row, diagonal, np.array([], complex)):
+        values, bounds = _value_and_bound(method, t, grid + shift)
+        assert values.shape == np.shape(bounds) == grid.shape
+        for s, v, bound in zip(grid.flat, values.flat, np.ravel(bounds)):
+            one = _value_and_bound(method, t, complex(s + shift))
+            assert v == pytest.approx(one[0], rel=1e-13)
+            assert bound == pytest.approx(one[1], rel=1e-15)
+    assert type(_value_and_bound(method, t, 2.0 + shift)[0]) is complex
 
 
 # --- G(s) ---
@@ -305,7 +331,7 @@ def test_fourier_requires_density():
 def test_fourier_array_matches_points():
     seq = materialize(PrimeSystemSpec.rational(), 1e4)
     t = build_table_from_system(seq, 1e4, 1.0)
-    for ts in (np.array([-4.0, -0.3, 0.0, 1e-9, 0.7, 2.5]), np.linspace(-1.0, 2.0, 3)):
+    for ts in (np.array([-4.0, -0.3, 0.0, 1e-9, 0.7, 2.5]), np.linspace(-1.0, 2.0, 3), np.array([])):
         values = fourier_E1_boundary(t, ts)
         assert values.shape == ts.shape
         for tt, v in zip(ts, values):
@@ -317,26 +343,36 @@ def test_fourier_array_matches_points():
 
 
 def test_boundary_grid_matches_points(rational_1e4):
-    # a long equally spaced grid steps each term by exp(-i dt log n); the error
-    # of that running product must stay far below the scan's floors
+    # a long grid cuts the jumps into runs 1/50 wide, a single point into wider
+    # runs; the two must agree far below the scan's floors
     _, t = rational_1e4
     scan = boundary_scan(t, 50.0, points=2001, floor=1e-3)
     for tt, v in zip(scan.ts, scan.values):
         g = fourier_E1_boundary(t, float(tt))
         assert abs(v - g) <= 1e-12 * max(1.0, abs(g))
+    # G(1) is real: the middle of an odd symmetric grid is t = 0
+    assert scan.ts[1000] == 0.0 and scan.values[1000].imag == 0.0
 
 
 def test_grid_sum_against_mpmath(rational_1e4):
-    # the grid's Stieltjes sum sum_k n_k^{-s} - N(B) B^{-s}, late in the running
-    # product, against exact sums over the table's integers
+    # the Stieltjes sum sum_k w_k n_k^{-s} - W(B) B^{-s} over N's jumps (w = 1) and
+    # psi's (w = Lambda), on a long grid and at scattered points of large |s| and
+    # mixed sigma, against exact sums over the table's integers
     _, t = rational_1e4
     ns = [int(n) for n in np.rint(np.exp(t.jump_logs))]
-    points = 1.0 + 1j * np.linspace(-50.0, 50.0, 2001)
-    sums = _stieltjes_sum(t, t.jump_logs, None, t.total_count, points)
-    for k in (1, 500, 1000, 1777, 2000):
-        s = mpmath.mpc(points[k].real, points[k].imag)
-        exact = mpmath.fsum(mpmath.power(n, -s) for n in ns) - t.total_count * mpmath.power(t.bound, -s)
-        assert abs(sums[k] - complex(exact)) <= 1e-12
+    lambdas = {n: mpmath.log(p) for n in ns if len(f := sympy.factorint(n)) == 1 for p in f}
+    grid = 1.0 + 1j * np.linspace(-50.0, 50.0, 2001)
+    scattered = np.array([1.05 + 1000j, 3 - 700j, 0.3 + 50j, 2.5 - 0.1j])
+    for u, w, total, weights in ((t.jump_logs, None, t.total_count, dict.fromkeys(ns, 1)),
+                                 (t.psi_logs, t.lambdas, t.cum_lambda[-1], lambdas)):
+        for points, ks in ((grid, (1, 500, 1000, 1777, 2000)), (scattered, range(4))):
+            sums = _stieltjes_sum(t, u, w, total, points)
+            for k in ks:
+                s = mpmath.mpc(points[k].real, points[k].imag)
+                exact = complex(mpmath.fsum(wn * mpmath.power(n, -s) for n, wn in weights.items())
+                                - mpmath.fsum(weights.values()) * mpmath.power(t.bound, -s))
+                # the grid keeps its absolute bound; at sigma = 0.3 the sums reach ~640
+                assert abs(sums[k] - exact) <= 1e-12 * (max(1.0, abs(exact)) if points is scattered else 1.0)
 
 
 def test_fourier_continuous_at_zero():
