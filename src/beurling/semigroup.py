@@ -13,9 +13,12 @@ its largest prime; -1 for the unit), that largest prime index, and the von
 Mangoldt weight (a row is a prime power exactly when its parent is the unit
 or a power of the same prime).  One stable sort by log value orders the rows;
 inside groups of exactly equal log values the order is dense-lexicographic on
-the exponent vectors, rebuilt for tied rows only.  The sparse exponent
+the exponent vectors, rebuilt for tied rows only (a boolean mask over the
+sorted rows marks every member of a tie group).  The sparse exponent
 vectors are rebuilt parent-to-child when iterating an :class:`EnumerationResult`
-or writing a dump.
+or writing a dump.  :func:`write_dump` formats one value string per run of
+tied rows, takes its ``j:e`` pair strings from a per-index table sized by
+the prime-power rows, and writes ``DUMP_BLOCK`` (8,192) rows per write.
 
 :func:`enumerate_integers` returns all columns and :func:`jump_arrays` only
 (log value, Lambda weight), in the same row order.
@@ -33,6 +36,7 @@ from .errors import CapacityError
 from .systems import PrimeSequence
 
 DEFAULT_MAX_INTEGERS = 10**8
+DUMP_BLOCK = 8192  # rows per write_dump block
 
 
 class GenInteger(NamedTuple):
@@ -136,7 +140,10 @@ def _enumerate(primes: PrimeSequence, bound: float, max_count: int) -> Enumerati
     row_logs = row_logs[order]
     tied = np.flatnonzero(row_logs[1:] == row_logs[:-1])
     if tied.size:
-        tied = np.union1d(tied, tied + 1)
+        # Mark both rows of each equal pair: every member of a tie group.
+        tie = np.zeros(rows, dtype=bool)
+        tie[tied] = tie[tied + 1] = True
+        tied = np.flatnonzero(tie)
         dense = _dense_exponents(order[tied], parent, index, primes, log_bound)
         order[tied] = order[tied][np.lexsort((*dense.T[::-1], row_logs[tied]))]
     inverse = np.empty(rows, dtype=np.intc)
@@ -188,23 +195,36 @@ def write_dump(en, path) -> None:
     The exponent vector is serialized as ``i:a,j:b`` pairs with ascending
     prime index; the unit has an empty exponent field.  Fields are built
     parent-to-child: a row either raises its parent's last exponent or appends
-    a new ``j:1`` pair to its parent's field.
+    a new ``j:1`` pair to its parent's field.  Tied rows share one value
+    string, formatted once per run of equal log values; the lambda strings
+    come from a dict (lambda is 0 or log p_j), and the ``j:e`` pair strings
+    from a per-index table, sized by the count of prime-power rows of p_j,
+    which bounds every exponent of p_j.  Records are written in blocks of
+    ``DUMP_BLOCK`` rows.
     """
     index = en.index.tolist()
+    powers = np.bincount(en.index[en.lambdas > 0]).tolist()
+    pairs = [[f"{j}:{e}" for e in range(k + 1)] for j, k in enumerate(powers)]
     heads = [""] * len(en)  # each row's field before its last pair
     lasts = [0] * len(en)   # the exponent of that last pair
+    lams = {lam: f"\t{lam:.17g}\n" for lam in np.unique(en.lambdas).tolist()}
+    prev = None
     with open(path, "w") as fh:
-        # Python float lists a slice at a time: whole columns would set the peak RSS.
-        for start in range(0, len(en), 65536):
-            cut = slice(start, start + 65536)
+        # Python lists a block at a time: whole columns would set the peak RSS.
+        for start in range(0, len(en), DUMP_BLOCK):
+            cut = slice(start, start + DUMP_BLOCK)
             rows = zip(en.logs[cut].tolist(), en.parent[cut].tolist(), index[cut],
                        en.lambdas[cut].tolist())
+            lines = []
             for r, (lv, p, j, lam) in enumerate(rows, start):
+                if lv != prev:
+                    value, prev = f"{math.exp(lv):.17g}\t", lv
                 field = ""
                 if p >= 0:
                     if p and index[p] != j:
-                        heads[r], lasts[r] = f"{heads[p]}{index[p]}:{lasts[p]},", 1
+                        heads[r], lasts[r] = heads[p] + pairs[index[p]][lasts[p]] + ",", 1
                     else:
                         heads[r], lasts[r] = heads[p], lasts[p] + 1
-                    field = f"{heads[r]}{j}:{lasts[r]}"
-                fh.write(f"{math.exp(lv):.17g}\t{field}\t{lam:.17g}\n")
+                    field = heads[r] + pairs[j][lasts[r]]
+                lines.append(value + field + lams[lam])
+            fh.write("".join(lines))

@@ -52,6 +52,26 @@ def brute_force_enumerate(prime_values, bound):
     return out
 
 
+def brute_force_dump(prime_values, bound):
+    """The ``enumeration.csv`` lines of an explicit system, from the recursion.
+
+    ``prime_values`` must be sorted.  Rows are ordered by log value, then by
+    the dense exponent vector; a power of p_j has lambda log p_j, every other
+    row 0.
+    """
+    width = len(prime_values)
+    rows = sorted(
+        (lv, [dict(exps).get(i, 0) for i in range(width)], exps)
+        for lv, exps in brute_force_enumerate(prime_values, bound)
+    )
+    lines = []
+    for lv, _, exps in rows:
+        lam = math.log(prime_values[exps[0][0]]) if len(exps) == 1 else 0.0
+        field = ",".join(f"{i}:{e}" for i, e in exps)
+        lines.append(f"{math.exp(lv):.17g}\t{field}\t{lam:.17g}")
+    return lines
+
+
 def classical_psi(x):
     """Chebyshev psi over ordinary prime powers strictly below x."""
     total = 0.0

@@ -13,8 +13,8 @@ from beurling import (
     materialize,
     zeta_euler,
 )
-from beurling.semigroup import write_dump
-from conftest import brute_force_enumerate
+from beurling.semigroup import DUMP_BLOCK, write_dump
+from conftest import brute_force_dump, brute_force_enumerate
 
 
 def system(values, bound):
@@ -175,6 +175,9 @@ def test_one_row_order_on_tie_systems(values, bound):
         ([1.5, 1.5, 2.5, 3.5], 400),
         ([1.01, 1.02], 200),
         ([7], 5),
+        ([2, 2], 3),  # a tie group that ends on the last row
+        ([2, 2, 3, 3], 4),  # two tie groups side by side, the second one last
+        ([3, 3, 3], 10),  # groups of 3 and 6 rows, side by side
     ],
 )
 def test_rows_match_brute_force_row_for_row(values, bound):
@@ -251,3 +254,21 @@ def test_write_dump_format(tmp_path):
     assert exps == "0:2"
     assert float(lam) == pytest.approx(math.log(2))
     assert lines[0].split("\t") == ["1", "", "0"]
+
+
+def test_write_dump_matches_oracle_across_blocks(tmp_path):
+    # Prime indices up to 11, exponents up to 14 and 9,682 rows: the dump
+    # crosses a write block, and the block edge splits a tie group.
+    values, bound = [2, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31], 30000
+    en = enumerate_integers(system(values, bound), bound)
+    assert len(en) > DUMP_BLOCK
+    assert en.logs[DUMP_BLOCK - 1] == en.logs[DUMP_BLOCK]
+    path = tmp_path / "dump.tsv"
+    write_dump(en, path)
+    got = path.read_text().splitlines()
+    want = brute_force_dump(values, bound)
+    assert len(got) == len(want) == 9682
+    pairs = {pair for g in got for pair in g.split("\t")[1].split(",")}
+    assert {"11:1", "0:14"} <= pairs
+    for g, w in zip(got, want):
+        assert g == w
