@@ -117,8 +117,8 @@ def _pieces(table: CountingTable):
     u = np.concatenate((table.jump_logs, [table.log_bound]))
     x = np.exp(u)
     n = np.arange(table.total_count + 1, dtype=float)  # N just left of each x_j
-    h = np.abs(n / x - a)
-    np.maximum(h[:-1], np.abs(n[1:] / x[:-1] - a), out=h[:-1])
+    h = abs(n / x - a)  # abs(), not np.abs: numpy reuses the temporary in place
+    np.maximum(h[:-1], abs(n[1:] / x[:-1] - a), out=h[:-1])
     return a, (u[:-1], u[1:], x[:-1], x[1:], n[1:]), h
 
 

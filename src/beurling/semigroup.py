@@ -11,17 +11,14 @@ Every row has four typed columns: the log value (its parent's log plus
 log p_j, always summed in that order), the parent row (the row divided by
 its largest prime; -1 for the unit), that largest prime index, and the von
 Mangoldt weight (a row is a prime power exactly when its parent is the unit
-or a power of the same prime).  One stable sort by log value orders the rows;
-inside groups of exactly equal log values the order is dense-lexicographic on
-the exponent vectors, rebuilt for tied rows only (a boolean mask over the
-sorted rows marks every member of a tie group).  The sparse exponent
-vectors are rebuilt parent-to-child when iterating an :class:`EnumerationResult`
-or writing a dump.  :func:`write_dump` formats one value string per run of
-tied rows, takes its ``j:e`` pair strings from a per-index table sized by
-the prime-power rows, and writes ``DUMP_BLOCK`` (8,192) rows per write.
-
-:func:`enumerate_integers` returns all columns and :func:`jump_arrays` only
-(log value, Lambda weight), in the same row order.
+or a power of the same prime).  One sort by log value orders the rows.  Rows
+of exactly equal log value are put in dense-lexicographic order of their
+exponent vectors by one key: descending preorder rank in the build tree,
+whose children are visited by ascending index.  Proof: a row's path from the
+unit has indices j_1 <= ... <= j_k; of two rows with equal value neither path
+extends the other, which would raise the value; where they first differ, the
+row with the smaller index holds more of that prime, so it is the dense-lex
+larger and the earlier in preorder.
 """
 
 from __future__ import annotations
@@ -40,12 +37,9 @@ DUMP_BLOCK = 8192  # rows per write_dump block
 
 
 class GenInteger(NamedTuple):
-    """One row of an enumeration: log-value plus sparse exponent vector.
-
-    ``exponents`` is a tuple of (prime_index, exponent) pairs with ascending
-    indices and positive exponents; the unit is the empty tuple with
-    log_value 0.
-    """
+    """One row of an enumeration: log-value plus sparse exponent vector, a tuple
+    of (prime_index, exponent) pairs with ascending indices and positive
+    exponents (the empty tuple, with log_value 0, for the unit)."""
 
     log_value: float
     exponents: tuple
@@ -95,8 +89,8 @@ class EnumerationResult:
             yield GenInteger(lv, exps[r])
 
 
-def _enumerate(primes: PrimeSequence, bound: float, max_count: int) -> EnumerationResult:
-    """Build the rows one generation at a time, then sort them once."""
+def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool = True):
+    """Build the rows by generation, sort them once; without ``full`` only (logs, lambdas)."""
     if not math.isfinite(bound) or bound <= 1.0:
         raise ValueError(f"bound must be finite and > 1, got {bound}")
     if bound > primes.bound and not primes.exhaustive:
@@ -134,9 +128,9 @@ def _enumerate(primes: PrimeSequence, bound: float, max_count: int) -> Enumerati
         # A prime power's parent is the unit, or a power of the same prime.
         power = (parent == 0) | ((np.repeat(lam, counts) > 0) & (j == np.repeat(index, counts)))
         gen = (np.repeat(lv, counts) + step, parent, j.astype(np.intc), np.where(power, step, 0.0))
-    row_logs, parent, index, lambdas = (np.concatenate(c) for c in zip(*columns))
-
-    order = np.argsort(row_logs, kind="stable")
+    columns = [list(c) for c in zip(*columns)]  # a pop frees one column's generations
+    row_logs, lambdas = np.concatenate(columns.pop(0)), np.concatenate(columns.pop())
+    order = np.argsort(row_logs)
     row_logs = row_logs[order]
     tied = np.flatnonzero(row_logs[1:] == row_logs[:-1])
     if tied.size:
@@ -144,26 +138,34 @@ def _enumerate(primes: PrimeSequence, bound: float, max_count: int) -> Enumerati
         tie = np.zeros(rows, dtype=bool)
         tie[tied] = tie[tied + 1] = True
         tied = np.flatnonzero(tie)
-        dense = _dense_exponents(order[tied], parent, index, primes, log_bound)
-        order[tied] = order[tied][np.lexsort((*dense.T[::-1], row_logs[tied]))]
+        # Ascending dense-lexicographic order is descending preorder rank.
+        rank = _preorder(columns[0])[order[tied]]
+        order[tied] = order[tied][np.lexsort((-rank, row_logs[tied]))]
+    lambdas = lambdas[order]
+    if not full:
+        return row_logs, lambdas
+    index = np.concatenate(columns.pop())[order]
     inverse = np.empty(rows, dtype=np.intc)
     inverse[order] = np.arange(rows, dtype=np.intc)
-    parent = inverse[parent[order]]
+    parent = inverse[np.concatenate(columns.pop())[order]]
     parent[0] = -1
-    return EnumerationResult(row_logs, lambdas[order], parent, index[order], float(bound))
+    return EnumerationResult(row_logs, lambdas, parent, index, float(bound))
 
 
-def _dense_exponents(rows, parent, index, primes: PrimeSequence, log_bound: float):
-    """Dense exponent vectors of ``rows``, counted by walking up parent pointers."""
-    max_exponent = int(log_bound / primes.logs[0])
-    dense = np.zeros((len(rows), len(primes)), dtype=np.min_scalar_type(max_exponent))
-    at, k = rows, np.arange(len(rows))
-    while at.size:
-        dense[k, index[at]] += 1
-        at = parent[at]
-        live = at > 0
-        at, k = at[live], k[live]
-    return dense
+def _preorder(parents):
+    """Preorder rank (exact in float64) of every row, from each generation's parents:
+    a row's rank less the subtrees before it in its generation is the same
+    offset of its parent, plus one, plus the parent's place in its generation."""
+    firsts = np.cumsum([0] + [len(p) for p in parents])
+    rank = np.ones(firsts[-1])
+    gens = np.split(rank, firsts[1:-1])  # one view per generation
+    for k in range(len(parents) - 1, 0, -1):  # subtree sizes, bottom-up
+        gens[k - 1] += np.bincount(parents[k] - firsts[k - 1], gens[k], len(gens[k - 1]))
+    rank[0] = offset = 0.0
+    for k in range(1, len(parents)):  # sizes to ranks, top-down
+        offset = (offset + 1 + np.arange(np.size(offset)))[parents[k] - firsts[k - 1]]
+        gens[k][:] = offset + np.cumsum(gens[k]) - gens[k]
+    return rank
 
 
 def enumerate_integers(
@@ -172,7 +174,8 @@ def enumerate_integers(
     """Every generalized integer with value < bound, sorted ascending.
 
     Row 0 is the unit.  Ties in value are ordered by lexicographically smaller
-    dense exponent vector.  Raises :class:`CapacityError` past ``max_count``.
+    dense exponent vector, that is by descending preorder rank in the build
+    tree.  Raises :class:`CapacityError` past ``max_count``.
     """
     return _enumerate(primes, bound, max_count)
 
@@ -185,28 +188,24 @@ def jump_arrays(
     The ``logs`` and ``lambdas`` columns of :func:`enumerate_integers`, in the
     same row order.  Returns ``(logs, lambdas)`` as float arrays of equal length.
     """
-    en = _enumerate(primes, bound, max_count)
-    return en.logs, en.lambdas
+    return _enumerate(primes, bound, max_count, full=False)
 
 
 def write_dump(en, path) -> None:
     """Raw text dump, one record per integer: value<TAB>exponents<TAB>lambda.
 
-    The exponent vector is serialized as ``i:a,j:b`` pairs with ascending
-    prime index; the unit has an empty exponent field.  Fields are built
-    parent-to-child: a row either raises its parent's last exponent or appends
-    a new ``j:1`` pair to its parent's field.  Tied rows share one value
-    string, formatted once per run of equal log values; the lambda strings
-    come from a dict (lambda is 0 or log p_j), and the ``j:e`` pair strings
-    from a per-index table, sized by the count of prime-power rows of p_j,
-    which bounds every exponent of p_j.  Records are written in blocks of
-    ``DUMP_BLOCK`` rows.
+    The exponent field is ``i:a,j:b`` pairs by ascending prime index (empty for
+    the unit), built parent-to-child: a row raises its parent's last exponent
+    or appends ``j:1``, and only rows with children keep their field.  One
+    value string is formatted per run of equal log values; lambda strings come
+    from a dict, ``j:e`` strings from a per-index table (no exponent of p_j
+    exceeds its count of prime-power rows).  Writes ``DUMP_BLOCK`` rows at a time.
     """
     index = en.index.tolist()
     powers = np.bincount(en.index[en.lambdas > 0]).tolist()
     pairs = [[f"{j}:{e}" for e in range(k + 1)] for j, k in enumerate(powers)]
-    heads = [""] * len(en)  # each row's field before its last pair
-    lasts = [0] * len(en)   # the exponent of that last pair
+    stems = [("", 0)] * len(en)  # a parent row's field before its last pair, and its exponent
+    kept = np.bincount(en.parent[1:], minlength=len(en)) > 0  # the rows with children
     lams = {lam: f"\t{lam:.17g}\n" for lam in np.unique(en.lambdas).tolist()}
     prev = None
     with open(path, "w") as fh:
@@ -214,17 +213,18 @@ def write_dump(en, path) -> None:
         for start in range(0, len(en), DUMP_BLOCK):
             cut = slice(start, start + DUMP_BLOCK)
             rows = zip(en.logs[cut].tolist(), en.parent[cut].tolist(), index[cut],
-                       en.lambdas[cut].tolist())
+                       en.lambdas[cut].tolist(), kept[cut].tolist())
             lines = []
-            for r, (lv, p, j, lam) in enumerate(rows, start):
+            for r, (lv, p, j, lam, keep) in enumerate(rows, start):
                 if lv != prev:
                     value, prev = f"{math.exp(lv):.17g}\t", lv
                 field = ""
                 if p >= 0:
+                    head, last = stems[p]
                     if p and index[p] != j:
-                        heads[r], lasts[r] = heads[p] + pairs[index[p]][lasts[p]] + ",", 1
-                    else:
-                        heads[r], lasts[r] = heads[p], lasts[p] + 1
-                    field = heads[r] + pairs[j][lasts[r]]
+                        head, last = head + pairs[index[p]][last] + ",", 0
+                    field = head + pairs[j][last + 1]
+                    if keep:
+                        stems[r] = head, last + 1
                 lines.append(value + field + lams[lam])
             fh.write("".join(lines))

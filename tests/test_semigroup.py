@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,7 +15,7 @@ from beurling import (
     zeta_euler,
 )
 from beurling.semigroup import DUMP_BLOCK, write_dump
-from conftest import brute_force_dump, brute_force_enumerate
+from conftest import brute_force_dump, brute_force_enumerate, trial_division_primes
 
 
 def system(values, bound):
@@ -126,9 +127,11 @@ def test_no_duplicate_exponent_vectors():
         seen.add(g.exponents)
 
 
-def test_jump_arrays_matches_generic_route():
-    for values, bound in [([2, 3], 500), ([2, 2], 200), ([1.5, 2.5, 3.5], 300)]:
-        seq = system(values, bound)
+def test_jump_arrays_matches_generic_route(rational_1e4, single_prime_2_20):
+    cases = [(system(values, bound), bound)
+             for values, bound in [([2, 3], 500), ([2, 2], 200), ([1.5, 2.5, 3.5], 300)]]
+    cases += [(seq, table.bound) for seq, table in (rational_1e4, single_prime_2_20)]
+    for seq, bound in cases:
         logs, lams = jump_arrays(seq, bound)
         en = enumerate_integers(seq, bound)
         gen_logs = [g.log_value for g in en]
@@ -181,26 +184,72 @@ def test_one_row_order_on_tie_systems(values, bound):
     ],
 )
 def test_rows_match_brute_force_row_for_row(values, bound):
+    assert_rows_match_oracle(values, bound)
+
+
+def dense_lex_key(exps):
+    """A key on sparse exponent vectors that sorts like the dense vectors.
+
+    Where two dense vectors first differ, at index i, the smaller one holds
+    fewer p_i.  In sparse form it has there a pair (i, e) with the smaller e,
+    a pair with a larger index, or no pair left: (-index, e) pairs compare so.
+    """
+    return tuple((-i, e) for i, e in exps)
+
+
+def assert_rows_match_oracle(values, bound):
+    """Every column, row for row, against the recursion sorted by (log, dense vector)."""
     seq = system(values, bound)
     en = enumerate_integers(seq, bound)
-    width = len(seq)
     oracle = sorted(
-        (lv, tuple(dict(e).get(i, 0) for i in range(width)), e)
-        for lv, e in brute_force_enumerate(sorted(values), bound)
+        (lv, dense_lex_key(e), e) for lv, e in brute_force_enumerate(sorted(values), bound)
     )
     assert en.logs.tolist() == [lv for lv, _, _ in oracle]
     assert [g.exponents for g in en] == [e for _, _, e in oracle]
-    row_of = {dense: r for r, (_, dense, _) in enumerate(oracle)}
-    for r, (_, dense, e) in enumerate(oracle):
+    row_of = {e: r for r, (_, _, e) in enumerate(oracle)}
+    for r, (_, _, e) in enumerate(oracle):
         if not e:
             assert (en.parent[r], en.index[r], en.lambdas[r]) == (-1, -1, 0.0)
             continue
-        j = e[-1][0]
-        down = list(dense)
-        down[j] -= 1
-        assert en.parent[r] == row_of[tuple(down)]
+        j, top = e[-1]
+        down = e[:-1] + (((j, top - 1),) if top > 1 else ())
+        assert en.parent[r] == row_of[down]
         assert en.index[r] == j
         assert en.lambdas[r] == (seq.logs[j] if len(e) == 1 else 0.0)
+    return seq, en
+
+
+TIE_VALUES = [2, 3, 4, 8, 9, 1.5, 2.25, 3.375, math.sqrt(2)]
+
+
+def test_tie_order_on_random_lists(rng):
+    # Repeats and powers of one another: ties inside a generation (2 and 2)
+    # and across generations (the prime 4 against 2 * 2).
+    tied = across = 0
+    for _ in range(200):
+        values = rng.choice(TIE_VALUES, size=rng.integers(1, 6)).tolist()
+        seq, en = assert_rows_match_oracle(values, float(rng.uniform(10.0, 200.0)))
+        dense = [tuple(dict(g.exponents).get(i, 0) for i in range(len(seq))) for g in en]
+        assert sorted(zip(en.logs.tolist(), dense)) == list(zip(en.logs.tolist(), dense))
+        pairs = np.flatnonzero(en.logs[1:] == en.logs[:-1])
+        tied += pairs.size
+        across += sum(sum(dense[r]) != sum(dense[r + 1]) for r in pairs.tolist())
+    assert tied > 1000 and across > 100
+
+
+def test_repeated_primes_stay_linear():
+    # The ordinary primes listed twice put nearly every row in a tie group:
+    # the tie order must cost memory per row, not per row and prime.
+    assert_rows_match_oracle(trial_division_primes(2000) * 2, 2000)
+    seq = system(trial_division_primes(8000) * 2, 8000)
+    tracemalloc.start()
+    try:
+        en = enumerate_integers(seq, 8000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(seq), len(en)) == (2014, 73119)
+    assert peak < 8 * 24 * len(en)  # 24 bytes of final columns per row
 
 
 TIE_GEN_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
