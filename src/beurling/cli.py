@@ -169,8 +169,11 @@ def _within_capacity(build, *args):
         _fail(exc, 3)
 
 
-def _prepare(cfg: RunConfig):
-    """The output directory, the primes and their counting table."""
+def _prepare(cfg: RunConfig, grid_points: int = 0):
+    """The output directory, the primes and their counting table.  A grid of
+    ``grid_points`` past max_integers exits 3 before anything is built."""
+    if grid_points > cfg.max_integers:
+        _fail(f"a grid of {grid_points} points exceeds max_integers = {cfg.max_integers}", 3)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     primes = materialize(cfg.spec, cfg.bound)
@@ -239,7 +242,7 @@ def _run_log(out: Path, cfg: RunConfig, command: str) -> None:
 def _run(cfg: RunConfig, command: str):
     """Build the table, run ``cfg.checks`` and write their reports and run.log,
     then echo one verdict line per check.  Returns (out, table, reports)."""
-    out, primes, table = _prepare(cfg)
+    out, primes, table = _prepare(cfg, cfg.params.get("boundary", {}).get("points", 0))
     parameters = {"variant": cfg.spec.variant, "params": list(cfg.spec.params),
                   "bound": cfg.bound, "density_a": cfg.density_a}
     reports = {}
@@ -311,20 +314,16 @@ def zeta_sweep(sigma_lo, sigma_hi, sigma_steps, t_lo, t_hi, t_steps, **opts):
     cfg = _load(opts, "")
     if not _s_grid_ok(sigma_lo, sigma_hi, t_lo, t_hi) or min(sigma_steps, t_steps) < 1:
         _fail("the sigma/t grid must be finite, in Re s > 1, with at least one step each", 2)
-    out, primes, table = _prepare(cfg)
+    out, primes, table = _prepare(cfg, sigma_steps * t_steps)
     sigmas, ts = np.linspace(sigma_lo, sigma_hi, sigma_steps), np.linspace(t_lo, t_hi, t_steps)
     grid = (sigmas[:, None] + 1j * ts).ravel()
-    zs, zd = zeta.zeta_stieltjes(table, grid), zeta.zeta_dirichlet(table, grid)
-
-    def rows():
-        for k, s in enumerate(grid.tolist()):
-            ze = zeta.zeta_euler(primes, s, cfg.density_a)
-            yield (s.real, s.imag, ze.re, ze.im, ze.truncation_bound, zs.re[k], zs.im[k],
-                   zs.truncation_bound[k], zd.re[k], zd.im[k], zd.truncation_bound[k])
-
+    ze, zs, zd = (zeta.zeta_euler(primes, grid, cfg.density_a), zeta.zeta_stieltjes(table, grid),
+                  zeta.zeta_dirichlet(table, grid))
     counting.write_csv(out / "zeta_sweep.csv",
                        "sigma,t,euler_re,euler_im,euler_bound,stieltjes_re,stieltjes_im,"
-                       "stieltjes_bound,dirichlet_re,dirichlet_im,dirichlet_bound", rows())
+                       "stieltjes_bound,dirichlet_re,dirichlet_im,dirichlet_bound",
+                       zip(grid.real, grid.imag, ze.re, ze.im, ze.truncation_bound, zs.re, zs.im,
+                           zs.truncation_bound, zd.re, zd.im, zd.truncation_bound))
     _run_log(out, cfg, "zeta-sweep")
     click.echo(f"wrote {out / 'zeta_sweep.csv'}")
 
@@ -368,6 +367,8 @@ def report(output_dir):
         if not (isinstance(cps, list) and cps and isinstance(cps[-1], list) and len(cps[-1]) == 2
                 and ("ratio_min" not in rep or "ratio_max" in rep)):
             _fail(f"{path} has checkpoints not ending in an [X, partial] pair, or ratio_min alone", 2)
+        if reports and rep["parameters"] != reports[0]["parameters"]:
+            _fail(f"{files[0]} and {path} come from different runs: their parameters differ", 2)
         reports.append(rep)
     _write_summary(reports, out)
     click.echo(f"wrote {out / 'summary.json'}")

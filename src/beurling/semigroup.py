@@ -49,10 +49,6 @@ class GenInteger(NamedTuple):
         return math.exp(self.log_value)
 
     @property
-    def max_prime_index(self) -> int:
-        return self.exponents[-1][0] if self.exponents else -1
-
-    @property
     def prime_power(self) -> bool:
         return len(self.exponents) == 1
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from beurling import PrimeSystemSpec, hypothesis, materialize, semigroup, zeta
+from beurling import PrimeSystemSpec, counting, hypothesis, materialize, semigroup, zeta
 from beurling.cli import load_config, main
 from conftest import brute_force_dump
 
@@ -136,12 +136,21 @@ def test_check_reruns_byte_identical(runner, tmp_path):
     assert strip_log(out1) == strip_log(out2)
 
 
-def test_capacity_exit_code(runner, tmp_path):
-    res = runner.invoke(main, [
-        "gen", "--variant", "rational-primes", "--bound", "10000",
-        "--max-integers", "5", "--out", str(tmp_path / "o"),
-    ])
-    assert res.exit_code == 3
+@pytest.mark.parametrize("argv, ini", [
+    (["gen", "--max-integers", "5"], ""),
+    (["boundary-scan", "--density-a", "1"], "[boundary]\npoints = 1000000000000\n"),
+    (["zeta-sweep", "--sigma-steps", "1000000", "--t-steps", "1000000"], ""),
+], ids=["enumeration", "boundary-grid", "sweep-grid"])
+def test_capacity_exit_code(runner, tmp_path, argv, ini):
+    # a grid of more points than max_integers is refused before the table is built
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[system]\nvariant = rational-primes\nbound = 10000\n" + ini)
+    out = tmp_path / "o"
+    res = runner.invoke(main, [*argv, "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert "error:" in res.output and "max" in res.output
+    if argv[0] != "gen":
+        assert "grid" in res.output and not out.exists()
 
 
 def test_config_file_with_overrides(runner, tmp_path):
@@ -249,6 +258,29 @@ def test_zeta_sweep(runner, tmp_path):
     assert gap <= row["euler_bound"] + row["stieltjes_bound"] + 1e-9
 
 
+def test_zeta_sweep_rows_match_point_calls(runner, tmp_path):
+    out = tmp_path / "o"
+    res = runner.invoke(main, [
+        "zeta-sweep", "--variant", "explicit-list", "--params", "2,3,5", "--bound", "3000",
+        "--density-a", "0.5", "--out", str(out), "--sigma-steps", "3", "--t-steps", "4",
+    ])
+    assert res.exit_code == 0, res.output
+    lines = (out / "zeta_sweep.csv").read_text().splitlines()
+    assert len(lines) == 1 + 12
+    primes = materialize(PrimeSystemSpec.explicit([2, 3, 5]), 3000)
+    table = counting.build_table_from_system(primes, 3000, 0.5)
+    for line in lines[1:]:
+        sigma, t, *cells = map(float, line.split(","))
+        s = complex(sigma, t)
+        ze = zeta.zeta_euler(primes, s, 0.5)
+        assert cells[:2] == [ze.re, ze.im]  # one exp pass per point, array or not
+        want = [ze.truncation_bound]
+        for zr in (zeta.zeta_stieltjes(table, s), zeta.zeta_dirichlet(table, s)):
+            want += [zr.re, zr.im, zr.truncation_bound]
+        # the table sums cut their jumps into runs by the grid's largest |s|
+        assert cells[2:] == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
 def test_zeta_sweep_rejects_bad_sigma(runner, tmp_path):
     res = runner.invoke(main, [
         "zeta-sweep", "--variant", "single-prime", "--params", "2",
@@ -341,6 +373,20 @@ def test_report_rebuilds_check_summary(runner, tmp_path):
     res = runner.invoke(main, ["report", "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert (out / "summary.json").read_bytes() == written
+
+
+def test_report_refuses_reports_of_different_runs(runner, tmp_path):
+    out = tmp_path / "o"
+    first = runner.invoke(main, ["check", "--variant", "rational-primes", "--bound", "1e4",
+                                 "--density-a", "1", "--checks", "l1,zhang", "--out", str(out)])
+    second = runner.invoke(main, ["check", "--variant", "explicit-list", "--params", "2,3",
+                                  "--bound", "1e3", "--density-a", "1", "--checks", "l1", "--out", str(out)])
+    assert first.exit_code == second.exit_code == 0, first.output + second.output
+    summary = (out / "summary.json").read_bytes()
+    res = runner.invoke(main, ["report", "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "report-l1.json" in res.output and "report-zhang.json" in res.output
+    assert (out / "summary.json").read_bytes() == summary
 
 
 def test_report_empty_dir(runner, tmp_path):

@@ -60,7 +60,7 @@ def test_empty_system_yields_unit():
     assert len(en) == 1
     unit = next(iter(en))
     assert unit.log_value == 0.0 and unit.exponents == ()
-    assert unit.max_prime_index == -1 and not unit.prime_power
+    assert not unit.prime_power
 
 
 def test_enumeration_past_materialized_bound_raises():

@@ -72,15 +72,34 @@ def test_euler_side_tail_models(euler_side):
     assert density.value == none.value
 
 
-@pytest.mark.parametrize("euler_side", [zeta_euler, neg_logderiv], ids=lambda f: f.__name__)
-def test_euler_side_takes_one_point(euler_side):
-    # p^{-s} over an array of s would pair point k with prime k, so that {2, 3} at
-    # s = [2, 3] would give (4/3)(27/26) for zeta_euler
-    seq = system([2, 3], 10)
-    for points in (np.array([2.0, 3.0]), np.array([2.0]), np.array([[2.0 + 1j]])):
-        with pytest.raises(DomainError, match="one point"):
-            euler_side(seq, points)
-    assert euler_side(seq, np.array(2.0)).value == euler_side(seq, 2.0).value
+@pytest.mark.parametrize("method", [zeta_euler, neg_logderiv, g_eval], ids=lambda f: f.__name__)
+def test_euler_side_array_matches_points(method):
+    # every point makes its own pass over the primes, so an array gives each
+    # point's value exactly; g_eval's a/(s-1) rounds as numpy divides
+    rational = materialize(PrimeSystemSpec.rational(), 1e3)
+    empty = system([7.0], 5.0)
+    assert len(empty) == 0
+    for seq, a in ((system([2, 3, 5], 3000), 0.5), (rational, None), (rational, 1.0), (empty, 0.5)):
+        if method is g_eval and a is None:
+            continue  # G needs a density
+        for grid in ARRAY_GRIDS:
+            res = method(seq, grid + 1.0, a)
+            assert res.value.shape == np.shape(res.truncation_bound) == grid.shape
+            for s, v, bound in zip(grid.flat, res.value.flat, np.ravel(res.truncation_bound)):
+                one = method(seq, complex(s + 1.0), a)
+                assert type(one.value) is complex
+                if method is g_eval:
+                    assert abs(v - one.value) <= 1e-15 * abs(one.value)
+                else:
+                    assert v == one.value
+                assert abs(bound - one.truncation_bound) <= 1e-15 * one.truncation_bound
+    # p^{-s} over an array of s must not pair point k with prime k: {2, 3} at
+    # s = [2, 3] gives each point's full product, not (4/3)(27/26)
+    two_three = method(system([2, 3], 10), np.array([2.0, 3.0]), 0.0).value
+    full = {zeta_euler: [(4 / 3) * (9 / 8), (8 / 7) * (27 / 26)],
+            neg_logderiv: [math.log(2) / 3 + math.log(3) / 8, math.log(2) / 7 + math.log(3) / 26]}
+    full[g_eval] = full[zeta_euler]
+    assert two_three == pytest.approx(full[method], rel=1e-15, abs=0.0)
 
 
 def test_euler_domain():
@@ -213,6 +232,18 @@ def test_laplace_psi_empty_and_domain():
             laplace_psi(t, bad)
 
 
+# scattered points; the identity check's shape (sigma rows of equally spaced t);
+# one equally spaced row; a diagonal whose t are equally spaced but whose sigma
+# are not; and no points at all.  All lie in Re s > 0, and in Re s > 1 shifted by 1.
+ARRAY_GRIDS = (
+    np.array([[1.5 - 5j, 2.0, 3.0 + 2j], [0.5 + 1j, 10.0, 1.2 - 0.3j]]),
+    np.linspace(1.5, 3.0, 5)[:, None] + 1j * np.linspace(-5.0, 5.0, 4),
+    2.0 + 1j * np.linspace(-3.0, 3.0, 3),
+    np.linspace(1.5, 3.0, 4) + 1j * np.linspace(-3.0, 3.0, 4),
+    np.array([], complex),
+)
+
+
 def _value_and_bound(method, table, s):
     """A table transform's value and truncation bound; laplace_psi reports no bound."""
     if method is laplace_psi:
@@ -222,20 +253,14 @@ def _value_and_bound(method, table, s):
 
 
 @pytest.mark.parametrize("method, a", [(laplace_psi, None), (zeta_stieltjes, None), (zeta_stieltjes, 1.0),
-                                       (zeta_dirichlet, None), (zeta_dirichlet, 1.0)],
-                         ids=["laplace_psi", "stieltjes", "stieltjes-density", "dirichlet", "dirichlet-density"])
+                                       (zeta_dirichlet, None), (zeta_dirichlet, 1.0), (g_eval, 1.0)],
+                         ids=["laplace_psi", "stieltjes", "stieltjes-density", "dirichlet", "dirichlet-density",
+                              "g_eval"])
 def test_table_transforms_array_match_points(method, a):
     seq = system([2, 3, 5], 3000)
     t = build_table_from_system(seq, 3000, a)
-    scattered = np.array([[1.5 - 5j, 2.0, 3.0 + 2j], [0.5 + 1j, 10.0, 1.2 - 0.3j]])
-    # the identity check's shape (sigma rows of equally spaced t), one equally
-    # spaced row, a diagonal whose t are equally spaced but whose sigma are not
-    # one, and no points at all
-    identity_grid = np.linspace(1.5, 3.0, 5)[:, None] + 1j * np.linspace(-5.0, 5.0, 4)
-    row = 2.0 + 1j * np.linspace(-3.0, 3.0, 3)
-    diagonal = np.linspace(1.5, 3.0, 4) + 1j * np.linspace(-3.0, 3.0, 4)
     shift = 0.0 if method is laplace_psi else 1.0  # the zeta sums need Re s > 1
-    for grid in (scattered, identity_grid, row, diagonal, np.array([], complex)):
+    for grid in ARRAY_GRIDS:
         values, bounds = _value_and_bound(method, t, grid + shift)
         assert values.shape == np.shape(bounds) == grid.shape
         for s, v, bound in zip(grid.flat, values.flat, np.ravel(bounds)):
