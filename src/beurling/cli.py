@@ -91,8 +91,8 @@ class RunConfig:
             raise ConfigError(f"checks {', '.join(need_a)} require --density-a (or density_a in [system])")
         if not self.formats or not set(self.formats) <= {"csv", "json"}:
             raise ConfigError(f"formats must be csv and/or json, got {','.join(self.formats) or 'none'}")
-        if self.max_integers < 1:
-            raise ConfigError(f"max_integers must be at least 1, got {self.max_integers}")
+        if not 1 <= self.max_integers <= semigroup.MAX_ROWS:
+            raise ConfigError(f"max_integers must be in [1, {semigroup.MAX_ROWS}], got {self.max_integers}")
         cheb = self.params.get("chebyshev")
         if cheb and not 1.0 < cheb["window_lo"] <= cheb["window_hi"] <= self.bound:
             raise ConfigError(f"[chebyshev] needs 1 < window_lo <= window_hi <= bound = {self.bound:g}")

@@ -65,8 +65,8 @@ class CountingTable:
     def _index_below(self, logs, x) -> np.ndarray:
         """Number of jumps in ``logs`` with log value strictly below log(x)."""
         x = np.asarray(x, dtype=float)
-        if np.any(x <= 0):
-            raise ValueError("query point must be positive")
+        if not np.all(x > 0):
+            raise ValueError("query point must be positive (not NaN)")
         if np.any(x > self.bound):
             raise ValueError(f"query point beyond enumeration bound {self.bound}")
         return _below(logs, np.log(x))
@@ -86,16 +86,16 @@ class CountingTable:
         if self.a is None:
             raise ValueError("normalized_error requires a declared density a")
         u = np.asarray(u, dtype=float)
-        if np.any(u > self.log_bound):
-            raise ValueError(f"e^u beyond enumeration bound {self.bound}")
+        if not np.all(u <= self.log_bound):
+            raise ValueError(f"e^u beyond enumeration bound {self.bound} (or u is NaN)")
         out = np.exp(-u) * _below(self.jump_logs, u) - self.a * (u > 0)
         return out if out.ndim else float(out)
 
     def normalized_psi(self, u):
         """T(u) = e^{-u} psi(e^u), for 0 <= u <= log(bound)."""
         u = np.asarray(u, dtype=float)
-        if np.any(u < 0) or np.any(u > self.log_bound):
-            raise ValueError("u must lie in [0, log bound]")
+        if not np.all((u >= 0) & (u <= self.log_bound)):
+            raise ValueError("u must lie in [0, log bound] (not NaN)")
         out = np.exp(-u) * self.cum_lambda[_below(self.psi_logs, u)]
         return out if out.ndim else float(out)
 

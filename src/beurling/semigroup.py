@@ -18,7 +18,10 @@ whose children are visited by ascending index.  Proof: a row's path from the
 unit has indices j_1 <= ... <= j_k; of two rows with equal value neither path
 extends the other, which would raise the value; where they first differ, the
 row with the smaller index holds more of that prime, so it is the dense-lex
-larger and the earlier in preorder.
+larger and the earlier in preorder.  The tied rows are re-sorted by one
+integer argsort on ``group * rows - rank`` (``group`` numbers the tie groups
+by ascending value); ranks are unique and below ``rows``, and ``rows`` is at
+most ``MAX_ROWS`` < 2**31, so the key orders by group first and fits int64.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .systems import PrimeSequence
 
 DEFAULT_MAX_INTEGERS = 10**8
 DUMP_BLOCK = 8192  # rows per write_dump block
+MAX_ROWS = int(np.iinfo(np.intc).max)  # row ids are C int
 
 
 class GenInteger(NamedTuple):
@@ -91,6 +95,8 @@ def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool =
         raise ValueError(f"bound must be finite and > 1, got {bound}")
     if bound > primes.bound and not primes.exhaustive:
         raise ValueError(f"bound {bound} exceeds the bound {primes.bound} the primes were materialized to")
+    if max_count > MAX_ROWS:
+        raise ValueError(f"max_count must be at most {MAX_ROWS} (row ids are C int), got {max_count}")
     logs = primes.logs
     log_bound = math.log(bound)
     # Generation k: the rows with k prime factors, as (log, parent, index, Lambda)
@@ -134,9 +140,12 @@ def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool =
         tie = np.zeros(rows, dtype=bool)
         tie[tied] = tie[tied + 1] = True
         tied = np.flatnonzero(tie)
-        # Ascending dense-lexicographic order is descending preorder rank.
-        rank = _preorder(columns[0])[order[tied]]
-        order[tied] = order[tied][np.lexsort((-rank, row_logs[tied]))]
+        # Ascending dense-lexicographic order is descending preorder rank: one
+        # int64 key, group * rows - rank (see the module docstring), built in
+        # place, where group counts the value changes along the tied rows.
+        key = -_preorder(columns[0])[order[tied]].astype(np.int64)
+        key[1:] += np.cumsum(row_logs[tied[1:]] != row_logs[tied[:-1]]) * rows
+        order[tied] = order[tied][np.argsort(key)]
     lambdas = lambdas[order]
     if not full:
         return row_logs, lambdas
@@ -171,7 +180,8 @@ def enumerate_integers(
 
     Row 0 is the unit.  Ties in value are ordered by lexicographically smaller
     dense exponent vector, that is by descending preorder rank in the build
-    tree.  Raises :class:`CapacityError` past ``max_count``.
+    tree.  Raises :class:`CapacityError` past ``max_count``, and ``ValueError``
+    for a ``max_count`` above ``MAX_ROWS``.
     """
     return _enumerate(primes, bound, max_count)
 
@@ -194,15 +204,17 @@ def write_dump(en, path) -> None:
     the unit), built parent-to-child: a row raises its parent's last exponent
     or appends ``j:1``, and only rows with children keep their field.  One
     value string is formatted per run of equal log values; lambda strings come
-    from a dict, ``j:e`` strings from a per-index table (no exponent of p_j
-    exceeds its count of prime-power rows).  Writes ``DUMP_BLOCK`` rows at a time.
+    from a dict keyed by 0 and the prime rows' Lambda, ``j:e`` strings from a
+    per-index table (no exponent of p_j exceeds its count of prime-power
+    rows).  Writes ``DUMP_BLOCK`` rows at a time.
     """
     index = en.index.tolist()
     powers = np.bincount(en.index[en.lambdas > 0]).tolist()
     pairs = [[f"{j}:{e}" for e in range(k + 1)] for j, k in enumerate(powers)]
     stems = [("", 0)] * len(en)  # a parent row's field before its last pair, and its exponent
     kept = np.bincount(en.parent[1:], minlength=len(en)) > 0  # the rows with children
-    lams = {lam: f"\t{lam:.17g}\n" for lam in np.unique(en.lambdas).tolist()}
+    # Lambda is 0 or a prime power's step log p_j, which is its prime row's Lambda.
+    lams = {lam: f"\t{lam:.17g}\n" for lam in [0.0] + en.lambdas[en.parent == 0].tolist()}
     prev = None
     with open(path, "w") as fh:
         # Python lists a block at a time: whole columns would set the peak RSS.

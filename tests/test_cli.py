@@ -193,6 +193,9 @@ BAD_INPUTS = [
     ("no-format", ["check", "--checks", "l1", "--format", ""], _system_ini()),
     ("max-integers-0", ["gen", "--max-integers", "0"], _system_ini()),
     ("max-integers-negative", ["gen", "--max-integers", "-1"], _system_ini()),
+    # row ids are C int: one more than np.iinfo(np.intc).max is refused, by flag or by file
+    ("max-integers-past-c-int", ["gen", "--max-integers", "2147483648"], _system_ini()),
+    ("max-integers-past-c-int-ini", ["gen"], _system_ini() + "[run]\nmax_integers = 2147483648\n"),
     ("no-section-header", ["check", "--checks", "l1"], "variant = explicit-list\n"),
     *((f"density-a-{a}", ["check", "--checks", "l1", "--density-a", a], _system_ini())
       for a in ("nan", "0", "-1", "inf")),
@@ -432,6 +435,20 @@ def test_cli_import_leaves_scipy_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert res.stdout.strip() == "False"
+
+
+def test_gen_dump_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma; the dump takes its Lambda keys from the prime rows instead
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; from beurling.cli import main\n"
+            "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n    assert not exc.code, exc\n"
+            "print('numpy.ma' in sys.modules, 'scipy' in sys.modules)")
+    argv = ["gen", "--variant", "explicit-list", "--params", "2,3,2,5,3", "--bound", "500",
+            "--dump", "--out", str(tmp_path / "o")]
+    res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert res.stdout.splitlines()[-1] == "False False"
+    assert (tmp_path / "o" / "enumeration.csv").stat().st_size > 0
 
 
 def test_tracer_wrapped_names_exist():

@@ -181,6 +181,15 @@ def test_query_validation(rational_1e4):
         t_no_a.normalized_error(1.0)
 
 
+def test_nan_queries_raise(rational_1e4):
+    # NaN fails every comparison, so a guard written as "any bad" would let it through
+    _, t = rational_1e4
+    for query in (t.count_n, t.psi, t.normalized_error, t.normalized_psi):
+        for x in (math.nan, np.array([2.0, math.nan])):
+            with pytest.raises(ValueError):
+                query(x)
+
+
 def test_estimate_density(rational_1e4):
     _, t = rational_1e4
     a_hat, drift = estimate_density(t)

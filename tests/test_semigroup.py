@@ -272,6 +272,10 @@ def test_capacity_error():
                 enumerate_(seq, bound, max_count=total - 1)
     with pytest.raises(CapacityError):
         enumerate_integers(system([7], 5), 5, max_count=0)
+    # row ids are C int, so a cap past np.iinfo(np.intc).max is refused before any build
+    for enumerate_ in (enumerate_integers, jump_arrays):
+        with pytest.raises(ValueError, match="C int"):
+            enumerate_(system([7], 5), 5, max_count=2**31)
 
 
 def test_dirichlet_series_approaches_euler_product():
