@@ -88,7 +88,9 @@ class CountingTable:
         u = np.asarray(u, dtype=float)
         if not np.all(u <= self.log_bound):
             raise ValueError(f"e^u beyond enumeration bound {self.bound} (or u is NaN)")
-        out = np.exp(-u) * _below(self.jump_logs, u) - self.a * (u > 0)
+        count = _below(self.jump_logs, u)
+        # e^{-u} overflows below u = -709; the count there is 0 (the unit sits at u = 0).
+        out = np.exp(-u, out=np.zeros_like(u), where=count > 0) * count - self.a * (u > 0)
         return out if out.ndim else float(out)
 
     def normalized_psi(self, u):

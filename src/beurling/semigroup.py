@@ -77,16 +77,32 @@ class EnumerationResult:
         return len(self.logs)
 
     def __iter__(self):
+        stem, exp = _stems(self)
         exps = [()] * len(self)
-        for r, (lv, p, j) in enumerate(zip(self.logs.tolist(), self.parent.tolist(),
-                                           self.index.tolist())):
-            if p >= 0:
-                e = exps[p]
-                if e and e[-1][0] == j:
-                    exps[r] = e[:-1] + ((j, e[-1][1] + 1),)
-                else:
-                    exps[r] = e + ((j, 1),)
+        for r, (lv, s, j, e) in enumerate(zip(self.logs.tolist(), stem.tolist(),
+                                              self.index.tolist(), exp.tolist())):
+            if r:
+                exps[r] = exps[s] + ((j, e),)
             yield GenInteger(lv, exps[r])
+
+
+def _stems(en):
+    """Sparse exponent vectors as pointers: ``(stem, exp)`` row columns.
+
+    ``stem[r]`` is row r with every factor p_{index[r]} divided out, and
+    ``exp[r]`` the exponent of that prime in r, so r's (index, exponent) pairs
+    are its stem's followed by ``(index[r], exp[r])``.  The unit is its own
+    stem, with exponent 0.  Built by walking ``parent`` while ``index`` stays
+    equal, over the rows still walking: at most the largest exponent passes.
+    """
+    stem = np.maximum(en.parent, 0)
+    exp = (en.parent >= 0).astype(np.intc)
+    live = np.flatnonzero(en.index[stem[1:]] == en.index[1:]) + 1  # the unit never walks
+    while live.size:
+        stem[live] = en.parent[stem[live]]
+        exp[live] += 1
+        live = live[en.index[stem[live]] == en.index[live]]
+    return stem, exp
 
 
 def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool = True):
@@ -145,7 +161,11 @@ def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool =
         # place, where group counts the value changes along the tied rows.
         key = -_preorder(columns[0])[order[tied]].astype(np.int64)
         key[1:] += np.cumsum(row_logs[tied[1:]] != row_logs[tied[:-1]]) * rows
-        order[tied] = order[tied][np.argsort(key)]
+        # Rebinding frees the key before the gather, one tied-length array fewer
+        # at the enumeration's peak; the gathers below need none of these.
+        key = np.argsort(key)
+        order[tied] = order[tied][key]
+        del key, tied, tie
     lambdas = lambdas[order]
     if not full:
         return row_logs, lambdas
@@ -201,38 +221,47 @@ def write_dump(en, path) -> None:
     """Raw text dump, one record per integer: value<TAB>exponents<TAB>lambda.
 
     The exponent field is ``i:a,j:b`` pairs by ascending prime index (empty for
-    the unit), built parent-to-child: a row raises its parent's last exponent
-    or appends ``j:1``, and only rows with children keep their field.  One
-    value string is formatted per run of equal log values; lambda strings come
-    from a dict keyed by 0 and the prime rows' Lambda, ``j:e`` strings from a
-    per-index table (no exponent of p_j exceeds its count of prime-power
-    rows).  Writes ``DUMP_BLOCK`` rows at a time.
+    the unit): row r's field is its stem's field (see :func:`_stems`), then
+    ``index[r]:exp[r]``, with a comma before it unless the stem is the unit.
+    Every piece of a record but its value comes from one string table built
+    once: the lambda strings (0 and the Lambda of each prime row, since a prime
+    power's Lambda is its prime's step log p_j) and every ``j:e`` pair with
+    and without its comma (no exponent of p_j exceeds its count of prime-power
+    rows).  Each ``DUMP_BLOCK`` rows walk their stems down to the unit into a
+    matrix of piece ids, one column per step, padded with the empty piece; the
+    pads are dropped, each row's value string goes in its first slot, and one
+    ``join`` writes the block.  One value string is formatted per run of equal
+    log values in a block, with ``math.exp``: ``np.exp`` can differ by an ulp,
+    which ``%.17g`` shows.  No string is built per row.
     """
-    index = en.index.tolist()
-    powers = np.bincount(en.index[en.lambdas > 0]).tolist()
-    pairs = [[f"{j}:{e}" for e in range(k + 1)] for j, k in enumerate(powers)]
-    stems = [("", 0)] * len(en)  # a parent row's field before its last pair, and its exponent
-    kept = np.bincount(en.parent[1:], minlength=len(en)) > 0  # the rows with children
-    # Lambda is 0 or a prime power's step log p_j, which is its prime row's Lambda.
-    lams = {lam: f"\t{lam:.17g}\n" for lam in [0.0] + en.lambdas[en.parent == 0].tolist()}
-    prev = None
+    stem, token = _stems(en)
+    primes = np.flatnonzero(en.parent == 0)
+    primes = primes[np.argsort(en.index[primes])]  # the row of p_j at j
+    counts = np.bincount(en.index[en.lambdas > 0], minlength=len(primes))
+    # Piece ids: 0 the empty string, 1 the lambda 0.0, 2 + j prime j's Lambda,
+    # then the pairs j:1, j:2, ... of each j in turn, then the same with a comma.
+    pairs = [f"{j}:{e}" for j, k in enumerate(counts.tolist()) for e in range(1, k + 1)]
+    pieces = [""] + [f"\t{lam:.17g}\n" for lam in [0.0] + en.lambdas[primes].tolist()]
+    pieces = np.array(pieces + pairs + ["," + pair for pair in pairs], dtype=object)
+    offset = (1 + len(primes) + np.cumsum(counts) - counts).astype(np.intc)  # j:1's id less one
+    token[1:] += offset[en.index[1:]]  # exponent to pair id; the unit's stays 0
+    token[stem > 0] += len(pairs)  # a comma after the stem's field
     with open(path, "w") as fh:
-        # Python lists a block at a time: whole columns would set the peak RSS.
         for start in range(0, len(en), DUMP_BLOCK):
             cut = slice(start, start + DUMP_BLOCK)
-            rows = zip(en.logs[cut].tolist(), en.parent[cut].tolist(), index[cut],
-                       en.lambdas[cut].tolist(), kept[cut].tolist())
-            lines = []
-            for r, (lv, p, j, lam, keep) in enumerate(rows, start):
-                if lv != prev:
-                    value, prev = f"{math.exp(lv):.17g}\t", lv
-                field = ""
-                if p >= 0:
-                    head, last = stems[p]
-                    if p and index[p] != j:
-                        head, last = head + pairs[index[p]][last] + ",", 0
-                    field = head + pairs[j][last + 1]
-                    if keep:
-                        stems[r] = head, last + 1
-                lines.append(value + field + lams[lam])
-            fh.write("".join(lines))
+            lam = np.where(en.lambdas[cut] > 0, 2 + en.index[cut], 1)
+            rows = np.arange(start, start + len(lam))
+            steps = []  # from the row's own pair down to its lowest prime's
+            while rows.any():
+                steps.append(token[rows])
+                rows = stem[rows]
+            # The first column is the value's slot: any nonzero id holds it.
+            ids = np.stack([lam] + steps[::-1] + [lam], axis=1)
+            keep = ids != 0
+            width = keep.sum(axis=1)
+            out = pieces[ids[keep]]
+            logs = en.logs[cut]
+            runs = np.flatnonzero(np.r_[True, logs[1:] != logs[:-1]])
+            values = np.array([f"{math.exp(lv):.17g}\t" for lv in logs[runs].tolist()], dtype=object)
+            out[np.cumsum(width) - width] = np.repeat(values, np.diff(np.r_[runs, len(logs)]))
+            fh.write("".join(out.tolist()))

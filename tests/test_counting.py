@@ -124,6 +124,17 @@ def test_normalized_error(rational_1e4):
     assert t2.normalized_error(math.log(9)) == pytest.approx(4 / 9 - 1, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_normalized_error_far_left_is_zero():
+    # e^{-u} overflows below u = -709, where N(e^u) = 0: the product must be 0, not nan
+    _, t = table_for([2, 3], 100, a=1.0)
+    assert t.normalized_error(-800.0) == 0.0
+    assert t.normalized_error(-math.inf) == 0.0
+    got = t.normalized_error(np.array([-math.inf, -800.0, -1.0, math.log(10)]))
+    assert got[:3].tolist() == [0.0, 0.0, 0.0]
+    assert got[3] == pytest.approx(7 / 10 - 1, abs=1e-12)  # N(10) = 7
+
+
 def test_normalized_psi(rational_1e4):
     _, t = rational_1e4
     assert t.normalized_psi(0.0) == 0.0

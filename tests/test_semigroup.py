@@ -12,6 +12,7 @@ from beurling import (
     enumerate_integers,
     jump_arrays,
     materialize,
+    semigroup,
     zeta_euler,
 )
 from beurling.semigroup import DUMP_BLOCK, write_dump
@@ -325,3 +326,36 @@ def test_write_dump_matches_oracle_across_blocks(tmp_path):
     assert {"11:1", "0:14"} <= pairs
     for g, w in zip(got, want):
         assert g == w
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_write_dump_matches_oracle_at_small_blocks(tmp_path, monkeypatch, rng, block):
+    # Small blocks put many block edges inside tie groups; write_dump reads
+    # DUMP_BLOCK when it is called.
+    monkeypatch.setattr(semigroup, "DUMP_BLOCK", block)
+    path = tmp_path / "dump.tsv"
+    cases = [([7], 5), ([2, 3], 2), ([2, 2], 1.5)]  # the unit only: B at or below the smallest prime
+    for _ in range(30):
+        values = sorted(rng.choice(TIE_VALUES, size=rng.integers(1, 6)).tolist())
+        cases.append((values, float(rng.uniform(10.0, 300.0))))
+    edges = 0
+    for values, bound in cases:
+        en = enumerate_integers(system(values, bound), bound)
+        write_dump(en, path)
+        assert path.read_text().splitlines() == brute_force_dump(values, bound), (values, bound)
+        edges += int(np.sum(en.logs[block::block] == en.logs[block - 1:-1:block]))
+    assert edges > 10  # block edges that split a tie group
+
+
+def test_write_dump_peak_memory_bounded(tmp_path):
+    # The tie-gen input: 348,300 rows, 99.9% of them in tie groups.  The dump
+    # builds no string per row, so its traced peak stays under 10 MiB.
+    en = enumerate_integers(system(TIE_GEN_PRIMES, 2e5), 2e5)
+    assert len(en) == 348_300
+    tracemalloc.start()
+    try:
+        write_dump(en, tmp_path / "dump.tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
