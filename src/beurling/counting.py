@@ -18,16 +18,7 @@ import numpy as np
 
 from . import semigroup
 from .semigroup import DEFAULT_MAX_INTEGERS, EnumerationResult
-from .systems import PrimeSequence
-
-# Jump log values are accumulated sums of prime logs, so a query point that
-# conceptually coincides with a jump (e.g. x = 10 against log 2 + log 5) can
-# land within a few ulp of it on either side.  The strict "< x" convention
-# excludes such near-ties: a jump counts only if its log is below
-# log(x) - QUERY_EPS.  The slack dominates the accumulated rounding of the
-# enumeration (kept below 1e-9 absolute by the capacity cap) and is far below
-# the spacing of genuinely distinct values in the supported systems.
-QUERY_EPS = 1e-9
+from .systems import QUERY_EPS, PrimeSequence
 
 
 def _below(logs: np.ndarray, u) -> np.ndarray:

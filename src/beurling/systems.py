@@ -3,7 +3,8 @@
 A system is described by a :class:`PrimeSystemSpec` (variant plus parameters)
 and turned into a concrete sorted :class:`PrimeSequence` below a finite bound
 by :func:`materialize`.  All prime values are strictly greater than 1 and the
-sequence is non-decreasing; coincident values (multiplicities) are allowed.
+sequence is non-decreasing; coincident values (multiplicities) are allowed,
+but distinct explicit values whose logs lie closer than ``QUERY_EPS`` are not.
 """
 
 from __future__ import annotations
@@ -16,6 +17,15 @@ import numpy as np
 from .errors import InvalidSystemError
 
 VARIANTS = ("explicit-list", "rational-primes", "single-prime", "scaled-rational")
+
+# Jump log values are accumulated sums of prime logs, so a query point that
+# conceptually coincides with a jump (e.g. x = 10 against log 2 + log 5) can
+# land within a few ulp of it on either side.  The strict "< x" convention
+# excludes such near-ties: a jump counts only if its log is below
+# log(x) - QUERY_EPS.  The slack dominates the accumulated rounding of the
+# enumeration (kept below 1e-9 absolute by the capacity cap), and explicit
+# lists whose distinct values lie closer than it in log are refused.
+QUERY_EPS = 1e-9
 
 
 def rational_primes_below(limit: float) -> np.ndarray:
@@ -51,6 +61,12 @@ class PrimeSystemSpec:
             if any(not math.isfinite(p) or p <= 1.0 for p in params):
                 raise InvalidSystemError("explicit primes must be finite and > 1")
             params = tuple(sorted(params))
+            distinct = sorted(set(params))  # exact repeats are multiplicities, and legal
+            gaps = [(math.log(b) - math.log(a), a, b) for a, b in zip(distinct, distinct[1:])]
+            if gaps and min(gaps)[0] < QUERY_EPS:
+                gap, lo, hi = min(gaps)
+                raise InvalidSystemError(f"explicit primes {lo!r} and {hi!r} are distinct but their logs lie"
+                                         f" {gap:.3g} apart, closer than QUERY_EPS = {QUERY_EPS:g}")
         elif self.variant == "rational-primes":
             if params:
                 raise InvalidSystemError("rational-primes takes no parameters")

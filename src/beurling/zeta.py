@@ -4,10 +4,12 @@ Fourier transforms of the step functions, and the regularized G(s).
 Every method takes a point and returns a complex, or takes an array of points
 and returns arrays of its shape.  N and psi are step functions, so every table
 transform is one exact sum sum_k w_k n_k^{-s} over a jump list, which
-``_stieltjes_sum`` evaluates from Taylor moments; the Euler side makes one
-``exp`` pass over the primes per point.  The only honest error is the
-truncation beyond the enumeration bound B.  Tail models need a declared
-density a; without one the tail model is ``none``, not a guess.
+``_stieltjes_sum`` evaluates from Taylor moments.  The Euler side is the same
+kind of sum over the prime powers p^k with k log p <= log p_max + POWER_REACH:
+log zeta with w = 1/k, -zeta'/zeta with w = log p.  The powers it omits are
+below 1e-16 of the sum of its terms' moduli, under the rounding.  The only
+honest error is the truncation beyond the enumeration bound B.  Tail models
+need a declared density a; without one the tail model is ``none``, not a guess.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .errors import DomainError
 from .systems import PrimeSequence
 
 TAYLOR_TERMS = 20  # series terms per run of jumps in _stieltjes_sum
+KERNEL_CELLS = 1 << 16  # points x runs that _stieltjes_sum evaluates at once
+POWER_REACH = 37.0  # the Euler side keeps p^k up to k log p = log p_max + 37
+EULER_MIN_WIDTH = 8.0  # the Euler side's runs are at most 1/8 wide: one width group below |s| = 8
 
 
 @dataclass(frozen=True)
@@ -54,35 +59,59 @@ def _require_halfplane(s, least: float):
     return s if s.ndim else complex(s)
 
 
-def _stieltjes_sum(table: CountingTable, u, w, total, s):
-    """sum_k w_k n_k^{-s} - total B^{-s} at each point of ``s``, over one of the
-    table's jump lists ``u`` = log n_k: N's with unit weights (``w`` None) or
-    psi's with its Lambdas.  With total = W(B) this is
-    s * integral_1^B W(x) x^{-s-1} dx for the step function W with jumps w_k at
-    the n_k.
+def _stieltjes_sum(table: CountingTable | None, u, w, total, s, width=None):
+    """sum_k w_k n_k^{-s} - total B^{-s} at each point of ``s``, over a sorted
+    list ``u`` = log n_k >= 0: one of the table's jump lists (N's with unit
+    weights, ``w`` None, or psi's with its Lambdas), or the Euler side's prime
+    powers, which pass ``table`` None and have no boundary term.  With
+    total = W(B) this is s * integral_1^B W(x) x^{-s-1} dx for the step
+    function W with jumps w_k at the n_k.
 
-    The sorted u are cut into runs of width 1/r, r = max(1, max |s|).  A run
-    whose first jump is c sums to e^{-sc} sum_j (-s)^j m_j, with the moments
-    m_j = sum_run w_k (u_k - c)^j / j! shared by all points (Odlyzko-Schonhage).
-    As |s (u_k - c)| < 1, stopping at TAYLOR_TERMS = 20 omits at most
-    e/20! ~ 1.1e-18 of sum_k |w_k| e^{-sigma c}; a run of one jump is exact.
+    The u are cut into runs of width 1/r, r = ``width`` or else
+    max(1, max |s|).  A run whose first jump is c sums to
+    e^{-sc} sum_j (-s)^j m_j, with the moments m_j = sum_run w_k (u_k - c)^j / j!
+    shared by all points (Odlyzko-Schonhage).  As |s (u_k - c)| < 1 for
+    r >= |s|, stopping at TAYLOR_TERMS = 20 omits at most e/20! ~ 1.1e-18 of
+    sum_k |w_k| e^{-sigma c}; a run of one jump is exact.  The points are
+    evaluated together, a (points x runs) block of at most KERNEL_CELLS cells
+    (or one point) at a time, by Horner's rule in -s along each row, so each
+    point's value does not depend on the others.
     """
     s = np.asarray(s, dtype=complex)
-    starts = np.flatnonzero(np.diff(np.floor(u * np.max(np.abs(s), initial=1.0)), prepend=-1.0))  # u >= 0
+    cell = u * (np.max(np.abs(s), initial=1.0) if width is None else width)
+    np.floor(cell, out=cell)
+    first = np.ones(u.size, dtype=bool)  # the first jump of each run
+    np.not_equal(cell[1:], cell[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del cell, first
     c = u[starts]
-    d = u - np.repeat(c, np.diff(starts, append=u.size))
+    d = np.repeat(c, np.diff(starts, append=u.size))
+    np.subtract(u, d, out=d)  # u_k - c over each run
     term = np.ones_like(u) if w is None else w.astype(float)
     moments = np.empty((TAYLOR_TERMS, c.size))
     for j in range(TAYLOR_TERMS):
         moments[j] = np.add.reduceat(term, starts) / math.factorial(j)
         term *= d
-    sums = [np.sum(np.exp(-sk * c) * np.polynomial.polynomial.polyval(-sk, moments)) for sk in s.flat]
-    out = np.reshape(sums, s.shape) - total * np.exp(-s * table.log_bound)
+    x = -s.reshape(-1, 1)
+    sums = np.empty(x.shape[0], dtype=complex)
+    step = max(1, KERNEL_CELLS // max(1, c.size))
+    for i in range(0, x.shape[0], step):
+        xi = x[i : i + step]
+        acc = moments[-1] * xi
+        for m in moments[-2:0:-1]:
+            acc += m
+            acc *= xi
+        acc += moments[0]
+        sums[i : i + step] = np.sum(np.multiply(np.exp(xi * c), acc, out=acc), axis=1)
+    out = sums.reshape(s.shape)
+    if table is not None:
+        out = out - total * np.exp(-s * table.log_bound)
     return out if out.ndim else complex(out)
 
 
 def zeta_euler(primes: PrimeSequence, s, a: float | None = None) -> ZetaResult:
-    """Truncated Euler product prod_{p<B} (1 - p^{-s})^{-1}, Re s > 1.
+    """Truncated Euler product prod_{p<B} (1 - p^{-s})^{-1}, Re s > 1, as the
+    exp of log zeta = sum_{p<B, k>=1} p^{-ks} / k.
 
     The tail model multiplies the missing factors out heuristically: their log
     is about sum_{p>=B} p^{-sigma} ~ a * E1((sigma-1) log B) for a system of
@@ -90,28 +119,57 @@ def zeta_euler(primes: PrimeSequence, s, a: float | None = None) -> ZetaResult:
     """
     from scipy.special import exp1  # imported here: scipy costs most of the CLI's start-up
 
-    return _euler_side(primes, s, a, lambda t: np.prod(1.0 / (1.0 - t)),
-                       lambda s, value: abs(value) * np.expm1(
+    return _euler_side(primes, s, a, log_zeta=True,
+                       density_bound=lambda s, value: abs(value) * np.expm1(
                            a * exp1((s.real - 1.0) * math.log(primes.bound))))
 
 
 def neg_logderiv(primes: PrimeSequence, s, a: float | None = None) -> ZetaResult:
-    """-zeta'(s)/zeta(s) = sum_{p<B} log p * p^{-s} / (1 - p^{-s}), Re s > 1."""
+    """-zeta'(s)/zeta(s) = sum_{p<B, k>=1} log p * p^{-ks}, Re s > 1."""
     # sum_{p>=B} log p p^{-sigma} ~ a * integral_B^inf x^{-sigma} dx
-    return _euler_side(primes, s, a, lambda t: np.sum(primes.logs * t / (1.0 - t)),
-                       lambda s, value: a * primes.bound ** (1.0 - s.real) / (s.real - 1.0))
+    return _euler_side(primes, s, a, log_zeta=False,
+                       density_bound=lambda s, value: a * primes.bound ** (1.0 - s.real) / (s.real - 1.0))
 
 
-def _euler_side(primes: PrimeSequence, s, a, reduce, density_bound) -> ZetaResult:
-    """``reduce(p^{-s})`` over the primes at a point (a complex) or at each point
-    of an array (an array), with its tail model: finite (exhaustive list), none
-    (no a), or density, bounded by ``density_bound(s, value)``.
+def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> ZetaResult:
+    """sum w p^{-ks} over the prime powers, w = 1/k (``log_zeta``, and then its
+    exp) or log p, at a point (a complex) or at each point of an array (an
+    array), with its tail model: finite (exhaustive list), none (no a), or
+    density, bounded by ``density_bound(s, value)``.
 
-    Each point makes one ``exp`` pass over the primes; a points x primes
-    matrix would take 212 MB for 20 points at 10^7.
+    The list holds every p^k with k log p <= log p_max + POWER_REACH, whatever
+    the points; for each k its primes are a prefix of ``primes.logs``.  A
+    prime's omitted powers start past k log p = log p + POWER_REACH, so they sum
+    to less than e^{-37 sigma} < 1e-16 of that prime's whole series of
+    |w| p^{-k sigma} (for w = 1/k too, as 1/k falls): below the rounding of
+    the sum.  The list goes through ``_stieltjes_sum`` once per width group:
+    a point's runs are 1/r wide with r the larger of EULER_MIN_WIDTH and the
+    power of two just above |s|, so they depend on the point alone, and the
+    usual grids, all below |s| = 8, pay for the moments once.
     """
     s = _require_halfplane(s, 1.0)
-    value = np.reshape([reduce(np.exp(-sk * primes.logs)) for sk in np.ravel(s)], np.shape(s)).astype(complex)
+    logs = primes.logs
+    reach = logs[-1] + POWER_REACH if logs.size else 0.0
+    top = math.floor(reach / logs[0]) if logs.size else 1  # the largest k kept
+    k = np.arange(1.0, top + 1.0)
+    count = np.searchsorted(logs, reach / k, side="right")  # primes with k log p <= reach
+    w = np.concatenate([logs[:n] for n in count])  # log p, k-major: k = 1, 2, ...
+    k = np.repeat(k, count)
+    u = k * w
+    if log_zeta:
+        w = np.reciprocal(k, out=k)
+    del k
+    order = np.argsort(u, kind="stable")  # merges the k-major list's sorted pieces
+    u = u[order]
+    w = w[order]
+    del order
+    flat = np.ravel(s)
+    width = np.maximum(np.ldexp(1.0, np.frexp(np.abs(flat))[1]), EULER_MIN_WIDTH)
+    value = np.empty(flat.shape, dtype=complex)
+    for r in np.unique(width):
+        group = width == r
+        value[group] = _stieltjes_sum(None, u, w, 0.0, flat[group], r)
+    value = (np.exp(value) if log_zeta else value).reshape(np.shape(s))
     value = value if value.ndim else complex(value)
     model = "finite" if primes.exhaustive else "none" if a is None else "density"
     bound = density_bound(s, value) if model == "density" else 0.0 * abs(s)  # a zero bound at each point

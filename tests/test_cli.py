@@ -197,6 +197,8 @@ BAD_INPUTS = [
     ("max-integers-past-c-int", ["gen", "--max-integers", "2147483648"], _system_ini()),
     ("max-integers-past-c-int-ini", ["gen"], _system_ini() + "[run]\nmax_integers = 2147483648\n"),
     ("no-section-header", ["check", "--checks", "l1"], "variant = explicit-list\n"),
+    ("near-coincident-primes", ["check", "--checks", "l1", "--params", "2,3,2.0000000001"], _system_ini()),
+    ("near-coincident-primes-gen", ["gen", "--params", "2,2,3,3.000000001"], _system_ini()),
     *((f"density-a-{a}", ["check", "--checks", "l1", "--density-a", a], _system_ini())
       for a in ("nan", "0", "-1", "inf")),
 ]
@@ -211,6 +213,15 @@ def test_bad_input_exits_2_before_writing(runner, tmp_path, argv, ini):
     res = runner.invoke(main, argv + ["--config", str(cfg), "--out", str(out)])
     assert res.exit_code == 2, res.output
     assert "error:" in res.output
+    assert not out.exists()
+
+
+def test_near_coincident_primes_error_names_gap(runner, tmp_path):
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["gen", "--variant", "explicit-list", "--params", "2,3,2.0000000001",
+                               "--bound", "100", "--out", str(out)])
+    assert res.exit_code == 2
+    assert "error: explicit primes 2.0 and 2.0000000001" in res.output and "5e-11 apart" in res.output
     assert not out.exists()
 
 

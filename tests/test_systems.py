@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from beurling import InvalidSystemError, PrimeSequence, PrimeSystemSpec, materialize
+from beurling.systems import QUERY_EPS
 from conftest import trial_division_primes
 
 
@@ -52,6 +53,18 @@ def test_multiplicity_allowed_and_flagged():
     assert spec.has_coincident_primes()
     assert materialize(spec, 10).values.tolist() == [2.0, 2.0, 3.0]
     assert not PrimeSystemSpec.rational().has_coincident_primes()
+
+
+def test_near_coincident_explicit_primes_rejected():
+    # distinct values whose logs lie closer than QUERY_EPS would tie under the
+    # strict lookup; the message names the closest pair and its log gap
+    with pytest.raises(InvalidSystemError, match=r"2\.0 and 2\.0000000001 .* 5e-11 apart"):
+        PrimeSystemSpec.explicit([3.0, 2.0000000001, 7.0, 2.0, 3.0 * (1 + 5e-10)])
+    with pytest.raises(InvalidSystemError, match="2.22e-16 apart"):  # one ulp apart
+        PrimeSystemSpec.explicit([2.0, math.nextafter(2.0, 3.0)])
+    # exact repeats are multiplicities, and a gap of QUERY_EPS itself is far enough
+    assert PrimeSystemSpec.explicit([2, 3, 2, 3, 3]).params == (2.0, 2.0, 3.0, 3.0, 3.0)
+    assert len(PrimeSystemSpec.explicit([2.0, 2.0 * math.exp(2 * QUERY_EPS)]).params) == 2
 
 
 def test_invalid_specs():

@@ -21,6 +21,7 @@ from beurling import (
     zeta_euler,
     zeta_stieltjes,
 )
+from beurling import zeta
 from beurling.zeta import _stieltjes_sum
 
 EULER_GAMMA = 0.5772156649015329
@@ -184,6 +185,87 @@ def test_neg_logderiv_matches_lambda_sum():
 def test_neg_logderiv_empty():
     seq = materialize(PrimeSystemSpec.explicit([7.0]), 5.0)
     assert neg_logderiv(seq, 2.0).value == 0.0
+
+
+def _euler_oracle(primes, s):
+    """zeta and -zeta'/zeta of the primes at s from the closed form of each
+    prime's factor, 1/(1 - q^{-s}) and log q q^{-s}/(1 - q^{-s}), at 30 digits."""
+    with mpmath.workdps(30):
+        qs = [mpmath.mpf(float(q)) for q in primes.values]  # the floats the system holds
+        terms = [mpmath.power(q, -mpmath.mpc(s)) for q in qs]
+        zeta_ = mpmath.fprod(1 / (1 - t) for t in terms)
+        nld = mpmath.fsum(mpmath.log(q) * t / (1 - t) for q, t in zip(qs, terms))
+        return complex(zeta_), complex(nld)
+
+
+@pytest.mark.parametrize("spec, bound, by_log_zeta", [(PrimeSystemSpec.rational(), 1e5, False),
+                                                      (PrimeSystemSpec.scaled_rational(0.51), 300.0, True)],
+                         ids=["rational-1e5", "scaled-0.51-300"])
+def test_euler_side_against_mpmath(spec, bound, by_log_zeta):
+    # zeta_euler is exp(log zeta), so its relative error is the rounding of the
+    # sum log zeta, which grows with the sum of the moduli, log zeta(sigma):
+    # 0.18 to 2.2 for the ordinary primes here, 3.3 to 6.9 for scaled-rational
+    # 0.51, whose smallest prime 1.02 has slowly falling powers.  There the
+    # tolerance scales with it.
+    primes = materialize(spec, bound)
+    for s in (1.1, 1.5 + 5j, 3 - 2j):
+        zeta_, nld = _euler_oracle(primes, s)
+        scale = math.log(_euler_oracle(primes, s.real)[0].real) if by_log_zeta else 1.0
+        assert abs(zeta_euler(primes, s).value - zeta_) <= 1e-15 * scale * abs(zeta_)
+        assert abs(neg_logderiv(primes, s).value - nld) <= 5e-15 * abs(nld)
+
+
+# |s| from 1.01 to about 40: the width groups below 8, [8, 16), [16, 32) and
+# [32, 64), several points in each
+EULER_WIDTH_GRID = np.array([1.01, 1.5 + 1j, 1.2 - 0.3j, 2.0 + 2j, 3.0 - 1j, 1.1 + 5j, 4.0 + 4j,
+                             2.5 - 9j, 1.05 + 12j, 3.0 + 20j, 1.3 - 25j, 1.01 + 33j, 2.0 - 39.9j, 40.0])
+
+
+@pytest.mark.parametrize("method", [zeta_euler, neg_logderiv], ids=lambda f: f.__name__)
+def test_euler_side_width_groups_match_points(method):
+    rational = materialize(PrimeSystemSpec.rational(), 1e3)
+    scaled = materialize(PrimeSystemSpec.scaled_rational(0.51), 300.0)
+    for seq, a in ((system([2, 3, 5], 3000), 0.5), (rational, None), (rational, 1.0), (scaled, 1.0)):
+        for grid in (EULER_WIDTH_GRID, EULER_WIDTH_GRID[::-1].reshape(2, 7)):
+            res = method(seq, grid, a)
+            for s, v, bound in zip(grid.flat, res.value.flat, np.ravel(res.truncation_bound)):
+                one = method(seq, complex(s), a)
+                assert v == one.value
+                # the tail models round as numpy's array functions do (test_euler_side_array_matches_points)
+                assert abs(bound - one.truncation_bound) <= 1e-15 * one.truncation_bound
+
+
+def test_euler_side_one_kernel_call_per_width_group(monkeypatch):
+    calls = []
+    kernel = zeta._stieltjes_sum
+
+    def counted(table, u, w, total, s, width=None):
+        calls.append((np.abs(s), width))
+        return kernel(table, u, w, total, s, width)
+
+    monkeypatch.setattr(zeta, "_stieltjes_sum", counted)
+    seq = materialize(PrimeSystemSpec.rational(), 1e3)
+    groups = {max(math.frexp(abs(s))[1], 3) for s in EULER_WIDTH_GRID}
+    assert len(groups) == 4
+    for method in (zeta_euler, neg_logderiv):
+        calls.clear()
+        method(seq, EULER_WIDTH_GRID, 1.0)
+        assert len(calls) == len(groups)
+        assert sum(mod.size for mod, _ in calls) == EULER_WIDTH_GRID.size
+        for mod, width in calls:  # runs 1/r wide, r the power of two just above each |s|, at least 8
+            assert np.all((mod < width) & ((width / 2 <= mod) | (width == 8.0)))
+
+
+def test_boundary_scan_chunks_match_one_point_at_a_time(rational_1e4, monkeypatch):
+    # at t_max = 1e3 the jumps fall into thousands of runs, so 201 points take
+    # several (points x runs) blocks; one point per block is the per-point loop
+    _, t = rational_1e4
+    runs = np.unique(np.floor(t.jump_logs * abs(1 + 1e3j))).size
+    assert 201 * runs > 4 * zeta.KERNEL_CELLS
+    blocks = boundary_scan(t, 1e3, points=201, floor=1e-3).values
+    monkeypatch.setattr(zeta, "KERNEL_CELLS", 1)
+    one_by_one = boundary_scan(t, 1e3, points=201, floor=1e-3).values
+    assert np.all(np.abs(blocks - one_by_one) <= 1e-15 * np.abs(one_by_one))
 
 
 # --- Laplace transform of psi ---
