@@ -4,12 +4,14 @@ Fourier transforms of the step functions, and the regularized G(s).
 Every method takes a point and returns a complex, or takes an array of points
 and returns arrays of its shape.  N and psi are step functions, so every table
 transform is one exact sum sum_k w_k n_k^{-s} over a jump list, which
-``_stieltjes_sum`` evaluates from Taylor moments.  The Euler side is the same
-kind of sum over the prime powers p^k with k log p <= log p_max + POWER_REACH:
-log zeta with w = 1/k, -zeta'/zeta with w = log p.  The powers it omits are
-below 1e-16 of the sum of its terms' moduli, under the rounding.  The only
-honest error is the truncation beyond the enumeration bound B.  Tail models
-need a declared density a; without one the tail model is ``none``, not a guess.
+``_moment_sum`` evaluates from Taylor moments, or term by term where the
+moments would not pay.  The Euler side sums log zeta (w = 1/k) or
+-zeta'/zeta (w = log p) over the prime powers p^k: through the same kernel
+over every p^k with k log p <= log p_max + POWER_REACH, whose omitted powers
+are below the rounding, and in closed form per prime for the primes near 1
+and at points of large |s|.  The only honest error is the truncation beyond
+the enumeration bound B.  Tail models need a declared density a; without one
+the tail model is ``none``, not a guess.
 """
 
 from __future__ import annotations
@@ -23,10 +25,13 @@ from .counting import CountingTable
 from .errors import DomainError
 from .systems import PrimeSequence
 
-TAYLOR_TERMS = 20  # series terms per run of jumps in _stieltjes_sum
-KERNEL_CELLS = 1 << 16  # points x runs that _stieltjes_sum evaluates at once
-POWER_REACH = 37.0  # the Euler side keeps p^k up to k log p = log p_max + 37
-EULER_MIN_WIDTH = 8.0  # the Euler side's runs are at most 1/8 wide: one width group below |s| = 8
+TAYLOR_TERMS = 20  # series terms per run of jumps in _moment_sum
+KERNEL_CELLS = 1 << 14  # points x runs (or x terms) evaluated at once
+DIRECT_RUNS = 0.25  # runs past this share of the terms are summed term by term
+PRIME_RUNS = 1 / 32  # the Euler side's kernel cuts as many runs as this share of the primes
+POWER_REACH = 37.0  # the Euler side's list keeps p^k up to k log p = log p_max + 37
+MAX_POWERS = 128  # primes with more powers in reach are summed in closed form
+LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -59,31 +64,47 @@ def _require_halfplane(s, least: float):
     return s if s.ndim else complex(s)
 
 
-def _stieltjes_sum(table: CountingTable | None, u, w, total, s, width=None):
-    """sum_k w_k n_k^{-s} - total B^{-s} at each point of ``s``, over a sorted
-    list ``u`` = log n_k >= 0: one of the table's jump lists (N's with unit
-    weights, ``w`` None, or psi's with its Lambdas), or the Euler side's prime
-    powers, which pass ``table`` None and have no boundary term.  With
-    total = W(B) this is s * integral_1^B W(x) x^{-s-1} dx for the step
-    function W with jumps w_k at the n_k.
+def _stieltjes_sum(table: CountingTable, u, w, total, s):
+    """sum_k w_k n_k^{-s} - total B^{-s} at each point of ``s`` over one of the
+    table's jump lists ``u`` = log n_k: N's (unit weights, ``w`` None) or
+    psi's (its Lambdas).  With total = W(B) this is
+    s * integral_1^B W(x) x^{-s-1} dx for the step function W with jumps w_k
+    at the n_k.
 
-    The u are cut into runs of width 1/r, r = ``width`` or else
-    max(1, max |s|).  A run whose first jump is c sums to
-    e^{-sc} sum_j (-s)^j m_j, with the moments m_j = sum_run w_k (u_k - c)^j / j!
-    shared by all points (Odlyzko-Schonhage).  As |s (u_k - c)| < 1 for
-    r >= |s|, stopping at TAYLOR_TERMS = 20 omits at most e/20! ~ 1.1e-18 of
-    sum_k |w_k| e^{-sigma c}; a run of one jump is exact.  The points are
-    evaluated together, a (points x runs) block of at most KERNEL_CELLS cells
-    (or one point) at a time, by Horner's rule in -s along each row, so each
-    point's value does not depend on the others.
+    All points of a call share the runs 1/r wide, r = max(1, max |s|), so a
+    grid pays for the moments over the N(B) jumps once.
     """
     s = np.asarray(s, dtype=complex)
-    cell = u * (np.max(np.abs(s), initial=1.0) if width is None else width)
+    out = _moment_sum(u, w, s.ravel(), np.max(np.abs(s), initial=1.0)).reshape(s.shape)
+    out -= total * np.exp(-s * table.log_bound)
+    return out if out.ndim else complex(out)
+
+
+def _moment_sum(u, w, s, r):
+    """sum_k w_k e^{-s u_k} at each point of the 1-d ``s``, the u cut into runs
+    where floor(u r) is constant, r >= |s|.
+
+    A run whose first jump is c sums to e^{-sc} sum_j (-s)^j m_j, with the
+    moments m_j = sum_run w_k (u_k - c)^j / j! shared by all points
+    (Odlyzko-Schonhage).  As |s (u_k - c)| < 1, stopping at TAYLOR_TERMS = 20
+    omits at most e/20! ~ 1.1e-18 of sum_k |w_k| e^{-sigma c}; a run of one
+    jump is exact.  Each (points x runs) block is evaluated by Horner's rule
+    in -s along its rows.  When the runs outnumber DIRECT_RUNS of the jumps,
+    the moments would cost more than they save, and the jumps are summed
+    term by term instead.
+    """
+    cell = u * r
     np.floor(cell, out=cell)
     first = np.ones(u.size, dtype=bool)  # the first jump of each run
     np.not_equal(cell[1:], cell[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     del cell, first
+    if starts.size > DIRECT_RUNS * u.size:
+        def direct(x, cols):
+            e = np.exp(x * u[cols])
+            return e if w is None else np.multiply(e, w[cols], out=e)
+
+        return _termwise(u, s, direct)
     c = u[starts]
     d = np.repeat(c, np.diff(starts, append=u.size))
     np.subtract(u, d, out=d)  # u_k - c over each run
@@ -92,26 +113,40 @@ def _stieltjes_sum(table: CountingTable | None, u, w, total, s, width=None):
     for j in range(TAYLOR_TERMS):
         moments[j] = np.add.reduceat(term, starts) / math.factorial(j)
         term *= d
-    x = -s.reshape(-1, 1)
-    sums = np.empty(x.shape[0], dtype=complex)
-    step = max(1, KERNEL_CELLS // max(1, c.size))
-    for i in range(0, x.shape[0], step):
-        xi = x[i : i + step]
-        acc = moments[-1] * xi
-        for m in moments[-2:0:-1]:
+    del term, d
+
+    def horner(x, cols):
+        acc = moments[-1, cols] * x
+        for m in moments[-2:0:-1, cols]:
             acc += m
-            acc *= xi
-        acc += moments[0]
-        sums[i : i + step] = np.sum(np.multiply(np.exp(xi * c), acc, out=acc), axis=1)
-    out = sums.reshape(s.shape)
-    if table is not None:
-        out = out - total * np.exp(-s * table.log_bound)
-    return out if out.ndim else complex(out)
+            acc *= x
+        acc += moments[0, cols]
+        return np.multiply(np.exp(x * c[cols]), acc, out=acc)
+
+    return _termwise(c, s, horner)
+
+
+def _termwise(u, s, terms):
+    """sum over the columns of ``terms(x, cols)``, the terms at the points
+    x = -s (a column) and at u[cols], at each point of the 1-d ``s``.
+
+    The (points x u) matrix goes in blocks of at most KERNEL_CELLS cells, and a
+    point's blocks and their order depend on u alone, so each point's sum does
+    not depend on the others.
+    """
+    rows = max(1, KERNEL_CELLS // max(1, u.size))
+    cols = max(1, KERNEL_CELLS // rows)
+    out = np.zeros(s.size, dtype=complex)
+    x = -s.reshape(-1, 1)
+    for i in range(0, s.size, rows):
+        for j in range(0, u.size, cols):
+            out[i : i + rows] += np.sum(terms(x[i : i + rows], slice(j, j + cols)), axis=1)
+    return out
 
 
 def zeta_euler(primes: PrimeSequence, s, a: float | None = None) -> ZetaResult:
     """Truncated Euler product prod_{p<B} (1 - p^{-s})^{-1}, Re s > 1, as the
-    exp of log zeta = sum_{p<B, k>=1} p^{-ks} / k.
+    exp of log zeta = sum_{p<B} -log(1 - p^{-s}) = sum_{p<B, k>=1} p^{-ks} / k.
 
     The tail model multiplies the missing factors out heuristically: their log
     is about sum_{p>=B} p^{-sigma} ~ a * E1((sigma-1) log B) for a system of
@@ -125,55 +160,105 @@ def zeta_euler(primes: PrimeSequence, s, a: float | None = None) -> ZetaResult:
 
 
 def neg_logderiv(primes: PrimeSequence, s, a: float | None = None) -> ZetaResult:
-    """-zeta'(s)/zeta(s) = sum_{p<B, k>=1} log p * p^{-ks}, Re s > 1."""
+    """-zeta'(s)/zeta(s) = sum_{p<B} log p / (p^s - 1) = sum_{p<B, k>=1} log p * p^{-ks}, Re s > 1."""
     # sum_{p>=B} log p p^{-sigma} ~ a * integral_B^inf x^{-sigma} dx
     return _euler_side(primes, s, a, log_zeta=False,
                        density_bound=lambda s, value: a * primes.bound ** (1.0 - s.real) / (s.real - 1.0))
 
 
 def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> ZetaResult:
-    """sum w p^{-ks} over the prime powers, w = 1/k (``log_zeta``, and then its
-    exp) or log p, at a point (a complex) or at each point of an array (an
-    array), with its tail model: finite (exhaustive list), none (no a), or
-    density, bounded by ``density_bound(s, value)``.
+    """log zeta (``log_zeta``, and then its exp) or -zeta'/zeta at a point (a
+    complex) or at each point of an array (an array), with its tail model:
+    finite (exhaustive list), none (no a), or density, bounded by
+    ``density_bound(s, value)``.
 
-    The list holds every p^k with k log p <= log p_max + POWER_REACH, whatever
-    the points; for each k its primes are a prefix of ``primes.logs``.  A
-    prime's omitted powers start past k log p = log p + POWER_REACH, so they sum
-    to less than e^{-37 sigma} < 1e-16 of that prime's whole series of
-    |w| p^{-k sigma} (for w = 1/k too, as 1/k falls): below the rounding of
-    the sum.  The list goes through ``_stieltjes_sum`` once per width group:
-    a point's runs are 1/r wide with r the larger of EULER_MIN_WIDTH and the
-    power of two just above |s|, so they depend on the point alone, and the
-    usual grids, all below |s| = 8, pay for the moments once.
+    With reach = log p_max + POWER_REACH, the kernel's runs are 1/r wide for
+    r * reach = PRIME_RUNS times the number of primes, a width set by the
+    primes alone.  The points with |s| < r take it: one :func:`_moment_sum`
+    call over the powers up to reach (:func:`_prime_powers`), plus the
+    primes near 1 (more than MAX_POWERS powers in reach) in closed form.
+    The other points are summed prime by prime in closed form
+    (:func:`_per_prime`).  Which way a point goes depends on |s| alone, so an
+    array gives each point exactly its own value.
+
+    The kernel call pays a fixed cost, the list and 20 passes over it for the
+    moments, about three passes over the primes; each of its points then
+    costs Horner steps over at most PRIME_RUNS of the primes' count of runs.
+    r is about 48 at 10^6 and 390 at 10^7.
     """
     s = _require_halfplane(s, 1.0)
-    logs = primes.logs
-    reach = logs[-1] + POWER_REACH if logs.size else 0.0
-    top = math.floor(reach / logs[0]) if logs.size else 1  # the largest k kept
-    k = np.arange(1.0, top + 1.0)
-    count = np.searchsorted(logs, reach / k, side="right")  # primes with k log p <= reach
-    w = np.concatenate([logs[:n] for n in count])  # log p, k-major: k = 1, 2, ...
-    k = np.repeat(k, count)
-    u = k * w
-    if log_zeta:
-        w = np.reciprocal(k, out=k)
-    del k
-    order = np.argsort(u, kind="stable")  # merges the k-major list's sorted pieces
-    u = u[order]
-    w = w[order]
-    del order
     flat = np.ravel(s)
-    width = np.maximum(np.ldexp(1.0, np.frexp(np.abs(flat))[1]), EULER_MIN_WIDTH)
+    logs = primes.logs
+    reach = logs[-1] + POWER_REACH if logs.size else 1.0
+    r = PRIME_RUNS * logs.size / reach
+    on_list = np.abs(flat) < r
     value = np.empty(flat.shape, dtype=complex)
-    for r in np.unique(width):
-        group = width == r
-        value[group] = _stieltjes_sum(None, u, w, 0.0, flat[group], r)
+    value[~on_list] = _per_prime(logs, flat[~on_list], log_zeta)
+    if np.any(on_list):
+        near_one = np.searchsorted(logs, reach / MAX_POWERS)  # log p < reach / MAX_POWERS
+        u, w = _prime_powers(logs[near_one:], reach, log_zeta)
+        value[on_list] = _moment_sum(u, w, flat[on_list], r) + _per_prime(logs[:near_one], flat[on_list], log_zeta)
     value = (np.exp(value) if log_zeta else value).reshape(np.shape(s))
     value = value if value.ndim else complex(value)
     model = "finite" if primes.exhaustive else "none" if a is None else "density"
     bound = density_bound(s, value) if model == "density" else 0.0 * abs(s)  # a zero bound at each point
     return ZetaResult(value, "euler-product", bound, primes.bound, model)
+
+
+def _prime_powers(logs, reach, log_zeta: bool):
+    """The sorted u = k log p <= ``reach`` over the primes of ``logs`` (at most
+    MAX_POWERS powers each) and their weights, 1/k (``log_zeta``) or log p.
+
+    The list does not depend on the points.  A prime's omitted powers start
+    past k log p = log p + POWER_REACH, so they sum to less than
+    e^{-37 sigma} < 1e-16 of that prime's whole series of |w| p^{-k sigma}
+    (for w = 1/k too, as 1/k falls): below the rounding of the sum.
+    """
+    k = np.arange(1, math.floor(reach / logs[0]) + 1 if logs.size else 1)
+    count = np.searchsorted(logs, reach / k, side="right")  # for each k a prefix of the primes
+    u = np.concatenate([j * logs[:n] for j, n in zip(k, count)] or [logs])  # k-major
+    w = np.concatenate([np.full(n, 1.0 / j) if log_zeta else logs[:n] for j, n in zip(k, count)] or [logs])
+    order = np.argsort(u, kind="stable")  # merges the k-major list's sorted pieces
+    u = u[order]
+    return u, w[order]
+
+
+def _per_prime(logs, s, log_zeta: bool):
+    """sum_p -log(1 - p^{-s}) (``log_zeta``) or sum_p log p / (p^s - 1) over
+    the primes of ``logs``, at each point of the 1-d ``s``, by :func:`_termwise`.
+
+    With t = p^{-s}, for p >= 2 (so |t| < 1/2) the terms are log p t / (1 - t)
+    and -1/2 log1p(|1 - t|^2 - 1) - i arg(1 - t), with
+    |1 - t|^2 - 1 = t_re (t_re - 2) + t_im^2; for the primes below 2 they take
+    1 - t = -expm1(-s log p).  So every term is good to a few ulps of its
+    modulus, and the log's imaginary part needs no unwrapping.
+    """
+    below, above = np.split(logs, [np.searchsorted(logs, LN2)])
+
+    def below_two(x, cols):
+        x = x * below[cols]  # -s log p
+        if log_zeta:
+            return -np.log(-np.expm1(x))
+        return below[cols] / np.expm1(np.negative(x, out=x))
+
+    def from_two(x, cols):
+        t = np.exp(x * above[cols])  # p^{-s}
+        if not log_zeta:
+            t /= 1.0 - t
+            t *= above[cols]
+            return t
+        out = np.empty_like(t)
+        q = 1.0 - t.real  # above 1/2
+        np.divide(t.imag, q, out=q)
+        np.arctan(q, out=out.imag)  # -arg(1 - t)
+        q = t.real - 2.0
+        q *= t.real
+        q += np.square(t.imag)
+        np.log1p(q, out=out.real)
+        out.real *= -0.5
+        return out
+
+    return _termwise(below, s, below_two) + _termwise(above, s, from_two)
 
 
 def _density_bound(table: CountingTable, s):

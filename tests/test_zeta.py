@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -215,18 +216,100 @@ def test_euler_side_against_mpmath(spec, bound, by_log_zeta):
         assert abs(neg_logderiv(primes, s).value - nld) <= 5e-15 * abs(nld)
 
 
-# |s| from 1.01 to about 40: the width groups below 8, [8, 16), [16, 32) and
-# [32, 64), several points in each
-EULER_WIDTH_GRID = np.array([1.01, 1.5 + 1j, 1.2 - 0.3j, 2.0 + 2j, 3.0 - 1j, 1.1 + 5j, 4.0 + 4j,
-                             2.5 - 9j, 1.05 + 12j, 3.0 + 20j, 1.3 - 25j, 1.01 + 33j, 2.0 - 39.9j, 40.0])
+def _kernel_width(primes):
+    """The Euler side's kernel width r: the points with |s| < r take the kernel."""
+    return zeta.PRIME_RUNS * len(primes) / (primes.logs[-1] + zeta.POWER_REACH)
+
+
+def test_euler_side_routes_against_mpmath(monkeypatch):
+    # on the primes to 1e5 the kernel takes the points with |s| < 6.18 and the
+    # closed form prime by prime the rest: |s| = 5.2 and 7.2 sit on either
+    # side.  In float the phase Im(s) log p of p^{-s} carries |s| log p ulps,
+    # which sets the scale on both routes.
+    primes = materialize(PrimeSystemSpec.rational(), 1e5)
+    assert abs(1.5 + 5j) < _kernel_width(primes) <= abs(1.5 - 7j)
+    kernel_points = []
+    kernel = zeta._moment_sum
+
+    def counted(u, w, s, r):
+        kernel_points.extend(s)
+        return kernel(u, w, s, r)
+
+    monkeypatch.setattr(zeta, "_moment_sum", counted)
+    for s, on_kernel in ((1.5 + 5j, True), (1.5 - 7j, False), (1.01 - 9000j, False), (4 + 1e5j, False)):
+        zeta_, nld = _euler_oracle(primes, s)
+        phase = np.finfo(float).eps * abs(s) * math.log(primes.bound)
+        kernel_points.clear()
+        assert abs(zeta_euler(primes, s).value - zeta_) <= phase * abs(zeta_)
+        assert abs(neg_logderiv(primes, s).value - nld) <= phase * abs(nld)
+        assert kernel_points == ([s, s] if on_kernel else [])
+
+
+NEAR_ONE_SYSTEMS = {"1.000001-2": ([1.000001, 2.0], 3.0), "1.00000001-2": ([1.00000001, 2.0], 2.5),
+                    "1.0001": ([1.0001], 2.0), "1.000001-primes-1e5": (None, 1e5)}
+
+
+@pytest.mark.parametrize("name", NEAR_ONE_SYSTEMS)
+def test_euler_side_primes_near_one_stay_small(name):
+    # a prime this close to 1 has tens of millions of powers below the reach
+    # (48.5 million for 1.000001 beside the primes to 1e5, some 390 MB per
+    # float column); it is summed in closed form, so a call allocates at most
+    # a few MiB, on the kernel's route (beside the ordinary primes to 1e5,
+    # whose list holds 41,242 entries) as on the direct one
+    values, bound = NEAR_ONE_SYSTEMS[name]
+    if values is None:
+        values = [1.000001, *materialize(PrimeSystemSpec.rational(), bound).values]
+    primes = system(values, bound)
+    points = (1.5, 1.01 + 3j, 2 - 5j)
+    assert (max(map(abs, points)) < _kernel_width(primes)) == (len(primes) > 2)
+    zeta_euler(primes, 2.0)  # its lazy scipy import is not the call's memory
+    for s in points:
+        zeta_, nld = _euler_oracle(primes, s)
+        tracemalloc.start()
+        try:
+            got_zeta, got_nld = zeta_euler(primes, s).value, neg_logderiv(primes, s).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 22
+        assert abs(got_zeta - zeta_) <= 1e-15 * math.log(abs(zeta_)) * abs(zeta_)
+        assert abs(got_nld - nld) <= 5e-15 * abs(nld)
+
+
+def test_euler_side_scaled_primes_near_one_stay_small():
+    scaled = materialize(PrimeSystemSpec.scaled_rational(0.5000000001), 50.0)
+    zeta_euler(scaled, 2.0)
+    tracemalloc.start()
+    try:
+        zeta_euler(scaled, np.array([1.5, 3 + 1j]))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+# |s| from 1.01 to about 300, several points on each side of the kernel widths
+# below (6.18 on the ordinary primes to 1e5, 11.4 on scaled-rational 0.51)
+EULER_GRID = np.array([1.01, 1.5 + 1j, 1.2 - 0.3j, 2.0 + 2j, 3.0 - 1j, 1.1 + 5j, 4.0 + 4j,
+                       2.5 - 9j, 1.05 + 12j, 3.0 + 20j, 1.3 - 25j, 1.01 + 33j, 2.0 - 39.9j, 40.0,
+                       1.5 + 300j, 2 - 260j])
+
+
+@pytest.fixture(scope="module")
+def euler_systems():
+    """(primes, a) on which the grid takes every route: the kernel below
+    |s| = 6.18 and prime by prime beyond (ordinary primes to 1e5), the same
+    below 11.4 beside a prime near 1 (scaled-rational 0.51, smallest prime
+    1.02), and prime by prime throughout (the small systems)."""
+    rational = materialize(PrimeSystemSpec.rational(), 1e3)
+    return ((system([2, 3, 5], 3000), 0.5), (rational, None), (rational, 1.0),
+            (materialize(PrimeSystemSpec.rational(), 1e5), 1.0),
+            (materialize(PrimeSystemSpec.scaled_rational(0.51), 1e5), 1.0))
 
 
 @pytest.mark.parametrize("method", [zeta_euler, neg_logderiv], ids=lambda f: f.__name__)
-def test_euler_side_width_groups_match_points(method):
-    rational = materialize(PrimeSystemSpec.rational(), 1e3)
-    scaled = materialize(PrimeSystemSpec.scaled_rational(0.51), 300.0)
-    for seq, a in ((system([2, 3, 5], 3000), 0.5), (rational, None), (rational, 1.0), (scaled, 1.0)):
-        for grid in (EULER_WIDTH_GRID, EULER_WIDTH_GRID[::-1].reshape(2, 7)):
+def test_euler_side_grid_matches_points(method, euler_systems):
+    for seq, a in euler_systems:
+        for grid in (EULER_GRID, EULER_GRID[::-1].reshape(2, 8)):
             res = method(seq, grid, a)
             for s, v, bound in zip(grid.flat, res.value.flat, np.ravel(res.truncation_bound)):
                 one = method(seq, complex(s), a)
@@ -235,37 +318,53 @@ def test_euler_side_width_groups_match_points(method):
                 assert abs(bound - one.truncation_bound) <= 1e-15 * one.truncation_bound
 
 
-def test_euler_side_one_kernel_call_per_width_group(monkeypatch):
+def test_euler_side_one_kernel_call(monkeypatch, euler_systems):
     calls = []
-    kernel = zeta._stieltjes_sum
+    kernel = zeta._moment_sum
 
-    def counted(table, u, w, total, s, width=None):
-        calls.append((np.abs(s), width))
-        return kernel(table, u, w, total, s, width)
+    def counted(u, w, s, r):
+        calls.append((s, r))
+        return kernel(u, w, s, r)
 
-    monkeypatch.setattr(zeta, "_stieltjes_sum", counted)
-    seq = materialize(PrimeSystemSpec.rational(), 1e3)
-    groups = {max(math.frexp(abs(s))[1], 3) for s in EULER_WIDTH_GRID}
-    assert len(groups) == 4
-    for method in (zeta_euler, neg_logderiv):
-        calls.clear()
-        method(seq, EULER_WIDTH_GRID, 1.0)
-        assert len(calls) == len(groups)
-        assert sum(mod.size for mod, _ in calls) == EULER_WIDTH_GRID.size
-        for mod, width in calls:  # runs 1/r wide, r the power of two just above each |s|, at least 8
-            assert np.all((mod < width) & ((width / 2 <= mod) | (width == 8.0)))
+    monkeypatch.setattr(zeta, "_moment_sum", counted)
+    for seq, a in euler_systems:
+        r = _kernel_width(seq)
+        on_kernel = EULER_GRID[np.abs(EULER_GRID) < r]
+        assert on_kernel.size == {9592: 7, 17664: 8}.get(len(seq), 0)  # none on the small systems
+        for method in (zeta_euler, neg_logderiv):
+            calls.clear()
+            method(seq, EULER_GRID, a)
+            assert len(calls) == (on_kernel.size > 0)  # one call for all its points, if any
+            for s, width in calls:
+                assert width == r and np.array_equal(s, on_kernel)
 
 
-def test_boundary_scan_chunks_match_one_point_at_a_time(rational_1e4, monkeypatch):
-    # at t_max = 1e3 the jumps fall into thousands of runs, so 201 points take
-    # several (points x runs) blocks; one point per block is the per-point loop
+def test_boundary_scan_blocks_match_one_point_at_a_time(rational_1e4, monkeypatch):
+    # at t_max = 1e3 the 201 points take several (points x terms) blocks; with
+    # blocks one point high each point gets the same value
     _, t = rational_1e4
-    runs = np.unique(np.floor(t.jump_logs * abs(1 + 1e3j))).size
-    assert 201 * runs > 4 * zeta.KERNEL_CELLS
+    assert 201 * t.jump_logs.size > 4 * zeta.KERNEL_CELLS
     blocks = boundary_scan(t, 1e3, points=201, floor=1e-3).values
-    monkeypatch.setattr(zeta, "KERNEL_CELLS", 1)
+    monkeypatch.setattr(zeta, "KERNEL_CELLS", t.jump_logs.size)
     one_by_one = boundary_scan(t, 1e3, points=201, floor=1e-3).values
     assert np.all(np.abs(blocks - one_by_one) <= 1e-15 * np.abs(one_by_one))
+
+
+def test_kernel_blocks_match_single_points(rational_1e4):
+    # a point's sum does not depend on the points beside it in a block: at
+    # r = 50 the 401 points take the moments in several (points x runs)
+    # blocks, at r = 1000 the runs pass DIRECT_RUNS of the jumps and the jumps
+    # go term by term
+    _, t = rational_1e4
+    for u, w in ((t.jump_logs, None), (t.psi_logs, t.lambdas)):
+        for r, direct in ((50.0, False), (1000.0, True)):
+            runs = np.unique(np.floor(u * r)).size
+            assert (runs > zeta.DIRECT_RUNS * u.size) == direct
+            assert 401 * (u.size if direct else runs) > zeta.KERNEL_CELLS  # more than one block
+            s = 1.0 + 1j * np.linspace(-r, r, 401)
+            sums = zeta._moment_sum(u, w, s, r)
+            for k in range(0, 401, 20):
+                assert sums[k] == zeta._moment_sum(u, w, s[k : k + 1], r)[0]
 
 
 # --- Laplace transform of psi ---
