@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -70,12 +70,11 @@ class ConfigError(Exception):
 class RunConfig:
     spec: PrimeSystemSpec
     bound: float
-    density_a: float | None = None
-    checks: tuple = ()
-    output_dir: str = "out"
-    formats: tuple = ("csv", "json")
-    max_integers: int = semigroup.DEFAULT_MAX_INTEGERS
-    params: dict = field(default_factory=dict)  # {check: {key: value}}, requested checks only
+    density_a: float | None
+    checks: tuple
+    output_dir: str
+    max_integers: int
+    params: dict  # {check: {key: value}}, requested checks only
 
     def __post_init__(self):
         """Range-check every field, so that no invalid config exists."""
@@ -89,8 +88,6 @@ class RunConfig:
         need_a = sorted(set(self.checks) & CHECKS_NEEDING_A)
         if need_a and self.density_a is None:
             raise ConfigError(f"checks {', '.join(need_a)} require --density-a (or density_a in [system])")
-        if not self.formats or not set(self.formats) <= {"csv", "json"}:
-            raise ConfigError(f"formats must be csv and/or json, got {','.join(self.formats) or 'none'}")
         if not 1 <= self.max_integers <= semigroup.MAX_ROWS:
             raise ConfigError(f"max_integers must be in [1, {semigroup.MAX_ROWS}], got {self.max_integers}")
         cheb = self.params.get("chebyshev")
@@ -148,7 +145,6 @@ def load_config(config_path, overrides) -> RunConfig:
         density_a=pick("density_a", "system", None, float),
         checks=checks,
         output_dir=pick("output_dir", "run", "out"),
-        formats=pick("formats", "run", ("csv", "json"), _parse_list),
         max_integers=pick("max_integers", "run", semigroup.DEFAULT_MAX_INTEGERS,
                           lambda v: int(float(v))),
         params={name: {key: pick(key, name, d, type(d)) for key, d in defaults[name].items()}
@@ -169,7 +165,7 @@ def _within_capacity(build, *args):
         _fail(exc, 3)
 
 
-def _prepare(cfg: RunConfig, grid_points: int = 0):
+def _prepare(cfg: RunConfig, grid_points: int):
     """The output directory, the primes and their counting table.  A grid of
     ``grid_points`` past max_integers exits 3 before anything is built."""
     if grid_points > cfg.max_integers:
@@ -211,8 +207,6 @@ def common_options(fn):
         click.option("--density-a", type=float, default=None, help="Declared density a > 0."),
         click.option("--out", "output_dir", type=click.Path(), default=None,
                      help="Output directory (default: out)."),
-        click.option("--format", "formats", type=str, default=None,
-                     help="Comma list from {csv, json} (default both)."),
         click.option("--max-integers", type=int, default=None, help="Capacity limit on enumerated"
                      f" integers (default {semigroup.DEFAULT_MAX_INTEGERS})."),
         click.option("--variant", type=click.Choice(VARIANTS), default=None,
@@ -248,12 +242,11 @@ def _run(cfg: RunConfig, command: str):
     reports = {}
     for name in cfg.checks:
         result = CHECKS[name](cfg, primes, table)
-        if name in CSV_TABLES and "csv" in cfg.formats:
+        if name in CSV_TABLES:
             filename, header, rows = CSV_TABLES[name]
             counting.write_csv(out / filename, header, rows(result))
         reports[name] = {"check": name, "parameters": parameters, **result.to_dict()}
-        if "json" in cfg.formats:
-            _write_json(out / f"report-{name}.json", reports[name])
+        _write_json(out / f"report-{name}.json", reports[name])
     _run_log(out, cfg, command)
     for name, rep in reports.items():
         click.echo(f"{name}: {rep['verdict']}")
@@ -276,11 +269,9 @@ def gen(dump, **opts):
     out.mkdir(parents=True, exist_ok=True)
     primes = materialize(cfg.spec, cfg.bound)
     en = _within_capacity(semigroup.enumerate_integers, primes, cfg.bound, cfg.max_integers)
-    if dump and "csv" in cfg.formats:
+    if dump:
         semigroup.write_dump(en, path=out / "enumeration.csv")
-    table = counting.build_table(en, cfg.density_a)
-    if "csv" in cfg.formats:
-        counting.write_counting_csv(table, out / "counting.csv")
+    counting.write_counting_csv(counting.build_table(en, cfg.density_a), out / "counting.csv")
     _run_log(out, cfg, "gen")
     click.echo(f"enumerated {len(en)} integers below {cfg.bound:g}")
 
@@ -295,10 +286,8 @@ def check(checks_text, **opts):
     if not cfg.checks:
         _fail("no checks requested", 2)
     out, table, reports = _run(cfg, "check")
-    if "csv" in cfg.formats:
-        counting.write_counting_csv(table, out / "counting.csv")
-    if "json" in cfg.formats:
-        _write_summary(list(reports.values()), out)
+    counting.write_counting_csv(table, out / "counting.csv")
+    _write_summary(list(reports.values()), out)
 
 
 @main.command(name="zeta-sweep")

@@ -50,7 +50,7 @@ class IntegralReport:
     tail_estimate: float
     verdict: str
     exact: bool
-    caveats: tuple = ()
+    caveats: tuple
 
     def to_dict(self):
         return asdict(self)

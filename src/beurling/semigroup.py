@@ -7,11 +7,11 @@ j >= i whose product stays below the bound, one contiguous run of j per row.
 Each exponent vector is built exactly once, and coincident prime values at
 distinct indices yield distinct generalized integers (multiset semantics).
 
-Every row has four typed columns: the log value (its parent's log plus
-log p_j, always summed in that order), the parent row (the row divided by
-its largest prime; -1 for the unit), that largest prime index, and the von
-Mangoldt weight (a row is a prime power exactly when its parent is the unit
-or a power of the same prime).  One sort by log value orders the rows.  Rows
+Each row is built with four typed columns: the log value (its parent's log
+plus log p_j, always summed in that order), the parent row (the row divided
+by its largest prime), that largest prime index, and the von Mangoldt weight
+(a row is a prime power exactly when its parent is the unit or a power of
+the same prime).  One sort by log value orders the rows.  Rows
 of exactly equal log value are put in dense-lexicographic order of their
 exponent vectors by one key: descending preorder rank in the build tree,
 whose children are visited by ascending index.  Proof: a row's path from the
@@ -61,48 +61,30 @@ class GenInteger(NamedTuple):
 class EnumerationResult:
     """All generalized integers below ``bound`` as row columns, sorted by log value.
 
-    Row 0 is the unit.  ``parent[r]`` is the row that r was generated from
-    (r divided by its largest prime), so it always precedes r; ``index[r]`` is
-    that largest prime index.  Both are -1 for the unit.  Iterating yields
-    :class:`GenInteger` rows.
+    Row 0 is the unit.  Row r is ``stem[r]`` times p_j^e with j = ``index[r]``,
+    its largest prime index, and e = ``exp[r]``: the stem is r with every
+    factor p_j divided out, so it precedes r, and r's (index, exponent) pairs
+    are its stem's followed by (j, e).  The unit reads (0, -1, 0).  Iterating
+    yields :class:`GenInteger` rows.
     """
 
     logs: np.ndarray     # float64 log values, non-decreasing
     lambdas: np.ndarray  # float64 von Mangoldt weights
-    parent: np.ndarray   # C int (int32)
+    stem: np.ndarray     # C int (int32)
     index: np.ndarray    # C int (int32)
+    exp: np.ndarray      # C int (int32)
     bound: float
 
     def __len__(self):
         return len(self.logs)
 
     def __iter__(self):
-        stem, exp = _stems(self)
         exps = [()] * len(self)
-        for r, (lv, s, j, e) in enumerate(zip(self.logs.tolist(), stem.tolist(),
-                                              self.index.tolist(), exp.tolist())):
+        for r, (lv, s, j, e) in enumerate(zip(self.logs.tolist(), self.stem.tolist(),
+                                              self.index.tolist(), self.exp.tolist())):
             if r:
                 exps[r] = exps[s] + ((j, e),)
             yield GenInteger(lv, exps[r])
-
-
-def _stems(en):
-    """Sparse exponent vectors as pointers: ``(stem, exp)`` row columns.
-
-    ``stem[r]`` is row r with every factor p_{index[r]} divided out, and
-    ``exp[r]`` the exponent of that prime in r, so r's (index, exponent) pairs
-    are its stem's followed by ``(index[r], exp[r])``.  The unit is its own
-    stem, with exponent 0.  Built by walking ``parent`` while ``index`` stays
-    equal, over the rows still walking: at most the largest exponent passes.
-    """
-    stem = np.maximum(en.parent, 0)
-    exp = (en.parent >= 0).astype(np.intc)
-    live = np.flatnonzero(en.index[stem[1:]] == en.index[1:]) + 1  # the unit never walks
-    while live.size:
-        stem[live] = en.parent[stem[live]]
-        exp[live] += 1
-        live = live[en.index[stem[live]] == en.index[live]]
-    return stem, exp
 
 
 def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool = True):
@@ -156,16 +138,25 @@ def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool =
         tie = np.zeros(rows, dtype=bool)
         tie[tied] = tie[tied + 1] = True
         tied = np.flatnonzero(tie)
+        del tie
         # Ascending dense-lexicographic order is descending preorder rank: one
         # int64 key, group * rows - rank (see the module docstring), built in
-        # place, where group counts the value changes along the tied rows.
-        key = -_preorder(columns[0])[order[tied]].astype(np.int64)
-        key[1:] += np.cumsum(row_logs[tied[1:]] != row_logs[tied[:-1]]) * rows
-        # Rebinding frees the key before the gather, one tied-length array fewer
-        # at the enumeration's peak; the gathers below need none of these.
+        # place, where group counts the value changes along the tied rows (in
+        # place too: a cumsum of bools would cast a second tied-length copy).
+        key = _preorder(columns[0])[order[tied]].astype(np.int64)
+        np.negative(key, out=key)
+        group = row_logs[tied]
+        group = group[1:] != group[:-1]  # rebinding frees the gathered logs
+        group = group.astype(np.int64)
+        np.cumsum(group, out=group)
+        group *= rows
+        key[1:] += group
+        del group
+        # Rebinding frees the key before the gather, one tied-length array fewer;
+        # the gathers below need none of these.
         key = np.argsort(key)
         order[tied] = order[tied][key]
-        del key, tied, tie
+        del key, tied
     lambdas = lambdas[order]
     if not full:
         return row_logs, lambdas
@@ -173,8 +164,16 @@ def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool =
     inverse = np.empty(rows, dtype=np.intc)
     inverse[order] = np.arange(rows, dtype=np.intc)
     parent = inverse[np.concatenate(columns.pop())[order]]
-    parent[0] = -1
-    return EnumerationResult(row_logs, lambdas, parent, index, float(bound))
+    # Stems: walk the parents while the index stays equal, at most the largest
+    # exponent passes.  The unit is its own stem, with exponent 0, and never walks.
+    stem, exp = parent.copy(), np.ones(rows, dtype=np.intc)
+    stem[0] = exp[0] = 0
+    live = np.flatnonzero(index[stem[1:]] == index[1:]) + 1
+    while live.size:
+        stem[live] = parent[stem[live]]
+        exp[live] += 1
+        live = live[index[stem[live]] == index[live]]
+    return EnumerationResult(row_logs, lambdas, stem, index, exp, float(bound))
 
 
 def _preorder(parents):
@@ -221,8 +220,8 @@ def write_dump(en, path) -> None:
     """Raw text dump, one record per integer: value<TAB>exponents<TAB>lambda.
 
     The exponent field is ``i:a,j:b`` pairs by ascending prime index (empty for
-    the unit): row r's field is its stem's field (see :func:`_stems`), then
-    ``index[r]:exp[r]``, with a comma before it unless the stem is the unit.
+    the unit): row r's field is its stem's field, then ``index[r]:exp[r]``,
+    with a comma before it unless the stem is the unit.
     Every piece of a record but its value comes from one string table built
     once: the lambda strings (0 and the Lambda of each prime row, since a prime
     power's Lambda is its prime's step log p_j) and every ``j:e`` pair with
@@ -234,8 +233,8 @@ def write_dump(en, path) -> None:
     log values in a block, with ``math.exp``: ``np.exp`` can differ by an ulp,
     which ``%.17g`` shows.  No string is built per row.
     """
-    stem, token = _stems(en)
-    primes = np.flatnonzero(en.parent == 0)
+    stem, token = en.stem, en.exp.copy()  # piece ids, from a copy: the result keeps its column
+    primes = np.flatnonzero((stem == 0) & (token == 1))
     primes = primes[np.argsort(en.index[primes])]  # the row of p_j at j
     counts = np.bincount(en.index[en.lambdas > 0], minlength=len(primes))
     # Piece ids: 0 the empty string, 1 the lambda 0.0, 2 + j prime j's Lambda,

@@ -96,12 +96,6 @@ class PrimeSystemSpec:
     def scaled_rational(cls, c):
         return cls("scaled-rational", (c,))
 
-    def has_coincident_primes(self) -> bool:
-        """True when the declared list contains a repeated prime value."""
-        if self.variant != "explicit-list":
-            return False
-        return any(a == b for a, b in zip(self.params, self.params[1:]))
-
 
 @dataclass(frozen=True)
 class PrimeSequence:

@@ -41,8 +41,7 @@ class ZetaResult:
     value: complex | np.ndarray
     method: str  # euler-product | stieltjes | dirichlet-sum
     truncation_bound: float | np.ndarray
-    prime_bound: float
-    tail_model: str = "density"  # density | finite | none
+    tail_model: str  # density | finite | none
 
     @property
     def re(self) -> float | np.ndarray:
@@ -202,7 +201,7 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     value = value if value.ndim else complex(value)
     model = "finite" if primes.exhaustive else "none" if a is None else "density"
     bound = density_bound(s, value) if model == "density" else 0.0 * abs(s)  # a zero bound at each point
-    return ZetaResult(value, "euler-product", bound, primes.bound, model)
+    return ZetaResult(value, "euler-product", bound, model)
 
 
 def _prime_powers(logs, reach, log_zeta: bool):
@@ -275,8 +274,7 @@ def zeta_dirichlet(table: CountingTable, s) -> ZetaResult:
         bound, model, tail = 0.0 * abs(s), "none", 0.0  # a zero bound at each point
     else:  # N ~ a x beyond B adds a B^{1-s}/(s-1) = (a B/(s-1)) B^{-s}
         bound, model, tail = _density_bound(table, s), "density", table.a * table.bound / (s - 1.0)
-    return ZetaResult(_stieltjes_sum(table, table.jump_logs, None, -tail, s), "dirichlet-sum",
-                      bound, table.bound, model)
+    return ZetaResult(_stieltjes_sum(table, table.jump_logs, None, -tail, s), "dirichlet-sum", bound, model)
 
 
 def zeta_stieltjes(table: CountingTable, s) -> ZetaResult:
@@ -297,7 +295,7 @@ def zeta_stieltjes(table: CountingTable, s) -> ZetaResult:
         tail = 0.0
         bound = abs(s) * n * b ** (-sigma) * (1.0 + 1.0 / (sigma - 1.0))
         model = "none"
-    return ZetaResult(_stieltjes_sum(table, table.jump_logs, None, n - tail, s), "stieltjes", bound, b, model)
+    return ZetaResult(_stieltjes_sum(table, table.jump_logs, None, n - tail, s), "stieltjes", bound, model)
 
 
 def laplace_psi(table: CountingTable, s):
@@ -365,8 +363,7 @@ def g_eval(source, s, a: float | None = None) -> ZetaResult:
     if a is None:
         raise ValueError("g_eval requires a density a")
     zr = zeta_stieltjes(source, s) if on_table else zeta_euler(source, s, a)
-    return ZetaResult(zr.value - a / (s - 1.0), zr.method, zr.truncation_bound,
-                      zr.prime_bound, zr.tail_model)
+    return ZetaResult(zr.value - a / (s - 1.0), zr.method, zr.truncation_bound, zr.tail_model)
 
 
 def fourier_E1_boundary(table: CountingTable, t):

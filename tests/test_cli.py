@@ -62,6 +62,17 @@ def test_gen_dump_matches_oracle_on_ties(runner, tmp_path):
         assert g == w
 
 
+def test_gen_no_dump_writes_counting_only(runner, tmp_path):
+    argv = ["gen", "--variant", "explicit-list", "--params", "2,2,3", "--bound", "50"]
+    res = runner.invoke(main, argv + ["--no-dump", "--out", str(tmp_path / "o")])
+    assert res.exit_code == 0, res.output
+    assert "enumerated 43 integers" in res.output
+    assert runner.invoke(main, argv + ["--dump", "--out", str(tmp_path / "d")]).exit_code == 0
+    dumped = strip_log(tmp_path / "d")
+    assert set(dumped) == {"counting.csv", "enumeration.csv"}
+    assert strip_log(tmp_path / "o") == {"counting.csv": dumped["counting.csv"]}
+
+
 def test_gen_passes_dump_path_by_keyword(runner, tmp_path, monkeypatch):
     # perfbench's tracer reads the dump's size from kwargs["path"].
     calls = []
@@ -190,7 +201,12 @@ BAD_INPUTS = [
     ("identity-sigma", ["identity-check"], _system_ini() + "[identity]\nsigma_lo = 1.0\n"),
     ("sweep-sigma", ["zeta-sweep", "--sigma-hi", "0.5"], _system_ini()),
     ("boundary-points", ["boundary-scan"], _system_ini() + "[boundary]\npoints = 0\n"),
-    ("no-format", ["check", "--checks", "l1", "--format", ""], _system_ini()),
+    ("bound-1", ["check", "--checks", "l1", "--bound", "1"], _system_ini()),
+    ("bound-inf", ["check", "--checks", "l1", "--bound", "inf"], _system_ini()),
+    ("no-variant", ["check", "--checks", "l1"], "[system]\nbound = 1e3\ndensity_a = 0.5\n"),
+    ("no-bound", ["check", "--checks", "l1"], "[system]\nvariant = explicit-list\nparams = 2, 3\n"),
+    ("no-checks", ["check"], _system_ini()),
+    ("scaled-c-0", ["gen", "--variant", "scaled-rational", "--params", "0"], _system_ini()),
     ("max-integers-0", ["gen", "--max-integers", "0"], _system_ini()),
     ("max-integers-negative", ["gen", "--max-integers", "-1"], _system_ini()),
     # row ids are C int: one more than np.iinfo(np.intc).max is refused, by flag or by file

@@ -21,6 +21,7 @@ from beurling.hypothesis import (
     CONSISTENT,
     CONVERGENT,
     DIVERGENT,
+    INCONCLUSIVE,
     VIOLATED,
     _pieces,
 )
@@ -122,6 +123,12 @@ def test_tail_sup_non_increasing(rational_2000, rng):
     assert np.all(np.diff(s) <= 1e-15)
 
 
+def test_tail_sup_rejects_points_outside_range(rational_2000):
+    for xs in ([0.5, 2.0], [2.0, 2000.5]):
+        with pytest.raises(ValueError, match=r"\[1, bound\]"):
+            tail_sup(rational_2000, xs)
+
+
 def test_tail_sup_strict_at_jumps(rational_2000):
     # N(n) = n - 1 for the ordinary integers under the strict convention, so
     # S(n) = |(n - 1)/n - 1| = 1/n, which the later pieces never exceed
@@ -184,6 +191,13 @@ def test_trend_wrong_density_violated():
     seq = materialize(PrimeSystemSpec.rational(), 2000.0)
     rep = little_o_trend(build_table_from_system(seq, 2000.0, 2.0))
     assert rep.verdict == VIOLATED
+
+
+def test_trend_few_windows_inconclusive():
+    # B = 5 has the dyadic edges 1, 1.25, 2.5, 5: three windows, too few to judge a trend
+    rep = little_o_trend(table_for([2.0, 3.0], 5.0, a=1.0))
+    assert len(rep.window_sups) == 3
+    assert rep.verdict == INCONCLUSIVE
 
 
 def test_trend_window_sups_cover_jump_limits(rational_2000):

@@ -64,6 +64,14 @@ def test_empty_system_yields_unit():
     assert not unit.prime_power
 
 
+def test_enumeration_rejects_bad_bound():
+    seq = system([2, 3], 10)
+    for enumerate_ in (enumerate_integers, jump_arrays):
+        for bad in (1.0, 0.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and > 1"):
+                enumerate_(seq, bad)
+
+
 def test_enumeration_past_materialized_bound_raises():
     seq = materialize(PrimeSystemSpec.rational(), 100)
     for enumerate_ in (enumerate_integers, jump_arrays):
@@ -162,12 +170,12 @@ def test_one_row_order_on_tie_systems(values, bound):
     assert np.any(logs[1:] == logs[:-1])  # the system has value ties
     assert np.array_equal(logs, en.logs)
     assert np.array_equal(lams, en.lambdas)
-    # rows follow (log value, dense exponent vector), and parents precede rows
+    # rows follow (log value, dense exponent vector), and stems precede rows
     dense = [tuple(dict(g.exponents).get(i, 0) for i in range(len(seq))) for g in en]
     keys = list(zip(en.logs.tolist(), dense))
     assert keys == sorted(keys)
-    assert en.parent[0] == -1
-    assert np.all(en.parent[1:] < np.arange(1, len(en)))
+    assert (en.stem[0], en.index[0], en.exp[0]) == (0, -1, 0)
+    assert np.all(en.stem[1:] < np.arange(1, len(en)))
 
 
 @pytest.mark.parametrize(
@@ -210,11 +218,11 @@ def assert_rows_match_oracle(values, bound):
     row_of = {e: r for r, (_, _, e) in enumerate(oracle)}
     for r, (_, _, e) in enumerate(oracle):
         if not e:
-            assert (en.parent[r], en.index[r], en.lambdas[r]) == (-1, -1, 0.0)
+            assert (en.stem[r], en.index[r], en.exp[r], en.lambdas[r]) == (0, -1, 0, 0.0)
             continue
         j, top = e[-1]
-        down = e[:-1] + (((j, top - 1),) if top > 1 else ())
-        assert en.parent[r] == row_of[down]
+        assert (en.stem[r], en.exp[r]) == (row_of[e[:-1]], top)  # row = stem * p_j^top
+        assert en.stem[r] < r
         assert en.index[r] == j
         assert en.lambdas[r] == (seq.logs[j] if len(e) == 1 else 0.0)
     return seq, en

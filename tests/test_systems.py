@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from beurling import InvalidSystemError, PrimeSequence, PrimeSystemSpec, materialize
-from beurling.systems import QUERY_EPS
+from beurling.systems import QUERY_EPS, rational_primes_below
 from conftest import trial_division_primes
 
 
@@ -50,9 +50,7 @@ def test_prefix_property():
 
 def test_multiplicity_allowed_and_flagged():
     spec = PrimeSystemSpec.explicit([2.0, 2.0, 3.0])
-    assert spec.has_coincident_primes()
     assert materialize(spec, 10).values.tolist() == [2.0, 2.0, 3.0]
-    assert not PrimeSystemSpec.rational().has_coincident_primes()
 
 
 def test_near_coincident_explicit_primes_rejected():
@@ -86,6 +84,18 @@ def test_invalid_specs():
 def test_non_finite_primes_rejected(values, bound):
     with pytest.raises(InvalidSystemError):
         PrimeSequence(np.array(values), bound=bound)
+
+
+def test_decreasing_primes_rejected():
+    with pytest.raises(InvalidSystemError, match="non-decreasing"):
+        PrimeSequence(np.array([3.0, 2.0]), bound=10.0)
+
+
+def test_no_rational_primes_below_two():
+    for limit in (2, 1.5, 1):
+        assert rational_primes_below(limit).size == 0
+    # a scale past the bound leaves no primes: the sieve's limit B/c + 1 is at most 2
+    assert len(materialize(PrimeSystemSpec.scaled_rational(10.0), 5.0)) == 0
 
 
 def test_invalid_bounds():

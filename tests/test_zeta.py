@@ -477,6 +477,13 @@ def test_g_density_comes_from_the_table(rational_1e4):
     assert g_eval(seq, 2.0, a=2.0).value == pytest.approx(g_eval(seq, 2.0, a=1.0).value - 1.0, rel=1e-13)
 
 
+def test_g_requires_a_density():
+    with pytest.raises(ValueError, match="requires a density"):
+        g_eval(system([2.0], 3.0), 2.0)
+    with pytest.raises(ValueError, match="requires a density"):
+        g_eval(table_for([2.0], 3.0), 2.0)
+
+
 def test_g_limit_toward_gamma():
     seq = materialize(PrimeSystemSpec.rational(), 1e5)
     t = build_table_from_system(seq, 1e5, 1.0)
