@@ -271,7 +271,7 @@ def gen(dump, **opts):
     en = _within_capacity(semigroup.enumerate_integers, primes, cfg.bound, cfg.max_integers)
     if dump:
         semigroup.write_dump(en, path=out / "enumeration.csv")
-    counting.write_counting_csv(counting.build_table(en, cfg.density_a), out / "counting.csv")
+    counting.write_counting_csv(counting.build_table(en, primes, cfg.density_a), out / "counting.csv")
     _run_log(out, cfg, "gen")
     click.echo(f"enumerated {len(en)} integers below {cfg.bound:g}")
 

@@ -31,18 +31,17 @@ class CountingTable:
     """Immutable jump table answering N and psi queries up to ``bound``."""
 
     jump_logs: np.ndarray      # N's jumps: sorted log values, with multiplicity
-    lambdas: np.ndarray        # Lambda of each jump; __post_init__ keeps psi's (Lambda > 0)
+    psi_logs: np.ndarray       # psi's jumps: the prime-power logs, sorted
+    lambdas: np.ndarray        # Lambda of each of psi's jumps
     bound: float
     a: float | None = None     # declared density, optional
-    psi_logs: np.ndarray = field(init=False)    # psi's jumps: the prime-power logs, sorted
     cum_lambda: np.ndarray = field(init=False)  # Lambda summed over psi's first k jumps, k = 0..P
 
     def __post_init__(self):
         if self.a is not None and not 0.0 <= self.a < math.inf:
             raise ValueError("density a must be finite and non-negative")
-        power = self.lambdas > 0
-        object.__setattr__(self, "psi_logs", self.jump_logs[power])
-        object.__setattr__(self, "lambdas", self.lambdas[power])
+        if np.ndim(self.psi_logs) != 1 or np.shape(self.lambdas) != np.shape(self.psi_logs):
+            raise ValueError("psi_logs and lambdas must be 1-d arrays of equal length")
         object.__setattr__(self, "cum_lambda", np.concatenate(([0.0], np.cumsum(self.lambdas))))
 
     @property
@@ -93,9 +92,10 @@ class CountingTable:
         return out if out.ndim else float(out)
 
 
-def build_table(en: EnumerationResult, a: float | None = None) -> CountingTable:
-    """Build a table from the columns of an enumeration."""
-    return CountingTable(en.logs, en.lambdas, en.bound, a)
+def build_table(en: EnumerationResult, primes: PrimeSequence, a: float | None = None) -> CountingTable:
+    """Build a table from an enumeration of ``primes`` and psi's list of the same primes."""
+    u, j, _ = semigroup._prime_powers(primes.logs, math.log(en.bound))
+    return CountingTable(en.logs, u, primes.logs[j], en.bound, a)
 
 
 def build_table_from_system(
@@ -104,9 +104,8 @@ def build_table_from_system(
     a: float | None = None,
     max_count: int = DEFAULT_MAX_INTEGERS,
 ) -> CountingTable:
-    """Enumerate and tabulate: the log and Lambda columns of the generation build."""
-    logs, lams = semigroup.jump_arrays(primes, bound, max_count)
-    return CountingTable(logs, lams, float(bound), a)
+    """Enumerate and tabulate: the jump lists of :func:`semigroup.jump_arrays`."""
+    return CountingTable(*semigroup.jump_arrays(primes, bound, max_count), float(bound), a)
 
 
 def estimate_density(table: CountingTable):

@@ -7,21 +7,22 @@ j >= i whose product stays below the bound, one contiguous run of j per row.
 Each exponent vector is built exactly once, and coincident prime values at
 distinct indices yield distinct generalized integers (multiset semantics).
 
-Each row is built with four typed columns: the log value (its parent's log
-plus log p_j, always summed in that order), the parent row (the row divided
-by its largest prime), that largest prime index, and the von Mangoldt weight
-(a row is a prime power exactly when its parent is the unit or a power of
-the same prime).  One sort by log value orders the rows.  Rows
-of exactly equal log value are put in dense-lexicographic order of their
-exponent vectors by one key: descending preorder rank in the build tree,
-whose children are visited by ascending index.  Proof: a row's path from the
-unit has indices j_1 <= ... <= j_k; of two rows with equal value neither path
-extends the other, which would raise the value; where they first differ, the
-row with the smaller index holds more of that prime, so it is the dense-lex
-larger and the earlier in preorder.  The tied rows are re-sorted by one
-integer argsort on ``group * rows - rank`` (``group`` numbers the tie groups
-by ascending value); ranks are unique and below ``rows``, and ``rows`` is at
-most ``MAX_ROWS`` < 2**31, so the key orders by group first and fits int64.
+Each row is built with three typed columns: the log value (its parent's log
+plus log p_j, always summed in that order), the parent row (the row divided by
+its largest prime) and that largest prime index.  A child is kept by the cut
+:func:`_fits`, which :func:`_prime_powers` shares: it builds psi's jumps, the
+prime powers, with logs equal to their rows' bit for bit.  One sort by log
+value orders the rows.  Rows of exactly equal log value are put in
+dense-lexicographic order of their exponent vectors by one key: descending
+preorder rank in the build tree, whose children are visited by ascending
+index.  Proof: a row's path from the unit has indices j_1 <= ... <= j_k; of
+two rows with equal value neither path extends the other, which would raise
+the value; where they first differ, the row with the smaller index holds more
+of that prime, so it is the dense-lex larger and the earlier in preorder.  The
+tied rows are re-sorted by one integer argsort on ``group * rows - rank``
+(``group`` numbers the tie groups by ascending value); ranks are unique and
+below ``rows``, and ``rows`` is at most ``MAX_ROWS`` < 2**31, so the key
+orders by group first and fits int64.
 """
 
 from __future__ import annotations
@@ -52,10 +53,6 @@ class GenInteger(NamedTuple):
     def value(self) -> float:
         return math.exp(self.log_value)
 
-    @property
-    def prime_power(self) -> bool:
-        return len(self.exponents) == 1
-
 
 @dataclass(frozen=True)
 class EnumerationResult:
@@ -64,12 +61,11 @@ class EnumerationResult:
     Row 0 is the unit.  Row r is ``stem[r]`` times p_j^e with j = ``index[r]``,
     its largest prime index, and e = ``exp[r]``: the stem is r with every
     factor p_j divided out, so it precedes r, and r's (index, exponent) pairs
-    are its stem's followed by (j, e).  The unit reads (0, -1, 0).  Iterating
-    yields :class:`GenInteger` rows.
+    are its stem's followed by (j, e).  The unit reads (0, -1, 0); the other
+    rows of stem 0 are the prime powers.  Iterating yields GenInteger rows.
     """
 
     logs: np.ndarray     # float64 log values, non-decreasing
-    lambdas: np.ndarray  # float64 von Mangoldt weights
     stem: np.ndarray     # C int (int32)
     index: np.ndarray    # C int (int32)
     exp: np.ndarray      # C int (int32)
@@ -88,7 +84,7 @@ class EnumerationResult:
 
 
 def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool = True):
-    """Build the rows by generation, sort them once; without ``full`` only (logs, lambdas)."""
+    """Build the rows by generation, sort them once; without ``full`` only the sorted logs."""
     if not math.isfinite(bound) or bound <= 1.0:
         raise ValueError(f"bound must be finite and > 1, got {bound}")
     if bound > primes.bound and not primes.exhaustive:
@@ -97,25 +93,23 @@ def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool =
         raise ValueError(f"max_count must be at most {MAX_ROWS} (row ids are C int), got {max_count}")
     logs = primes.logs
     log_bound = math.log(bound)
-    # Generation k: the rows with k prime factors, as (log, parent, index, Lambda)
+    # Generation k: the rows with k prime factors, as (log, parent, index)
     # columns; row ids count in build order, so the unit is row 0.
-    gen = (np.zeros(1), np.full(1, -1, np.intc), np.full(1, -1, np.intc), np.zeros(1))
+    gen = (np.zeros(1), np.full(1, -1, np.intc), np.full(1, -1, np.intc))
     columns, rows = [], 0
     while True:
         columns.append(gen)
-        lv, _, index, lam = gen
+        lv, _, index = gen
         first, rows = rows, rows + len(lv)
         # Children p_j for j from the row's largest index while the sum stays
         # below the bound: one run per row, since logs are non-decreasing.
-        # fl(log B - lv) can admit a j whose sum rounds up to log B; step back.
+        # fl(log B - lv) can admit a j that fails the cut; step back.
         lo = np.maximum(index, 0)
         hi = np.searchsorted(logs, log_bound - lv, side="right")
-        while True:
-            live = np.flatnonzero(hi > lo)
-            over = live[lv[live] + logs[hi[live] - 1] >= log_bound]
-            if not over.size:
-                break
+        live = np.flatnonzero(hi > lo)
+        while (over := live[~_fits(lv[live], logs[hi[live] - 1], log_bound)]).size:
             hi[over] -= 1
+            live = over[hi[over] > lo[over]]  # the others still fit
         counts = np.maximum(hi - lo, 0)
         size = int(counts.sum())
         if rows + size > max_count:
@@ -124,12 +118,12 @@ def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool =
             break
         parent = np.repeat(np.arange(first, rows, dtype=np.intc), counts)
         j = np.arange(size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-        step = logs[j]
-        # A prime power's parent is the unit, or a power of the same prime.
-        power = (parent == 0) | ((np.repeat(lam, counts) > 0) & (j == np.repeat(index, counts)))
-        gen = (np.repeat(lv, counts) + step, parent, j.astype(np.intc), np.where(power, step, 0.0))
+        gen = (np.repeat(lv, counts) + logs[j], parent, j.astype(np.intc))
     columns = [list(c) for c in zip(*columns)]  # a pop frees one column's generations
-    row_logs, lambdas = np.concatenate(columns.pop(0)), np.concatenate(columns.pop())
+    row_logs = np.concatenate(columns.pop(0))
+    if not full:  # tied rows share their log, so their order does not show
+        row_logs.sort()
+        return row_logs
     order = np.argsort(row_logs)
     row_logs = row_logs[order]
     tied = np.flatnonzero(row_logs[1:] == row_logs[:-1])
@@ -157,9 +151,6 @@ def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool =
         key = np.argsort(key)
         order[tied] = order[tied][key]
         del key, tied
-    lambdas = lambdas[order]
-    if not full:
-        return row_logs, lambdas
     index = np.concatenate(columns.pop())[order]
     inverse = np.empty(rows, dtype=np.intc)
     inverse[order] = np.arange(rows, dtype=np.intc)
@@ -173,7 +164,31 @@ def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool =
         stem[live] = parent[stem[live]]
         exp[live] += 1
         live = live[index[stem[live]] == index[live]]
-    return EnumerationResult(row_logs, lambdas, stem, index, exp, float(bound))
+    return EnumerationResult(row_logs, stem, index, exp, float(bound))
+
+
+def _fits(u, step, reach):
+    """The child cut, fl(u + step) < reach.  It implies step <= fl(reach - u),
+    and it rises with the step, so over sorted steps it keeps a prefix."""
+    return u + step < reach
+
+
+def _prime_powers(logs, reach):
+    """Every p_j^k the enumeration to ``reach`` keeps, as ``(u, j, k)`` sorted by
+    u = log p_j^k, summed one factor at a time as its row's log is.  Level k is
+    a prefix of level k - 1; the levels go k-major, each by descending j, into
+    one stable argsort, so equal logs come by descending j (and ascending k),
+    the rows' tie order: of two equal powers, the smaller j holds more factors."""
+    u, levels = np.zeros(logs.size), []
+    while n := np.count_nonzero(_fits(u, logs[: u.size], reach)):
+        u = u[:n] + logs[:n]
+        levels.append(u[::-1])
+    ends = np.cumsum([0] + [level.size for level in levels])  # level k fills ends[k - 1]:ends[k]
+    u = np.concatenate([logs[:0], *levels])
+    order = np.argsort(u, kind="stable")
+    k = np.searchsorted(ends, order, side="right")
+    j = (ends - 1)[k] - order  # level k holds j = n - 1, ..., 0
+    return u[order], j, k
 
 
 def _preorder(parents):
@@ -208,12 +223,12 @@ def enumerate_integers(
 def jump_arrays(
     primes: PrimeSequence, bound: float, max_count: int = DEFAULT_MAX_INTEGERS
 ):
-    """Sorted log values and Lambda weights of all generalized integers < bound.
-
-    The ``logs`` and ``lambdas`` columns of :func:`enumerate_integers`, in the
-    same row order.  Returns ``(logs, lambdas)`` as float arrays of equal length.
-    """
-    return _enumerate(primes, bound, max_count, full=False)
+    """The jumps of N and psi below bound: ``(logs, psi_logs, lambdas)``, the
+    ``logs`` of :func:`enumerate_integers` and its prime-power rows' logs and
+    von Mangoldt weights log p_j, in the same order (:func:`_prime_powers`)."""
+    logs = _enumerate(primes, bound, max_count, full=False)
+    u, j, _ = _prime_powers(primes.logs, math.log(bound))
+    return logs, u, primes.logs[j]
 
 
 def write_dump(en, path) -> None:
@@ -234,21 +249,22 @@ def write_dump(en, path) -> None:
     which ``%.17g`` shows.  No string is built per row.
     """
     stem, token = en.stem, en.exp.copy()  # piece ids, from a copy: the result keeps its column
-    primes = np.flatnonzero((stem == 0) & (token == 1))
+    power = stem == 0  # the unit (row 0, index -1) and the prime powers
+    primes = np.flatnonzero(power & (token == 1))
     primes = primes[np.argsort(en.index[primes])]  # the row of p_j at j
-    counts = np.bincount(en.index[en.lambdas > 0], minlength=len(primes))
+    counts = np.bincount(en.index[power][1:], minlength=len(primes))
     # Piece ids: 0 the empty string, 1 the lambda 0.0, 2 + j prime j's Lambda,
     # then the pairs j:1, j:2, ... of each j in turn, then the same with a comma.
     pairs = [f"{j}:{e}" for j, k in enumerate(counts.tolist()) for e in range(1, k + 1)]
-    pieces = [""] + [f"\t{lam:.17g}\n" for lam in [0.0] + en.lambdas[primes].tolist()]
+    pieces = [""] + [f"\t{lam:.17g}\n" for lam in [0.0] + en.logs[primes].tolist()]
     pieces = np.array(pieces + pairs + ["," + pair for pair in pairs], dtype=object)
     offset = (1 + len(primes) + np.cumsum(counts) - counts).astype(np.intc)  # j:1's id less one
     token[1:] += offset[en.index[1:]]  # exponent to pair id; the unit's stays 0
-    token[stem > 0] += len(pairs)  # a comma after the stem's field
+    token[~power] += len(pairs)  # a comma after the stem's field
     with open(path, "w") as fh:
         for start in range(0, len(en), DUMP_BLOCK):
             cut = slice(start, start + DUMP_BLOCK)
-            lam = np.where(en.lambdas[cut] > 0, 2 + en.index[cut], 1)
+            lam = np.where(power[cut], 2 + en.index[cut], 1)  # the unit's index -1 gives 1 too
             rows = np.arange(start, start + len(lam))
             steps = []  # from the row's own pair down to its lowest prime's
             while rows.any():

@@ -7,7 +7,7 @@ transform is one exact sum sum_k w_k n_k^{-s} over a jump list, which
 ``_moment_sum`` evaluates from Taylor moments, or term by term where the
 moments would not pay.  The Euler side sums log zeta (w = 1/k) or
 -zeta'/zeta (w = log p) over the prime powers p^k: through the same kernel
-over every p^k with k log p <= log p_max + POWER_REACH, whose omitted powers
+over every p^k with k log p below log p_max + POWER_REACH, whose omitted powers
 are below the rounding, and in closed form per prime for the primes near 1
 and at points of large |s|.  The only honest error is the truncation beyond
 the enumeration bound B.  Tail models need a declared density a; without one
@@ -23,6 +23,7 @@ import numpy as np
 
 from .counting import CountingTable
 from .errors import DomainError
+from .semigroup import _prime_powers
 from .systems import PrimeSequence
 
 TAYLOR_TERMS = 20  # series terms per run of jumps in _moment_sum
@@ -39,7 +40,6 @@ class ZetaResult:
     """A complex, or an array at an array of points, plus a heuristic bound on the omitted tail."""
 
     value: complex | np.ndarray
-    method: str  # euler-product | stieltjes | dirichlet-sum
     truncation_bound: float | np.ndarray
     tail_model: str  # density | finite | none
 
@@ -174,16 +174,17 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     With reach = log p_max + POWER_REACH, the kernel's runs are 1/r wide for
     r * reach = PRIME_RUNS times the number of primes, a width set by the
     primes alone.  The points with |s| < r take it: one :func:`_moment_sum`
-    call over the powers up to reach (:func:`_prime_powers`), plus the
-    primes near 1 (more than MAX_POWERS powers in reach) in closed form.
-    The other points are summed prime by prime in closed form
-    (:func:`_per_prime`).  Which way a point goes depends on |s| alone, so an
-    array gives each point exactly its own value.
+    call over the powers below reach (``semigroup._prime_powers``), weights
+    1/k or log p, plus the primes near 1 (more than MAX_POWERS powers in
+    reach) in closed form.  A prime's omitted powers, past log p +
+    POWER_REACH, sum to less than e^{-37 sigma} < 1e-16 of its series of
+    |w| p^{-k sigma} (1/k falls too): below the rounding.  The other points
+    go prime by prime in closed form (:func:`_per_prime`).  Which way a point
+    goes depends on |s| alone, so an array gives each point its own value.
 
-    The kernel call pays a fixed cost, the list and 20 passes over it for the
-    moments, about three passes over the primes; each of its points then
-    costs Horner steps over at most PRIME_RUNS of the primes' count of runs.
-    r is about 48 at 10^6 and 390 at 10^7.
+    The kernel call pays the list and 20 passes over it, about three passes
+    over the primes; each of its points then costs Horner steps over at most
+    PRIME_RUNS of the primes' count of runs.  r is about 48 at 10^6, 390 at 10^7.
     """
     s = _require_halfplane(s, 1.0)
     flat = np.ravel(s)
@@ -195,31 +196,14 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     value[~on_list] = _per_prime(logs, flat[~on_list], log_zeta)
     if np.any(on_list):
         near_one = np.searchsorted(logs, reach / MAX_POWERS)  # log p < reach / MAX_POWERS
-        u, w = _prime_powers(logs[near_one:], reach, log_zeta)
+        u, j, k = _prime_powers(logs[near_one:], reach)
+        w = 1.0 / k if log_zeta else logs[near_one:][j]
         value[on_list] = _moment_sum(u, w, flat[on_list], r) + _per_prime(logs[:near_one], flat[on_list], log_zeta)
     value = (np.exp(value) if log_zeta else value).reshape(np.shape(s))
     value = value if value.ndim else complex(value)
     model = "finite" if primes.exhaustive else "none" if a is None else "density"
     bound = density_bound(s, value) if model == "density" else 0.0 * abs(s)  # a zero bound at each point
-    return ZetaResult(value, "euler-product", bound, model)
-
-
-def _prime_powers(logs, reach, log_zeta: bool):
-    """The sorted u = k log p <= ``reach`` over the primes of ``logs`` (at most
-    MAX_POWERS powers each) and their weights, 1/k (``log_zeta``) or log p.
-
-    The list does not depend on the points.  A prime's omitted powers start
-    past k log p = log p + POWER_REACH, so they sum to less than
-    e^{-37 sigma} < 1e-16 of that prime's whole series of |w| p^{-k sigma}
-    (for w = 1/k too, as 1/k falls): below the rounding of the sum.
-    """
-    k = np.arange(1, math.floor(reach / logs[0]) + 1 if logs.size else 1)
-    count = np.searchsorted(logs, reach / k, side="right")  # for each k a prefix of the primes
-    u = np.concatenate([j * logs[:n] for j, n in zip(k, count)] or [logs])  # k-major
-    w = np.concatenate([np.full(n, 1.0 / j) if log_zeta else logs[:n] for j, n in zip(k, count)] or [logs])
-    order = np.argsort(u, kind="stable")  # merges the k-major list's sorted pieces
-    u = u[order]
-    return u, w[order]
+    return ZetaResult(value, bound, model)
 
 
 def _per_prime(logs, s, log_zeta: bool):
@@ -274,7 +258,7 @@ def zeta_dirichlet(table: CountingTable, s) -> ZetaResult:
         bound, model, tail = 0.0 * abs(s), "none", 0.0  # a zero bound at each point
     else:  # N ~ a x beyond B adds a B^{1-s}/(s-1) = (a B/(s-1)) B^{-s}
         bound, model, tail = _density_bound(table, s), "density", table.a * table.bound / (s - 1.0)
-    return ZetaResult(_stieltjes_sum(table, table.jump_logs, None, -tail, s), "dirichlet-sum", bound, model)
+    return ZetaResult(_stieltjes_sum(table, table.jump_logs, None, -tail, s), bound, model)
 
 
 def zeta_stieltjes(table: CountingTable, s) -> ZetaResult:
@@ -295,7 +279,7 @@ def zeta_stieltjes(table: CountingTable, s) -> ZetaResult:
         tail = 0.0
         bound = abs(s) * n * b ** (-sigma) * (1.0 + 1.0 / (sigma - 1.0))
         model = "none"
-    return ZetaResult(_stieltjes_sum(table, table.jump_logs, None, n - tail, s), "stieltjes", bound, model)
+    return ZetaResult(_stieltjes_sum(table, table.jump_logs, None, n - tail, s), bound, model)
 
 
 def laplace_psi(table: CountingTable, s):
@@ -363,7 +347,7 @@ def g_eval(source, s, a: float | None = None) -> ZetaResult:
     if a is None:
         raise ValueError("g_eval requires a density a")
     zr = zeta_stieltjes(source, s) if on_table else zeta_euler(source, s, a)
-    return ZetaResult(zr.value - a / (s - 1.0), zr.method, zr.truncation_bound, zr.tail_model)
+    return ZetaResult(zr.value - a / (s - 1.0), zr.truncation_bound, zr.tail_model)
 
 
 def fourier_E1_boundary(table: CountingTable, t):

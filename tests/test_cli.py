@@ -490,3 +490,31 @@ def test_tracer_wrapped_names_exist():
         mod = importlib.import_module(f"beurling.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"beurling.{module}.{name}"
+
+
+@pytest.mark.parametrize("argv, spec, names", [
+    (["check", "--variant", "rational-primes", "--bound", "1e3", "--density-a", "1",
+      "--checks", "l1,zhang,little-o,chebyshev,identity,boundary"],
+     PrimeSystemSpec.rational(), ("semigroup.jump_arrays", "counting.build_table_from_system")),
+    (["gen", "--variant", "explicit-list", "--params", "2,2,3", "--bound", "1e3", "--dump"],
+     PrimeSystemSpec.explicit([2, 2, 3]), ("semigroup.enumerate_integers", "counting.build_table")),
+], ids=["check", "gen-dump"])
+def test_tracer_reads_what_the_library_returns(tmp_path, argv, spec, names):
+    # perfbench/tracer.py counts from the return values of the functions it
+    # wraps; a change of their shape would otherwise break only the traced
+    # benchmark run
+    root = Path(__file__).resolve().parents[1]
+    spans = tmp_path / "spans.json"
+    res = subprocess.run([sys.executable, str(root / "perfbench" / "tracer.py"), "--spans", str(spans),
+                          "--", *argv, "--out", str(tmp_path / "o")], capture_output=True, text=True,
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert res.returncode == 0, res.stderr
+    attrs = {}
+    for name, _, _, _, attr in json.loads(spans.read_text())["spans"]:
+        attrs.setdefault(name, []).append(attr)
+    enumerate_, build = names
+    integers = len(semigroup.enumerate_integers(materialize(spec, 1e3), 1e3))
+    [got] = [attr.get("integers") for attr in attrs[enumerate_]]
+    assert type(got) is int and got == integers
+    [table_bytes] = [attr.get("table_bytes") for attr in attrs[build]]
+    assert type(table_bytes) is int and table_bytes > 8 * integers

@@ -11,7 +11,7 @@ from beurling import (
     estimate_density,
     materialize,
 )
-from beurling.counting import QUERY_EPS, write_counting_csv
+from beurling.counting import QUERY_EPS, CountingTable, write_counting_csv
 from beurling.hypothesis import ChebyshevReport, chebyshev_verdict
 
 
@@ -37,7 +37,7 @@ def test_build_examples():
 def test_build_table_from_enumeration_agrees():
     seq = materialize(PrimeSystemSpec.explicit([2, 3, 5]), 200)
     en = enumerate_integers(seq, 200)
-    t1 = build_table(en, a=1.0)
+    t1 = build_table(en, seq, a=1.0)
     t2 = build_table_from_system(seq, 200, a=1.0)
     assert vars(t1).keys() == vars(t2).keys()
     for name, value in vars(t1).items():
@@ -58,18 +58,25 @@ def _prime_powers_below(values, bound):
     (PrimeSystemSpec.explicit([2, 2, 3]), 50.0),
     (PrimeSystemSpec.single(2), 2.0**10),
     (PrimeSystemSpec.rational(), 1e4),
-], ids=["explicit-2-2-3", "single-2", "rational"])
+    (PrimeSystemSpec.explicit([2, 4, 8]), 1e4),  # distinct primes with equal powers
+    (PrimeSystemSpec.scaled_rational(0.6), 1e4),  # primes below 2
+], ids=["explicit-2-2-3", "single-2", "rational", "explicit-2-4-8", "scaled-0.6"])
 def test_psi_list_matches_per_jump_oracle(spec, bound):
-    # psi's jump list holds exactly the enumeration's rows with Lambda > 0, and
-    # every psi query equals the per-jump cumulative sum over all N(B) rows
+    # psi's jump list holds exactly the enumeration's prime-power rows (stem 0,
+    # the unit excluded) in row order, and every psi query equals the per-jump
+    # cumulative sum over all N(B) rows
     seq = materialize(spec, bound)
     en = enumerate_integers(seq, bound)
-    t = build_table(en, a=1.0)
-    assert np.array_equal(t.psi_logs, en.logs[en.lambdas > 0])
+    t = build_table(en, seq, a=1.0)
+    lambdas = np.array([seq.logs[g.exponents[0][0]] if len(g.exponents) == 1 else 0.0 for g in en])
+    power = np.flatnonzero(en.stem == 0)[1:]
+    assert np.array_equal(power, np.flatnonzero(lambdas > 0))
+    assert np.array_equal(t.psi_logs, en.logs[power])
+    assert np.array_equal(t.lambdas, lambdas[power])  # the rows' tie order too
     assert len(t.lambdas) == _prime_powers_below(seq.values.tolist(), bound)
     assert len(t.cum_lambda) == len(t.lambdas) + 1
 
-    cum = np.concatenate(([0.0], np.cumsum(en.lambdas)))
+    cum = np.concatenate(([0.0], np.cumsum(lambdas)))
 
     def below(u):
         return np.searchsorted(en.logs, np.asarray(u) - QUERY_EPS, side="left")
@@ -84,15 +91,22 @@ def test_psi_list_matches_per_jump_oracle(spec, bound):
     rows = np.arange(len(en.logs))
     for x_lo, x_hi in ((1.5, bound), (2.0, bound / 2), (3.0, 3.0), (bound / 3, bound)):
         mask = ((rows >= below(math.log(x_lo))) & (rows < below(math.log(x_hi)))
-                & (en.lambdas > 0))
+                & (lambdas > 0))
         xj = np.exp(en.logs[mask])
         ends = [cum[below(math.log(x_lo))] / x_lo, cum[below(math.log(x_hi))] / x_hi]
         oracle = ChebyshevReport(
             (x_lo, x_hi),
-            float(np.min(np.concatenate(((cum[1:][mask] - en.lambdas[mask]) / xj, ends)))),
+            float(np.min(np.concatenate(((cum[1:][mask] - lambdas[mask]) / xj, ends)))),
             float(np.max(np.concatenate((cum[1:][mask] / xj, ends)))),
             int(mask.sum()) * 2 + 2)
         assert chebyshev_verdict(t, x_lo, x_hi) == oracle
+
+
+def test_table_rejects_bad_psi_list():
+    logs = np.log([1.0, 2.0, 3.0])
+    for psi_logs, lambdas in ((logs[1:], logs[1:2]), (logs[1:, None], logs[1:, None]), (logs[1], logs[1])):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            CountingTable(logs, psi_logs, lambdas, 4.0)
 
 
 def test_count_examples(rational_1e4):

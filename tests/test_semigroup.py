@@ -8,6 +8,7 @@ import pytest
 from beurling import (
     CapacityError,
     PrimeSystemSpec,
+    build_table,
     build_table_from_system,
     enumerate_integers,
     jump_arrays,
@@ -61,7 +62,7 @@ def test_empty_system_yields_unit():
     assert len(en) == 1
     unit = next(iter(en))
     assert unit.log_value == 0.0 and unit.exponents == ()
-    assert not unit.prime_power
+    assert build_table(en, seq).psi_logs.size == 0  # the unit is no prime power
 
 
 def test_enumeration_rejects_bad_bound():
@@ -87,13 +88,18 @@ def test_enumeration_past_materialized_bound_raises():
 
 
 def test_von_mangoldt():
+    # Lambda is log p on the prime powers, the rows of stem 0 besides the
+    # unit, and psi's list holds them alone
     seq = system([2, 3], 20)
     en = enumerate_integers(seq, 20)
-    lam = {round(g.value): w for g, w in zip(en, en.lambdas.tolist())}
+    row = {round(g.value): r for r, g in enumerate(en)}
+    assert [n for n, r in row.items() if en.stem[r] == 0] == [1, 2, 3, 4, 8, 9, 16]
+    t = build_table(en, seq)
+    lam = {round(math.exp(u)): w for u, w in zip(t.psi_logs.tolist(), t.lambdas.tolist())}
     assert lam[8] == pytest.approx(math.log(2), abs=1e-15)
     assert lam[9] == pytest.approx(math.log(3), abs=1e-15)
-    assert lam[6] == 0.0
-    assert lam[1] == 0.0
+    assert 6 not in lam
+    assert 1 not in lam
 
 
 @pytest.mark.parametrize(
@@ -141,14 +147,13 @@ def test_jump_arrays_matches_generic_route(rational_1e4, single_prime_2_20):
              for values, bound in [([2, 3], 500), ([2, 2], 200), ([1.5, 2.5, 3.5], 300)]]
     cases += [(seq, table.bound) for seq, table in (rational_1e4, single_prime_2_20)]
     for seq, bound in cases:
-        logs, lams = jump_arrays(seq, bound)
+        logs, psi_logs, lams = jump_arrays(seq, bound)
         en = enumerate_integers(seq, bound)
         gen_logs = [g.log_value for g in en]
         assert logs.tolist() == gen_logs
-        assert lams.tolist() == en.lambdas.tolist()
-        # Lambda is log p on prime powers p^m and 0 elsewhere, unit included
-        for g, w in zip(en, lams.tolist()):
-            assert w == (seq.logs[g.exponents[0][0]] if g.prime_power else 0.0)
+        # psi's jumps are the prime powers p^m in row order, with Lambda log p
+        powers = [(g.log_value, float(seq.logs[g.exponents[0][0]])) for g in en if len(g.exponents) == 1]
+        assert list(zip(psi_logs.tolist(), lams.tolist())) == powers
 
 
 @pytest.mark.parametrize(
@@ -165,11 +170,13 @@ def test_jump_arrays_matches_generic_route(rational_1e4, single_prime_2_20):
 )
 def test_one_row_order_on_tie_systems(values, bound):
     seq = system(values, bound)
-    logs, lams = jump_arrays(seq, bound)
+    logs, psi_logs, lams = jump_arrays(seq, bound)
     en = enumerate_integers(seq, bound)
     assert np.any(logs[1:] == logs[:-1])  # the system has value ties
     assert np.array_equal(logs, en.logs)
-    assert np.array_equal(lams, en.lambdas)
+    power = np.flatnonzero(en.stem == 0)[1:]  # the prime-power rows
+    assert np.array_equal(psi_logs, en.logs[power])
+    assert np.array_equal(lams, seq.logs[en.index[power]])
     # rows follow (log value, dense exponent vector), and stems precede rows
     dense = [tuple(dict(g.exponents).get(i, 0) for i in range(len(seq))) for g in en]
     keys = list(zip(en.logs.tolist(), dense))
@@ -218,13 +225,18 @@ def assert_rows_match_oracle(values, bound):
     row_of = {e: r for r, (_, _, e) in enumerate(oracle)}
     for r, (_, _, e) in enumerate(oracle):
         if not e:
-            assert (en.stem[r], en.index[r], en.exp[r], en.lambdas[r]) == (0, -1, 0, 0.0)
+            assert (en.stem[r], en.index[r], en.exp[r]) == (0, -1, 0)
             continue
         j, top = e[-1]
         assert (en.stem[r], en.exp[r]) == (row_of[e[:-1]], top)  # row = stem * p_j^top
         assert en.stem[r] < r
         assert en.index[r] == j
-        assert en.lambdas[r] == (seq.logs[j] if len(e) == 1 else 0.0)
+        assert (en.stem[r] == 0) == (len(e) == 1)  # a prime power
+    # psi's list: the prime powers in row order, Lambda log p_j
+    t = build_table(en, seq)
+    power = [r for r, (_, _, e) in enumerate(oracle) if len(e) == 1]
+    assert t.psi_logs.tolist() == en.logs[power].tolist()
+    assert t.lambdas.tolist() == [seq.logs[oracle[r][2][0][0]] for r in power]
     return seq, en
 
 
@@ -289,7 +301,7 @@ def test_capacity_error():
 
 def test_dirichlet_series_approaches_euler_product():
     seq = system([2, 3, 5], 10_000)
-    logs, _ = jump_arrays(seq, 10_000)
+    logs = jump_arrays(seq, 10_000)[0]
     partial = np.sum(np.exp(-2.0 * logs))
     product = zeta_euler(seq, 2.0).value.real
     assert abs(partial - product) <= 10.0 / 10_000
@@ -297,8 +309,8 @@ def test_dirichlet_series_approaches_euler_product():
 
 def test_lambda_sum_matches_prime_side():
     seq = system([2, 3], 10_000)
-    logs, lams = jump_arrays(seq, 10_000)
-    lhs = np.sum(lams * np.exp(-2.0 * logs))
+    _, psi_logs, lams = jump_arrays(seq, 10_000)
+    lhs = np.sum(lams * np.exp(-2.0 * psi_logs))
     p = seq.values
     rhs = np.sum(np.log(p) * p**-2.0 / (1 - p**-2.0))
     assert abs(lhs - rhs) <= 10.0 * math.log(10_000) / 10_000

@@ -45,7 +45,6 @@ def test_euler_single_prime_exact():
     assert r.value == pytest.approx(4.0 / 3.0, rel=1e-15)
     assert r.truncation_bound == 0.0
     assert r.tail_model == "finite"
-    assert r.method == "euler-product"
 
 
 def test_euler_rational_pi_squared_over_six():
