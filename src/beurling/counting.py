@@ -94,8 +94,7 @@ class CountingTable:
 
 def build_table(en: EnumerationResult, primes: PrimeSequence, a: float | None = None) -> CountingTable:
     """Build a table from an enumeration of ``primes`` and psi's list of the same primes."""
-    u, j, _ = semigroup._prime_powers(primes.logs, math.log(en.bound))
-    return CountingTable(en.logs, u, primes.logs[j], en.bound, a)
+    return CountingTable(en.logs, *semigroup._psi_jumps(primes, en.bound), en.bound, a)
 
 
 def build_table_from_system(

@@ -7,22 +7,22 @@ j >= i whose product stays below the bound, one contiguous run of j per row.
 Each exponent vector is built exactly once, and coincident prime values at
 distinct indices yield distinct generalized integers (multiset semantics).
 
-Each row is built with three typed columns: the log value (its parent's log
-plus log p_j, always summed in that order), the parent row (the row divided by
-its largest prime) and that largest prime index.  A child is kept by the cut
-:func:`_fits`, which :func:`_prime_powers` shares: it builds psi's jumps, the
-prime powers, with logs equal to their rows' bit for bit.  One sort by log
-value orders the rows.  Rows of exactly equal log value are put in
-dense-lexicographic order of their exponent vectors by one key: descending
-preorder rank in the build tree, whose children are visited by ascending
-index.  Proof: a row's path from the unit has indices j_1 <= ... <= j_k; of
-two rows with equal value neither path extends the other, which would raise
-the value; where they first differ, the row with the smaller index holds more
-of that prime, so it is the dense-lex larger and the earlier in preorder.  The
-tied rows are re-sorted by one integer argsort on ``group * rows - rank``
-(``group`` numbers the tie groups by ascending value); ranks are unique and
-below ``rows``, and ``rows`` is at most ``MAX_ROWS`` < 2**31, so the key
-orders by group first and fits int64.
+:func:`_generations` yields each generation's log values (each its parent's log
+plus log p_j, summed in that order), largest prime indices and child counts,
+whose runs in row order make the next generation.  :func:`jump_arrays` joins
+the logs; :func:`enumerate_integers` also makes the stems, once per generation.
+The cut :func:`_fits`, shared with :func:`_prime_powers`, keeps psi's jumps
+equal to their rows' logs bit for bit.  One sort by log value orders the rows.
+Rows of exactly equal log value are put in dense-lexicographic order of their
+exponent vectors by one key: descending preorder rank in the build tree, whose
+children are visited by ascending index.  Proof: a row's path from the unit has
+indices j_1 <= ... <= j_k; of two rows with equal value neither path extends
+the other, which would raise the value; where they first differ, the row with
+the smaller index holds more of that prime, so it is the dense-lex larger and
+the earlier in preorder.  The tied rows are re-sorted by one integer argsort on
+``group * rows - rank`` (``group`` numbers the tie groups by ascending value);
+ranks are unique and below ``rows``, and ``rows`` is at most ``MAX_ROWS`` <
+2**31, so the key orders by group first and fits int64.
 """
 
 from __future__ import annotations
@@ -83,8 +83,9 @@ class EnumerationResult:
             yield GenInteger(lv, exps[r])
 
 
-def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool = True):
-    """Build the rows by generation, sort them once; without ``full`` only the sorted logs."""
+def _generations(primes: PrimeSequence, bound: float, max_count: int):
+    """Yield each generation's log values, largest prime indices and child counts
+    (C int), from the unit's on; past ``max_count`` rows it raises before building."""
     if not math.isfinite(bound) or bound <= 1.0:
         raise ValueError(f"bound must be finite and > 1, got {bound}")
     if bound > primes.bound and not primes.exhaustive:
@@ -93,14 +94,8 @@ def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool =
         raise ValueError(f"max_count must be at most {MAX_ROWS} (row ids are C int), got {max_count}")
     logs = primes.logs
     log_bound = math.log(bound)
-    # Generation k: the rows with k prime factors, as (log, parent, index)
-    # columns; row ids count in build order, so the unit is row 0.
-    gen = (np.zeros(1), np.full(1, -1, np.intc), np.full(1, -1, np.intc))
-    columns, rows = [], 0
+    lv, index, rows = np.zeros(1), np.full(1, -1, np.intc), 1
     while True:
-        columns.append(gen)
-        lv, _, index = gen
-        first, rows = rows, rows + len(lv)
         # Children p_j for j from the row's largest index while the sum stays
         # below the bound: one run per row, since logs are non-decreasing.
         # fl(log B - lv) can admit a j that fails the cut; step back.
@@ -112,59 +107,13 @@ def _enumerate(primes: PrimeSequence, bound: float, max_count: int, full: bool =
             live = over[hi[over] > lo[over]]  # the others still fit
         counts = np.maximum(hi - lo, 0)
         size = int(counts.sum())
-        if rows + size > max_count:
+        if (rows := rows + size) > max_count:
             raise CapacityError(f"enumeration exceeded max_count={max_count}")
+        yield lv, index, counts.astype(np.intc)  # np.repeat reads int64 counts without a copy
         if not size:
-            break
-        parent = np.repeat(np.arange(first, rows, dtype=np.intc), counts)
+            return
         j = np.arange(size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-        gen = (np.repeat(lv, counts) + logs[j], parent, j.astype(np.intc))
-    columns = [list(c) for c in zip(*columns)]  # a pop frees one column's generations
-    row_logs = np.concatenate(columns.pop(0))
-    if not full:  # tied rows share their log, so their order does not show
-        row_logs.sort()
-        return row_logs
-    order = np.argsort(row_logs)
-    row_logs = row_logs[order]
-    tied = np.flatnonzero(row_logs[1:] == row_logs[:-1])
-    if tied.size:
-        # Mark both rows of each equal pair: every member of a tie group.
-        tie = np.zeros(rows, dtype=bool)
-        tie[tied] = tie[tied + 1] = True
-        tied = np.flatnonzero(tie)
-        del tie
-        # Ascending dense-lexicographic order is descending preorder rank: one
-        # int64 key, group * rows - rank (see the module docstring), built in
-        # place, where group counts the value changes along the tied rows (in
-        # place too: a cumsum of bools would cast a second tied-length copy).
-        key = _preorder(columns[0])[order[tied]].astype(np.int64)
-        np.negative(key, out=key)
-        group = row_logs[tied]
-        group = group[1:] != group[:-1]  # rebinding frees the gathered logs
-        group = group.astype(np.int64)
-        np.cumsum(group, out=group)
-        group *= rows
-        key[1:] += group
-        del group
-        # Rebinding frees the key before the gather, one tied-length array fewer;
-        # the gathers below need none of these.
-        key = np.argsort(key)
-        order[tied] = order[tied][key]
-        del key, tied
-    index = np.concatenate(columns.pop())[order]
-    inverse = np.empty(rows, dtype=np.intc)
-    inverse[order] = np.arange(rows, dtype=np.intc)
-    parent = inverse[np.concatenate(columns.pop())[order]]
-    # Stems: walk the parents while the index stays equal, at most the largest
-    # exponent passes.  The unit is its own stem, with exponent 0, and never walks.
-    stem, exp = parent.copy(), np.ones(rows, dtype=np.intc)
-    stem[0] = exp[0] = 0
-    live = np.flatnonzero(index[stem[1:]] == index[1:]) + 1
-    while live.size:
-        stem[live] = parent[stem[live]]
-        exp[live] += 1
-        live = live[index[stem[live]] == index[live]]
-    return EnumerationResult(row_logs, stem, index, exp, float(bound))
+        lv, index = np.repeat(lv, counts) + logs[j], j.astype(np.intc)
 
 
 def _fits(u, step, reach):
@@ -191,18 +140,25 @@ def _prime_powers(logs, reach):
     return u[order], j, k
 
 
-def _preorder(parents):
-    """Preorder rank (exact in float64) of every row, from each generation's parents:
-    a row's rank less the subtrees before it in its generation is the same
-    offset of its parent, plus one, plus the parent's place in its generation."""
-    firsts = np.cumsum([0] + [len(p) for p in parents])
+def _psi_jumps(primes: PrimeSequence, bound: float):
+    """psi's jumps below ``bound``: the prime powers' logs and Lambda, log p_j."""
+    u, j, _ = _prime_powers(primes.logs, math.log(bound))
+    return u, primes.logs[j]
+
+
+def _preorder(counts):
+    """Preorder rank (exact in float64) of every row, from each generation's child
+    counts: a row's rank less the subtrees before it in its generation is the
+    same offset of its parent, plus one, plus the parent's place in its generation."""
+    firsts = np.cumsum([0] + [c.size for c in counts])
     rank = np.ones(firsts[-1])
     gens = np.split(rank, firsts[1:-1])  # one view per generation
-    for k in range(len(parents) - 1, 0, -1):  # subtree sizes, bottom-up
-        gens[k - 1] += np.bincount(parents[k] - firsts[k - 1], gens[k], len(gens[k - 1]))
+    for k in range(len(counts) - 1, 0, -1):  # subtree sizes, bottom-up
+        parent = np.repeat(np.arange(counts[k - 1].size), counts[k - 1])
+        gens[k - 1] += np.bincount(parent, gens[k], counts[k - 1].size)
     rank[0] = offset = 0.0
-    for k in range(1, len(parents)):  # sizes to ranks, top-down
-        offset = (offset + 1 + np.arange(np.size(offset)))[parents[k] - firsts[k - 1]]
+    for k in range(1, len(counts)):  # sizes to ranks, top-down
+        offset = np.repeat(offset + 1 + np.arange(np.size(offset)), counts[k - 1])
         gens[k][:] = offset + np.cumsum(gens[k]) - gens[k]
     return rank
 
@@ -217,18 +173,61 @@ def enumerate_integers(
     tree.  Raises :class:`CapacityError` past ``max_count``, and ``ValueError``
     for a ``max_count`` above ``MAX_ROWS``.
     """
-    return _enumerate(primes, bound, max_count)
+    columns = [list(c) for c in zip(*_generations(primes, bound, max_count))]
+    row_logs = np.concatenate(columns.pop(0))  # a pop frees one column's generations
+    rows = row_logs.size
+    order = np.argsort(row_logs)
+    row_logs = row_logs[order]
+    tied = np.flatnonzero(row_logs[1:] == row_logs[:-1])
+    if tied.size:
+        # Mark both rows of each equal pair: every member of a tie group.
+        tie = np.zeros(rows, dtype=bool)
+        tie[tied] = tie[tied + 1] = True
+        tied = np.flatnonzero(tie)
+        del tie
+        # Ascending dense-lexicographic order is descending preorder rank: one
+        # int64 key, group * rows - rank (see the module docstring), built in
+        # place, where group counts the value changes along the tied rows (in
+        # place too: a cumsum of bools would cast a second tied-length copy).
+        key = _preorder(columns[1])[order[tied]].astype(np.int64)
+        np.negative(key, out=key)
+        group = row_logs[tied]
+        group = group[1:] != group[:-1]  # rebinding frees the gathered logs
+        group = group.astype(np.int64)
+        np.cumsum(group, out=group)
+        group *= rows
+        key[1:] += group
+        del group
+        # Rebinding frees the key before the gather, one tied-length array fewer;
+        # the gathers below need none of these.
+        key = np.argsort(key)
+        order[tied] = order[tied][key]
+        del key, tied
+    index = np.concatenate(columns.pop(0))[order]
+    inverse = np.empty(rows, dtype=np.intc)
+    inverse[order] = np.arange(rows, dtype=np.intc)
+    # Stems as sorted row ids, once per generation: a row's first child (by its own
+    # largest prime) keeps the row's stem one exponent up; the others' stem is the row.
+    gens = np.split(inverse, np.cumsum([c.size for c in columns[0]])[:-1])  # per generation
+    stem, exp = [np.zeros(1, dtype=np.intc)], [np.zeros(1, dtype=np.intc)]
+    for c, ids in zip(columns.pop(), gens):  # the counts go with the loop
+        stem.append(np.repeat(ids, c))
+        exp.append(np.ones(stem[-1].size, dtype=np.intc))
+        first = (np.cumsum(c) - c)[c > 0]  # each parent's first child
+        stem[-1][first], exp[-1][first] = stem[-2][c > 0], exp[-2][c > 0] + 1
+    stem = np.concatenate(stem)[order]
+    exp = np.concatenate(exp)[order]
+    return EnumerationResult(row_logs, stem, index, exp, float(bound))
 
 
 def jump_arrays(
     primes: PrimeSequence, bound: float, max_count: int = DEFAULT_MAX_INTEGERS
 ):
     """The jumps of N and psi below bound: ``(logs, psi_logs, lambdas)``, the
-    ``logs`` of :func:`enumerate_integers` and its prime-power rows' logs and
-    von Mangoldt weights log p_j, in the same order (:func:`_prime_powers`)."""
-    logs = _enumerate(primes, bound, max_count, full=False)
-    u, j, _ = _prime_powers(primes.logs, math.log(bound))
-    return logs, u, primes.logs[j]
+    ``logs`` of :func:`enumerate_integers` and psi's list (:func:`_psi_jumps`)."""
+    logs = np.concatenate([lv for lv, _, _ in _generations(primes, bound, max_count)])
+    logs.sort()  # tied rows share their log, so their order does not show
+    return (logs, *_psi_jumps(primes, bound))
 
 
 def write_dump(en, path) -> None:

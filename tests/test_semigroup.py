@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -273,6 +274,38 @@ def test_repeated_primes_stay_linear():
     assert peak < 8 * 24 * len(en)  # 24 bytes of final columns per row
 
 
+def test_jump_arrays_keeps_only_logs(rational_1e6):
+    # The check path joins each generation's logs and nothing else: its traced
+    # peak stays under 2.5 float64 columns of N(B).
+    primes = rational_1e6.value[0]
+    tracemalloc.start()
+    try:
+        logs = jump_arrays(primes, 1e6)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * logs.size
+
+
+def test_stems_take_linear_time():
+    # Primes near 1 give exponents in the thousands; the stems are made once
+    # per generation, so the full result costs a small multiple of the logs.
+    seq = system([1.001, 1.002, 1.5], 5)
+
+    def best(enumerate_):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            result = enumerate_(seq, 5)
+            times.append(time.perf_counter() - start)
+        return result, min(times)
+
+    en, full = best(enumerate_integers)
+    _, logs_only = best(jump_arrays)
+    assert (len(en), int(en.exp.max())) == (1_212_781, 1_610)
+    assert full < 5 * logs_only
+
+
 TIE_GEN_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                   2, 3, 5, 7, 11, 13, 17, 19]
 
@@ -346,6 +379,16 @@ def test_write_dump_matches_oracle_across_blocks(tmp_path):
     assert {"11:1", "0:14"} <= pairs
     for g, w in zip(got, want):
         assert g == w
+
+
+def test_write_dump_matches_oracle_on_long_exponent_chains(tmp_path):
+    # Primes near 1: exponents up to 532, so pair ids run into the hundreds.
+    values, bound = [1.01, 1.02], 200
+    en = enumerate_integers(system(values, bound), bound)
+    assert (len(en), int(en.exp.max())) == (71_626, 532)
+    path = tmp_path / "dump.tsv"
+    write_dump(en, path)
+    assert path.read_text().splitlines() == brute_force_dump(values, bound)
 
 
 @pytest.mark.parametrize("block", [1, 5, 64])
