@@ -2,11 +2,12 @@
 
 Configuration is an INI file plus command-line overrides (flag > file >
 default), with each check's parameters in the INI section named after it; all
-of it is resolved and range-checked before any file is written.  The table
-commands run through one path, ``_run``, over the ``CHECKS`` table.  Data
+of it is resolved and range-checked before any file is written.  ``check``
+runs the requested checks through one loop over the ``CHECKS`` table.  Data
 files are deterministic; run.log alone records the wall-clock time.
 
-Exit codes: 0 success, 1 identity-check failed, 2 bad configuration, 3 over capacity.
+Exit codes: 0 success, 1 check found the Laplace identity violated, 2 bad
+configuration, 3 over capacity.
 """
 
 from __future__ import annotations
@@ -57,9 +58,11 @@ CSV_TABLES = {
 }
 
 
-def _s_grid_ok(sigma_lo, sigma_hi, t_lo, t_hi) -> bool:
+def _s_grid_ok(sigma_lo, sigma_hi, t_lo, t_hi, bound) -> bool:
     """A finite s-grid inside Re s > 1, where the Euler-product side converges."""
-    return all(map(math.isfinite, (sigma_lo, sigma_hi, t_lo, t_hi))) and min(sigma_lo, sigma_hi) > 1.0
+    log_b = math.log(bound)
+    return (zeta.finite_grid(sigma_lo, sigma_hi, log_b) and zeta.finite_grid(t_lo, t_hi, log_b)
+            and min(sigma_lo, sigma_hi) > 1.0)
 
 
 class ConfigError(Exception):
@@ -94,11 +97,11 @@ class RunConfig:
         if cheb and not 1.0 < cheb["window_lo"] <= cheb["window_hi"] <= self.bound:
             raise ConfigError(f"[chebyshev] needs 1 < window_lo <= window_hi <= bound = {self.bound:g}")
         ident = self.params.get("identity")
-        if ident and not _s_grid_ok(**ident):
-            raise ConfigError("[identity] needs finite values with sigma_lo, sigma_hi > 1")
+        if ident and not _s_grid_ok(**ident, bound=self.bound):
+            raise ConfigError("[identity] needs a finite grid with sigma_lo, sigma_hi > 1")
         bd = self.params.get("boundary")
-        if bd and not (0.0 < bd["t_max"] < math.inf and bd["points"] >= 2 and bd["floor"] >= 0.0):
-            raise ConfigError("[boundary] needs 0 < t_max < inf, points >= 2 and floor >= 0")
+        if bd and not zeta.scan_grid_ok(**bd, log_bound=math.log(self.bound)):
+            raise ConfigError("[boundary] needs 0 < t_max on a finite grid, points >= 2 and floor >= 0")
 
 
 def _parse_list(text: str):
@@ -233,26 +236,6 @@ def _run_log(out: Path, cfg: RunConfig, command: str) -> None:
                  f"variant={cfg.spec.variant} bound={cfg.bound} checks={','.join(cfg.checks)}\n")
 
 
-def _run(cfg: RunConfig, command: str):
-    """Build the table, run ``cfg.checks`` and write their reports and run.log,
-    then echo one verdict line per check.  Returns (out, table, reports)."""
-    out, primes, table = _prepare(cfg, cfg.params.get("boundary", {}).get("points", 0))
-    parameters = {"variant": cfg.spec.variant, "params": list(cfg.spec.params),
-                  "bound": cfg.bound, "density_a": cfg.density_a}
-    reports = {}
-    for name in cfg.checks:
-        result = CHECKS[name](cfg, primes, table)
-        if name in CSV_TABLES:
-            filename, header, rows = CSV_TABLES[name]
-            counting.write_csv(out / filename, header, rows(result))
-        reports[name] = {"check": name, "parameters": parameters, **result.to_dict()}
-        _write_json(out / f"report-{name}.json", reports[name])
-    _run_log(out, cfg, command)
-    for name, rep in reports.items():
-        click.echo(f"{name}: {rep['verdict']}")
-    return out, table, reports
-
-
 @click.group()
 def main():
     """Generalized prime systems: enumeration, counting, and Chebyshev diagnostics."""
@@ -281,13 +264,29 @@ def gen(dump, **opts):
 @click.option("--checks", "checks_text", type=str, default=None,
               help="Comma list from {l1, zhang, little-o, chebyshev, identity, boundary}.")
 def check(checks_text, **opts):
-    """Run the requested hypothesis checks and write per-check reports."""
+    """Run the requested hypothesis checks and write per-check reports, with
+    counting.csv and summary.json; exit 1 if the Laplace identity fails."""
     cfg = _load(opts, checks_text or None)
     if not cfg.checks:
         _fail("no checks requested", 2)
-    out, table, reports = _run(cfg, "check")
+    out, primes, table = _prepare(cfg, cfg.params.get("boundary", {}).get("points", 0))
+    parameters = {"variant": cfg.spec.variant, "params": list(cfg.spec.params),
+                  "bound": cfg.bound, "density_a": cfg.density_a}
+    reports = {}
+    for name in cfg.checks:
+        result = CHECKS[name](cfg, primes, table)
+        if name in CSV_TABLES:
+            filename, header, rows = CSV_TABLES[name]
+            counting.write_csv(out / filename, header, rows(result))
+        reports[name] = {"check": name, "parameters": parameters, **result.to_dict()}
+        _write_json(out / f"report-{name}.json", reports[name])
     counting.write_counting_csv(table, out / "counting.csv")
     _write_summary(list(reports.values()), out)
+    _run_log(out, cfg, "check")
+    for name, rep in reports.items():
+        click.echo(f"{name}: {rep['verdict']}")
+    if reports.get("identity", {}).get("verdict") == "fail":
+        sys.exit(1)
 
 
 @main.command(name="zeta-sweep")
@@ -301,7 +300,7 @@ def check(checks_text, **opts):
 def zeta_sweep(sigma_lo, sigma_hi, sigma_steps, t_lo, t_hi, t_steps, **opts):
     """Evaluate zeta by all three methods on a grid and write zeta_sweep.csv."""
     cfg = _load(opts, "")
-    if not _s_grid_ok(sigma_lo, sigma_hi, t_lo, t_hi) or min(sigma_steps, t_steps) < 1:
+    if not _s_grid_ok(sigma_lo, sigma_hi, t_lo, t_hi, cfg.bound) or min(sigma_steps, t_steps) < 1:
         _fail("the sigma/t grid must be finite, in Re s > 1, with at least one step each", 2)
     out, primes, table = _prepare(cfg, sigma_steps * t_steps)
     sigmas, ts = np.linspace(sigma_lo, sigma_hi, sigma_steps), np.linspace(t_lo, t_hi, t_steps)
@@ -315,22 +314,6 @@ def zeta_sweep(sigma_lo, sigma_hi, sigma_steps, t_lo, t_hi, t_steps, **opts):
                            zs.truncation_bound, zd.re, zd.im, zd.truncation_bound))
     _run_log(out, cfg, "zeta-sweep")
     click.echo(f"wrote {out / 'zeta_sweep.csv'}")
-
-
-@main.command(name="identity-check")
-@common_options
-def identity_check_cmd(**opts):
-    """Compare the psi Laplace transform against -zeta'/(s zeta) on a grid."""
-    _, _, reports = _run(_load(opts, "identity"), "identity-check")
-    if reports["identity"]["verdict"] != "pass":
-        sys.exit(1)
-
-
-@main.command(name="boundary-scan")
-@common_options
-def boundary_scan_cmd(**opts):
-    """Scan the boundary values G(1+it) and report the floor-clearing interval."""
-    _run(_load(opts, "boundary"), "boundary-scan")
 
 
 @main.command()

@@ -236,21 +236,20 @@ def _dyadic_edges(bound: float):
     return edges[::-1]
 
 
-def _window_sups(edges, xs, vals):
-    """Max of vals over lo < xs <= hi for each pair of consecutive edges (0.0 if
-    none); ``xs`` is sorted, so one searchsorted cuts every window."""
-    cuts = np.searchsorted(xs, edges, side="right")
-    return [float(np.max(vals[i:j])) if j > i else 0.0 for i, j in zip(cuts, cuts[1:])]
+def _window_sups(vals, starts, ends):
+    """Max of vals[i:j] for each (i, j) of ``starts`` and ``ends`` (0.0 if empty)."""
+    return [float(np.max(vals[i:j])) if j > i else 0.0 for i, j in zip(starts, ends)]
 
 
 def little_o_trend(table: CountingTable) -> TrendReport:
     """Trend of D(x) = log(x)|N(x) - ax|/x against the o(x/log x) hypothesis.
 
     The extrema of |N - ax| on a piece sit at its endpoints, so each window
-    (lo, hi]'s sup is the larger of log(x) h at the jumps x in it (both
+    (lo, hi]'s sup is the larger of log(x) h at the jumps x inside it (both
     one-sided limits) and D at hi itself; no grid density tuning affects
-    them, and the geometric grid is only the reported sample series.  Both
-    limits of a jump on an edge count in the window below it.
+    them, and the geometric grid is only the reported sample series.  Under
+    the strict convention a jump on an edge gives its left limit to the
+    window below and its right limit to the window above.
     """
     a, (_, uhi, _, xhi, _), h = _pieces(table)
 
@@ -259,7 +258,13 @@ def little_o_trend(table: CountingTable) -> TrendReport:
 
     edges = _dyadic_edges(table.bound)
     h[1:] *= uhi
-    sups = list(map(max, _window_sups(edges, xhi, h[1:]), d(np.array(edges[1:])).tolist()))
+    # xhi[first:past] sit on an edge, N = first + 1 just left of them and past + 1 just
+    # right (the last entry of xhi is B itself, with its left limit)
+    first, past = (np.searchsorted(xhi, edges, side) for side in ("left", "right"))
+    k = np.minimum(first, len(xhi) - 1)
+    left, right = (np.where(first < past, uhi[k], 0.0) * abs((n + 1.0) / xhi[k] - a) for n in (first, past))
+    sups = list(map(max, _window_sups(h[1:], past[:-1], first[1:]), d(np.array(edges[1:])).tolist(),
+                    left[1:].tolist(), right[:-1].tolist()))
     if len(sups) < 4:
         verdict = INCONCLUSIVE
     elif _rising(sups):
@@ -282,8 +287,8 @@ def omega_lemma_check(omega, x_max: float, checkpoints=None) -> OmegaReport:
     integral with a non-decaying omega(x) log x profile is flagged as a
     contradiction indicator; it should never fire on valid inputs.
     """
-    if x_max <= 1.0:
-        raise ValueError("x_max must exceed 1")
+    if not 1.0 < x_max < math.inf:
+        raise ValueError(f"x_max must be finite and exceed 1, got {x_max}")
     u_max = math.log(x_max)
     n = 1025
     prev = None
@@ -311,7 +316,8 @@ def omega_lemma_check(omega, x_max: float, checkpoints=None) -> OmegaReport:
 
     pts, verdict, _ = _evidence(partial, x_max, checkpoints)
     edges = _dyadic_edges(x_max)
-    sups = _window_sups(edges, np.exp(us), w * us)
+    cuts = np.searchsorted(np.exp(us), edges, side="right")
+    sups = _window_sups(w * us, cuts[:-1], cuts[1:])
     decaying = _decaying(sups)
     contradiction = verdict == CONVERGENT and not decaying
     return OmegaReport(pts, verdict, tuple(zip(edges, edges[1:], sups)), decaying, contradiction)

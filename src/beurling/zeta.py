@@ -392,19 +392,26 @@ class BoundaryScan:
         }
 
 
+def finite_grid(lo: float, hi: float, log_bound: float) -> bool:
+    """Whether np.linspace(lo, hi, n) and its phases t log B stay finite (not NaN)."""
+    return math.isfinite(hi - lo) and math.isfinite(max(abs(lo), abs(hi)) * log_bound)
+
+
+def scan_grid_ok(t_max: float, points: int, floor: float, log_bound: float) -> bool:
+    """boundary_scan's rule: 0 < t_max on a finite grid, points >= 2 and floor >= 0."""
+    return 0.0 < t_max and finite_grid(-t_max, t_max, log_bound) and points >= 2 and floor >= 0.0
+
+
 def boundary_scan(table: CountingTable, t_max: float, points: int, floor: float) -> BoundaryScan:
     """Scan |G(1+it)| on a symmetric grid and report the largest interval
     around t = 0 on which it stays above ``floor``.  Diagnostic evidence for
-    the zero-free radius, not a proof.
+    the zero-free radius, not a proof.  A grid off ``scan_grid_ok`` raises ValueError.
     """
+    if not scan_grid_ok(t_max, points, floor, table.log_bound):
+        raise ValueError(f"boundary_scan needs a grid scan_grid_ok accepts, got {t_max}, {points}, {floor}")
     ts = np.linspace(-t_max, t_max, points)
     vals = fourier_E1_boundary(table, ts)
-    ok = np.abs(vals) > floor
     abs_ts = np.abs(ts)
-    if np.all(ok):
-        halfwidth = float(t_max)
-    else:
-        cutoff = float(np.min(abs_ts[~ok]))
-        inside = abs_ts[abs_ts < cutoff]
-        halfwidth = float(np.max(inside)) if inside.size else 0.0
+    cutoff = np.min(abs_ts[~(np.abs(vals) > floor)], initial=np.inf)  # the nearest |t| not clearing it
+    halfwidth = float(np.max(abs_ts[abs_ts < cutoff], initial=0.0))
     return BoundaryScan(ts, vals, floor, halfwidth, t_max)

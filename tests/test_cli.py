@@ -149,7 +149,7 @@ def test_check_reruns_byte_identical(runner, tmp_path):
 
 @pytest.mark.parametrize("argv, ini", [
     (["gen", "--max-integers", "5"], ""),
-    (["boundary-scan", "--density-a", "1"], "[boundary]\npoints = 1000000000000\n"),
+    (["check", "--checks", "boundary", "--density-a", "1"], "[boundary]\npoints = 1000000000000\n"),
     (["zeta-sweep", "--sigma-steps", "1000000", "--t-steps", "1000000"], ""),
 ], ids=["enumeration", "boundary-grid", "sweep-grid"])
 def test_capacity_exit_code(runner, tmp_path, argv, ini):
@@ -198,9 +198,15 @@ BAD_INPUTS = [
     ("window-text", ["check", "--checks", "chebyshev"], _system_ini() + "[chebyshev]\nwindow_lo = abc\n"),
     ("window-past-bound", ["check", "--checks", "chebyshev"],
      _system_ini() + "[chebyshev]\nwindow_lo = 5e3\n"),
-    ("identity-sigma", ["identity-check"], _system_ini() + "[identity]\nsigma_lo = 1.0\n"),
+    ("identity-sigma", ["check", "--checks", "identity"], _system_ini() + "[identity]\nsigma_lo = 1.0\n"),
     ("sweep-sigma", ["zeta-sweep", "--sigma-hi", "0.5"], _system_ini()),
-    ("boundary-points", ["boundary-scan"], _system_ini() + "[boundary]\npoints = 0\n"),
+    ("boundary-points", ["check", "--checks", "boundary"], _system_ini() + "[boundary]\npoints = 0\n"),
+    # spans past the float range, which np.linspace would fill with NaN
+    ("identity-t-overflow", ["check", "--checks", "identity"],
+     _system_ini() + "[identity]\nt_lo = -1e308\nt_hi = 1e308\n"),
+    ("sweep-t-overflow", ["zeta-sweep", "--t-lo", "-1e308", "--t-hi", "1e308"], _system_ini()),
+    ("boundary-t-max-overflow", ["check", "--checks", "boundary"],
+     _system_ini() + "[boundary]\nt_max = 1e308\n"),
     ("bound-1", ["check", "--checks", "l1", "--bound", "1"], _system_ini()),
     ("bound-inf", ["check", "--checks", "l1", "--bound", "inf"], _system_ini()),
     ("no-variant", ["check", "--checks", "l1"], "[system]\nbound = 1e3\ndensity_a = 0.5\n"),
@@ -247,6 +253,14 @@ def test_demo_configs_load_and_validate():
     for path in paths:
         cfg = load_config(path, {})
         assert set(cfg.params) == set(cfg.checks) & {"chebyshev", "identity", "boundary"}
+
+
+def test_readme_command_block_matches_cli():
+    # the first code block under README's "## Command line" shows "beurling <command> ..." lines
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    shown = {line.split()[1] for line in block.splitlines() if line.startswith("beurling ")}
+    assert shown == set(main.commands)
 
 
 def test_single_prime_demo_reports_failure(runner, tmp_path):
@@ -322,7 +336,7 @@ def test_zeta_sweep_rejects_bad_sigma(runner, tmp_path):
 def test_identity_check_single_prime(runner, tmp_path):
     out = tmp_path / "o"
     res = runner.invoke(main, [
-        "identity-check", "--variant", "single-prime", "--params", "2",
+        "check", "--checks", "identity", "--variant", "single-prime", "--params", "2",
         "--bound", "1024", "--out", str(out),
     ])
     assert res.exit_code == 0, res.output
@@ -338,35 +352,25 @@ def test_identity_check_failure_exits_1(runner, tmp_path, monkeypatch):
                         lambda table, primes, *grid: real(table, three, *grid))
     out = tmp_path / "o"
     res = runner.invoke(main, [
-        "identity-check", "--variant", "single-prime", "--params", "2",
-        "--bound", "1024", "--out", str(out),
+        "check", "--checks", "identity,l1", "--variant", "single-prime", "--params", "2",
+        "--bound", "1024", "--density-a", "1", "--out", str(out),
     ])
     assert res.exit_code == 1, res.output
     assert "identity: fail" in res.output
     rep = read_json(out / "report-identity.json")
     assert rep["verdict"] == "fail"
     assert rep["max_excess_over_allowance"] > 0
-
-
-@pytest.mark.parametrize("command, name, argv", [
-    ("identity-check", "identity", ["--variant", "single-prime", "--params", "2", "--bound", "1024"]),
-    ("boundary-scan", "boundary", ["--variant", "rational-primes", "--bound", "1e4", "--density-a", "1"]),
-])
-def test_single_check_commands_match_check(runner, tmp_path, command, name, argv):
-    alone, full = tmp_path / "alone", tmp_path / "check"
-    r1 = runner.invoke(main, [command, *argv, "--out", str(alone)])
-    r2 = runner.invoke(main, ["check", "--checks", name, *argv, "--out", str(full)])
-    assert r1.exit_code == r2.exit_code == 0, r1.output + r2.output
-    assert r1.output == r2.output == f"{name}: {read_json(alone / f'report-{name}.json')['verdict']}\n"
-    written = strip_log(alone)
-    assert set(written) == {f"report-{name}.json", f"{name}.csv"}
-    assert written == {k: v for k, v in strip_log(full).items() if k in written}
+    # the exit comes after every file is written
+    assert set(strip_log(out)) == {"report-identity.json", "identity.csv", "report-l1.json",
+                                   "counting.csv", "summary.json"}
+    assert read_json(out / "summary.json")["verdicts"]["identity"] == "fail"
+    assert (out / "run.log").exists()
 
 
 def test_boundary_scan_command(runner, tmp_path):
     out = tmp_path / "o"
     res = runner.invoke(main, [
-        "boundary-scan", "--variant", "rational-primes", "--bound", "10000",
+        "check", "--checks", "boundary", "--variant", "rational-primes", "--bound", "10000",
         "--density-a", "1", "--out", str(out),
     ])
     assert res.exit_code == 0, res.output

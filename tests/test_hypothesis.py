@@ -248,8 +248,9 @@ def test_omega_rejects_bad_inputs():
         omega_lemma_check(np.log, 1e4)  # increasing
     with pytest.raises(ValueError):
         omega_lemma_check(lambda x: -1.0 / x, 1e4)  # negative
-    with pytest.raises(ValueError):
-        omega_lemma_check(lambda x: 1.0 / x, 0.5)  # bad range
+    for x_max in (0.5, math.nan, math.inf):  # bad range
+        with pytest.raises(ValueError):
+            omega_lemma_check(lambda x: 1.0 / x, x_max)
 
 
 # --- Chebyshev window ---
@@ -350,19 +351,25 @@ def _reference_zhang_r(table):
 
 def _reference_window_sups(table):
     """little-o window sups from one boolean mask per dyadic window over every
-    piece's two end values and the window edges."""
+    piece's two end values and the window edges.  Under the strict convention
+    a piece's left end x belongs to the window lo <= x < hi, and its right end
+    and an edge to lo < x <= hi; a piece of zero length, between tied jumps,
+    has no ends."""
     a, b = table.a, table.bound
     edges = np.array([1.0] + [b / 2**k for k in range(64) if b / 2**k > 1.0][::-1])
     u = np.concatenate((table.jump_logs, [table.log_bound]))
     x = np.exp(u)
     c = np.arange(1, table.total_count + 1, dtype=float)
-    cand_x = np.concatenate((x[:-1], x[1:], edges))
-    cand_d = np.concatenate((u[:-1] * np.abs(c / x[:-1] - a), u[1:] * np.abs(c / x[1:] - a),
-                             np.log(edges) * np.abs(table.count_n(edges) - a * edges) / edges))
+    real = x[:-1] < x[1:]  # pieces of positive length
+    left_x, left_d = x[:-1][real], (u[:-1] * np.abs(c / x[:-1] - a))[real]
+    right_x = np.concatenate((x[1:][real], edges))
+    right_d = np.concatenate(((u[1:] * np.abs(c / x[1:] - a))[real],
+                              np.log(edges) * np.abs(table.count_n(edges) - a * edges) / edges))
     out = []
     for lo, hi in zip(edges, edges[1:]):
-        mask = (cand_x > lo) & (cand_x <= hi)
-        out.append((float(lo), float(hi), float(np.max(cand_d[mask])) if np.any(mask) else 0.0))
+        cand = np.concatenate((left_d[(left_x >= lo) & (left_x < hi)],
+                               right_d[(right_x > lo) & (right_x <= hi)]))
+        out.append((float(lo), float(hi), float(np.max(cand)) if cand.size else 0.0))
     return tuple(out)
 
 
@@ -373,8 +380,11 @@ def _reference_window_sups(table):
     # so the window that jump falls in shows
     (PrimeSystemSpec.single(2.0), 2.0**12, 1e-3),
     (PrimeSystemSpec.explicit([2.0, 2.0, 3.0]), 50.0, 1.0),
+    # value ties on the edges: 2^k is k + 1 tied integers
+    (PrimeSystemSpec.explicit([2.0, 2.0]), 2.0**10, 1e-3),
     (PrimeSystemSpec.scaled_rational(1.2), 1e4, 0.6),
-], ids=["rational", "single-2", "single-2-small-a", "explicit-2-2-3", "scaled-1.2"])
+], ids=["rational", "single-2", "single-2-small-a", "explicit-2-2-3", "explicit-2-2-small-a",
+        "scaled-1.2"])
 def test_jump_extrema_match_reference(spec, bound, a):
     t = build_table_from_system(materialize(spec, bound), bound, a)
     r = _reference_zhang_r(t)

@@ -636,6 +636,19 @@ def test_boundary_scan_reports_failure():
     assert scan.to_dict()["t_max"] == 2.0
 
 
+@pytest.mark.parametrize("t_max, points, floor", [
+    (5.0, 0, 1e-3), (5.0, 1, 1e-3), (0.0, 201, 1e-3), (-5.0, 201, 1e-3), (math.nan, 201, 1e-3),
+    (math.inf, 201, 1e-3), (1e308, 201, 1e-3), (5.0, 201, math.nan), (5.0, 201, -1e-3),
+], ids=["no-points", "one-point", "t-max-0", "t-max-negative", "t-max-nan", "t-max-inf",
+        "t-max-overflows", "floor-nan", "floor-negative"])
+def test_boundary_scan_rejects_grids_it_cannot_judge(rational_1e4, t_max, points, floor):
+    # the CLI refuses the same grids before the table is built, by the same rule
+    _, t = rational_1e4
+    assert not zeta.scan_grid_ok(t_max, points, floor, t.log_bound)
+    with pytest.raises(ValueError, match="boundary_scan needs"):
+        boundary_scan(t, t_max, points, floor)
+
+
 # --- cross-check against sympy closed forms for a tiny hand-built system ---
 
 def test_hand_built_against_sympy():
