@@ -4,7 +4,8 @@ Configuration is an INI file plus command-line overrides (flag > file >
 default), with each check's parameters in the INI section named after it; all
 of it is resolved and range-checked before any file is written.  ``check``
 runs the requested checks through one loop over the ``CHECKS`` table.  Data
-files are deterministic; run.log alone records the wall-clock time.
+files are deterministic; run.log alone records the wall-clock time, with one
+JSON line per stage (``_stage``).
 
 Exit codes: 0 success, 1 check found the Laplace identity violated, 2 bad
 configuration, 3 over capacity.
@@ -15,8 +16,10 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import resource
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -168,16 +171,42 @@ def _within_capacity(build, *args):
         _fail(exc, 3)
 
 
+@contextmanager
+def _stage(out: Path, name: str):
+    """Append to run.log one JSON line for the stage ``name``, the body: its
+    wall seconds, the process's getrusage peak RSS so far, its minor-fault
+    delta, and ``items``, the count the body sets in the yielded dict."""
+    line = {"stage": name, "items": None}
+    before, start = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
+    yield line
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    line.update(wall_s=round(time.perf_counter() - start, 6), peak_rss_mb=round(after.ru_maxrss / 1024.0, 1),
+                minor_faults=after.ru_minflt - before.ru_minflt)
+    with open(out / "run.log", "a") as fh:
+        fh.write(json.dumps(line, sort_keys=True) + "\n")
+
+
+def _primes(cfg: RunConfig):
+    """The output directory, made, and the primes (the ``materialize`` stage)."""
+    out = Path(cfg.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with _stage(out, "materialize") as stage:
+        primes = materialize(cfg.spec, cfg.bound)
+        stage["items"] = len(primes)
+    return out, primes
+
+
 def _prepare(cfg: RunConfig, grid_points: int):
     """The output directory, the primes and their counting table.  A grid of
     ``grid_points`` past max_integers exits 3 before anything is built."""
     if grid_points > cfg.max_integers:
         _fail(f"a grid of {grid_points} points exceeds max_integers = {cfg.max_integers}", 3)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    primes = materialize(cfg.spec, cfg.bound)
-    return out, primes, _within_capacity(counting.build_table_from_system, primes, cfg.bound,
-                                         cfg.density_a, cfg.max_integers)
+    out, primes = _primes(cfg)
+    with _stage(out, "build") as stage:
+        table = _within_capacity(counting.build_table_from_system, primes, cfg.bound, cfg.density_a,
+                                 cfg.max_integers)
+        stage["items"] = table.total_count
+    return out, primes, table
 
 
 def _write_json(path: Path, obj) -> None:
@@ -248,13 +277,20 @@ def main():
 def gen(dump, **opts):
     """Enumerate the generalized integers and write enumeration/counting files."""
     cfg = _load(opts, "")
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    primes = materialize(cfg.spec, cfg.bound)
-    en = _within_capacity(semigroup.enumerate_integers, primes, cfg.bound, cfg.max_integers)
+    out, primes = _primes(cfg)
+    with _stage(out, "enumerate") as stage:
+        en = _within_capacity(semigroup.enumerate_integers, primes, cfg.bound, cfg.max_integers)
+        stage["items"] = len(en)
     if dump:
-        semigroup.write_dump(en, path=out / "enumeration.csv")
-    counting.write_counting_csv(counting.build_table(en, primes, cfg.density_a), out / "counting.csv")
+        with _stage(out, "dump") as stage:
+            semigroup.write_dump(en, path=out / "enumeration.csv")
+            stage["items"] = len(en)
+    with _stage(out, "build") as stage:
+        table = counting.build_table(en, primes, cfg.density_a)
+        stage["items"] = table.total_count
+    with _stage(out, "write") as stage:
+        counting.write_counting_csv(table, out / "counting.csv")
+        stage["items"] = 1  # files
     _run_log(out, cfg, "gen")
     click.echo(f"enumerated {len(en)} integers below {cfg.bound:g}")
 
@@ -274,14 +310,18 @@ def check(checks_text, **opts):
                   "bound": cfg.bound, "density_a": cfg.density_a}
     reports = {}
     for name in cfg.checks:
-        result = CHECKS[name](cfg, primes, table)
-        if name in CSV_TABLES:
-            filename, header, rows = CSV_TABLES[name]
-            counting.write_csv(out / filename, header, rows(result))
-        reports[name] = {"check": name, "parameters": parameters, **result.to_dict()}
-        _write_json(out / f"report-{name}.json", reports[name])
-    counting.write_counting_csv(table, out / "counting.csv")
-    _write_summary(list(reports.values()), out)
+        with _stage(out, f"check {name}") as stage:  # the check and its report
+            result = CHECKS[name](cfg, primes, table)
+            if name in CSV_TABLES:
+                filename, header, rows = CSV_TABLES[name]
+                counting.write_csv(out / filename, header, rows(result))
+            reports[name] = {"check": name, "parameters": parameters, **result.to_dict()}
+            _write_json(out / f"report-{name}.json", reports[name])
+            stage["items"] = table.total_count
+    with _stage(out, "write") as stage:
+        counting.write_counting_csv(table, out / "counting.csv")
+        _write_summary(list(reports.values()), out)
+        stage["items"] = 2  # files
     _run_log(out, cfg, "check")
     for name, rep in reports.items():
         click.echo(f"{name}: {rep['verdict']}")
@@ -305,13 +345,17 @@ def zeta_sweep(sigma_lo, sigma_hi, sigma_steps, t_lo, t_hi, t_steps, **opts):
     out, primes, table = _prepare(cfg, sigma_steps * t_steps)
     sigmas, ts = np.linspace(sigma_lo, sigma_hi, sigma_steps), np.linspace(t_lo, t_hi, t_steps)
     grid = (sigmas[:, None] + 1j * ts).ravel()
-    ze, zs, zd = (zeta.zeta_euler(primes, grid, cfg.density_a), zeta.zeta_stieltjes(table, grid),
-                  zeta.zeta_dirichlet(table, grid))
-    counting.write_csv(out / "zeta_sweep.csv",
-                       "sigma,t,euler_re,euler_im,euler_bound,stieltjes_re,stieltjes_im,"
-                       "stieltjes_bound,dirichlet_re,dirichlet_im,dirichlet_bound",
-                       zip(grid.real, grid.imag, ze.re, ze.im, ze.truncation_bound, zs.re, zs.im,
-                           zs.truncation_bound, zd.re, zd.im, zd.truncation_bound))
+    with _stage(out, "zeta") as stage:
+        ze, zs, zd = (zeta.zeta_euler(primes, grid, cfg.density_a), zeta.zeta_stieltjes(table, grid),
+                      zeta.zeta_dirichlet(table, grid))
+        stage["items"] = grid.size
+    with _stage(out, "write") as stage:
+        counting.write_csv(out / "zeta_sweep.csv",
+                           "sigma,t,euler_re,euler_im,euler_bound,stieltjes_re,stieltjes_im,"
+                           "stieltjes_bound,dirichlet_re,dirichlet_im,dirichlet_bound",
+                           zip(grid.real, grid.imag, ze.re, ze.im, ze.truncation_bound, zs.re, zs.im,
+                               zs.truncation_bound, zd.re, zd.im, zd.truncation_bound))
+        stage["items"] = 1  # files
     _run_log(out, cfg, "zeta-sweep")
     click.echo(f"wrote {out / 'zeta_sweep.csv'}")
 

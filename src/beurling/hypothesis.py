@@ -14,7 +14,9 @@ Verdicts are labeled evidence: no finite enumeration proves convergence or a
 limit at infinity.  All integrand pieces are closed forms; N is constant
 between jumps and |c - ax| changes sign at most once per piece (at x = c/a),
 so each piece splits into at most two signed parts with antiderivative
--c/x - a log x.
+-c/x - a log x.  The checks on N read the table's jumps one BLOCK at a time
+(:func:`_blocks`), so each holds O(BLOCK) floats plus its query points beside
+the table, and no value depends on BLOCK.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ CONVERGENT_FRAC = 0.01
 DECAY_RATIO = 0.5
 CHECKPOINTS = 48      # default checkpoints, geometric from 2 to the bound
 TREND_SAMPLES = 400   # little_o_trend's reported sample grid
-BLOCK = 65536         # pieces per pass of _integral_report's whole-piece sums
+BLOCK = 65536         # pieces per block of the checks' passes over N's jumps
 
 
 @dataclass(frozen=True)
@@ -101,25 +103,46 @@ class OmegaReport:
         return asdict(self)
 
 
-def _pieces(table: CountingTable):
-    """The declared density a, the pieces (ulo, uhi, xlo, xhi, c) and h.
-
-    On [xlo_i, xhi_i) = [x_i, x_{i+1}), logs ulo_i and uhi_i, x_N = B, the
-    count is c_i = i + 1.  h[j] is the larger one-sided limit of |N(t)/t - a|
-    at jump x_j (x_0 = 1 is the unit), and h[N] the left limit at B; |c/t - a|
-    is V-shaped on a piece, so its extrema over any run of pieces sit in h.
-    """
+def _density(table: CountingTable) -> float:
+    """The table's declared density a, which every check on N needs."""
     if table.a is None:
         raise ValueError("this check requires a declared density a")
     if not 0.0 < table.a < math.inf:
         raise ValueError("density a must be positive and finite")
-    a = float(table.a)
-    u = np.concatenate((table.jump_logs, [table.log_bound]))
-    x = np.exp(u)
-    n = np.arange(table.total_count + 1, dtype=float)  # N just left of each x_j
-    h = abs(n / x - a)  # abs(), not np.abs: numpy reuses the temporary in place
-    np.maximum(h[:-1], abs(n[1:] / x[:-1] - a), out=h[:-1])
-    return a, (u[:-1], u[1:], x[:-1], x[1:], n[1:]), h
+    return float(table.a)
+
+
+def _blocks(table: CountingTable, a: float):
+    """The checks' one pass over N's jumps, BLOCK pieces at a time.
+
+    Piece k is [x_k, x_{k+1}), with x_0 = 1 the unit and x_N = B, and N = k + 1
+    on it.  For the pieces lo..hi-1 this yields (lo, u, x, n, h) at the jumps
+    x_lo..x_hi: their logs u, x = e^u, the count n just left of each, and h,
+    the larger one-sided limit of |N(t)/t - a| at each (at B the left limit
+    alone).  |c/t - a| is V-shaped on a piece, so its extrema over any run of
+    pieces sit in h.  Every entry is computed elementwise, so no value depends
+    on BLOCK, and a pass holds O(BLOCK) floats beside the table.
+    """
+    logs, total = table.jump_logs, table.total_count
+    for lo in range(0, total, BLOCK):
+        hi = min(lo + BLOCK, total)
+        u = logs[lo : hi + 1] if hi < total else np.append(logs[lo:], table.log_bound)
+        x = np.exp(u)
+        n = np.arange(lo, hi + 1, dtype=float)
+        h = np.maximum(abs(n / x - a), abs((n + 1.0) / x - a))  # abs(): numpy reuses the temporary
+        if hi == total:
+            h[-1] = abs(n[-1] / x[-1] - a)
+        yield lo, u, x, n, h
+
+
+def _suffix_blocks(table: CountingTable, a: float):
+    """:func:`_blocks` with h replaced by Zhang's R, R[j] = max(h[j:]) over the
+    jumps x_j..x_N: a first pass takes each block's max of h, and each block's
+    own suffix max then meets the max over the blocks after it."""
+    later = np.maximum.accumulate([float(np.max(h)) for *_, h in _blocks(table, a)][::-1])[::-1]
+    for (lo, u, x, n, h), rest in zip(_blocks(table, a), np.append(later[1:], 0.0)):
+        r = np.maximum.accumulate(h[::-1])[::-1]
+        yield lo, u, x, n, np.maximum(r, rest, out=r)
 
 
 def _rising(vals) -> bool:
@@ -133,13 +156,20 @@ def _decaying(vals) -> bool:
     return vals[-1] <= DECAY_RATIO * max(vals[: max(1, len(vals) // 2)])
 
 
+def _query_points(bound, checkpoints):
+    """The points :func:`_evidence` reads: the checkpoints, sorted (by default
+    CHECKPOINTS geometric ones from 2 to the bound), and the decade points."""
+    if checkpoints is None:
+        checkpoints = np.geomspace(min(2.0, bound), bound, CHECKPOINTS)
+    return (np.sort(np.asarray(checkpoints, dtype=float)),
+            [1.0] + [x for x in (bound / 1e3, bound / 1e2, bound / 10.0, bound) if x > 1.0])
+
+
 def _evidence(partial, bound, checkpoints):
     """(checkpoint partials, decade verdict, tail estimate): the verdict weighs
     a flat last decade against non-decreasing per-decade increments."""
-    if checkpoints is None:
-        checkpoints = np.geomspace(min(2.0, bound), bound, CHECKPOINTS)
-    pts = tuple((float(x), partial(x)) for x in np.sort(np.asarray(checkpoints, dtype=float)))
-    xs = [1.0] + [x for x in (bound / 1e3, bound / 1e2, bound / 10.0, bound) if x > 1.0]
+    checkpoints, xs = _query_points(bound, checkpoints)
+    pts = tuple((float(x), partial(x)) for x in checkpoints)
     ps = [partial(x) for x in xs]
     incr = [q - p for p, q in zip(ps, ps[1:])]
     if _rising(incr) and incr[-1] > 0:
@@ -151,27 +181,40 @@ def _evidence(partial, bound, checkpoints):
     return pts, verdict, incr[-1] if incr else 0.0
 
 
-def _integral_report(table: CountingTable, piece, xhi, uhi, checkpoints, caveat) -> IntegralReport:
-    """Exact partials of integral_1^X f dx, where ``piece(k, x, log x)`` integrates
-    f from jump k to x inside piece k.  Whole pieces (k a slice, x and log x its
-    right ends) are summed BLOCK at a time, each block carrying the running sum
-    into its first term: one sequential pass, with BLOCK-long temporaries."""
-    cum = np.zeros(len(xhi) + 1)
-    for lo in range(0, len(xhi), BLOCK):
-        k = slice(lo, lo + BLOCK)
-        part = piece(k, xhi[k], uhi[k])
-        part[0] += cum[lo]
-        np.cumsum(part, out=cum[lo + 1 : lo + 1 + BLOCK])
+def _integral_report(table: CountingTable, blocks, piece, checkpoints, caveat) -> IntegralReport:
+    """Exact partials of integral_1^X f dx, where ``piece(*ends, x, log x)``
+    integrates f over piece k from x_k to x, ``ends`` its per-piece arrays.
+
+    ``blocks`` yields (lo, ends, xhi, uhi) for each block of pieces from lo on,
+    xhi and uhi at their right ends.  The whole pieces are summed in one
+    sequential pass, each block carrying the running sum into its first term.
+    The pieces that hold a query point of :func:`_evidence` are found before
+    the pass, which keeps only the sum before each of them and its ends.
+    """
+    logs = table.jump_logs
+    wanted = np.array([np.searchsorted(logs, math.log(x), side="right") - 1
+                       for x in np.concatenate(_query_points(table.bound, checkpoints)).tolist()
+                       if 1.0 < x < table.bound], dtype=np.intp)
+    before, ends_at, total = {}, {}, 0.0
+    for lo, ends, xhi, uhi in blocks:
+        part = piece(*ends, xhi, uhi)
+        carried = total
+        part[0] += carried
+        np.cumsum(part, out=part)
+        for k in wanted[(wanted >= lo) & (wanted < lo + part.size)].tolist():
+            before[k] = part[k - lo - 1] if k > lo else carried
+            ends_at[k] = tuple(e[k - lo] for e in ends)
+        total = part[-1]
 
     def partial(x):
         x = float(x)
         if x <= 1.0:
             return 0.0
         if x >= table.bound:
-            return float(cum[-1])
+            return float(total)
         ux = math.log(x)
-        k = int(np.searchsorted(table.jump_logs, ux, side="right")) - 1
-        return float(cum[k] + piece(k, x, ux))
+        k = int(np.searchsorted(logs, ux, side="right")) - 1
+        return float(before[k] + piece(*ends_at[k], x, ux))
 
     pts, verdict, tail = _evidence(partial, table.bound, checkpoints)
     return IntegralReport(pts, max(tail, 0.0), verdict, exact=True, caveats=(caveat,))
@@ -179,16 +222,17 @@ def _integral_report(table: CountingTable, piece, xhi, uhi, checkpoints, caveat)
 
 def l1_condition(table: CountingTable, checkpoints=None) -> IntegralReport:
     """Exact piecewise partials of the L1 integral integral_1^X |N-ax|/x^2 dx."""
-    a, (ulo, uhi, xlo, xhi, c), _ = _pieces(table)
+    a = _density(table)
 
-    def piece(k, x, ux):
-        m = np.clip(c[k] / a, xlo[k], x)
+    def piece(ulo, xlo, c, x, ux):
+        m = np.clip(c / a, xlo, x)
         lnm = np.log(m)
-        pos = (c[k] / xlo[k] + a * ulo[k]) - (c[k] / m + a * lnm)
-        neg = (a * ux + c[k] / x) - (a * lnm + c[k] / m)
+        pos = (c / xlo + a * ulo) - (c / m + a * lnm)
+        neg = (a * ux + c / x) - (a * lnm + c / m)
         return np.maximum(pos, 0.0) + np.maximum(neg, 0.0)
 
-    return _integral_report(table, piece, xhi, uhi, checkpoints,
+    blocks = ((lo, (u[:-1], x[:-1], n[1:]), x[1:], u[1:]) for lo, u, x, n, _ in _blocks(table, a))
+    return _integral_report(table, blocks, piece, checkpoints,
                             "integral truncated at the enumeration bound")
 
 
@@ -196,33 +240,37 @@ def tail_sup(table: CountingTable, xs) -> np.ndarray:
     """S(x) = sup_{t in [x, B]} |N(t) - at| / t on query points (truncated sup).
 
     Zhang's R[j] = max(h[j:]) is the sup from the left limit at jump x_j up to
-    B, one suffix max over h in place.  With n = N(x) under the strict
-    convention x lies in (x_{n-1}, x_n], so S(x) = max(|n/x - a|, R[n]): a
-    point on a jump keeps the jump's right limit.
+    B (:func:`_suffix_blocks`).  With n = N(x) under the strict convention x
+    lies in (x_{n-1}, x_n], so S(x) = max(|n/x - a|, R[n]): a point on a jump
+    keeps the jump's right limit.
     """
-    a, _, r = _pieces(table)
+    a = _density(table)
     xs = np.asarray(xs, dtype=float)
     if np.any(xs < 1.0) or np.any(xs > table.bound):
         raise ValueError("query points must lie in [1, bound]")
-    np.maximum.accumulate(r[::-1], out=r[::-1])
-    n = table.count_n(xs)
-    return np.maximum(np.abs(n / xs - a), r[n])
+    n = np.asarray(table.count_n(xs))
+    r = np.empty(xs.shape)  # R[n] at each point
+    for lo, *_, rb in _suffix_blocks(table, a):
+        here = (n >= lo) & (n < lo + rb.size)
+        r[here] = rb[n[here] - lo]
+    return np.maximum(np.abs(n / xs - a), r)
 
 
 def zhang_condition(table: CountingTable, checkpoints=None) -> IntegralReport:
     """Exact piecewise partials of integral_1^X S(x)/x dx (truncated tail sup);
-    on piece i, S(x) = max(|c_i/x - a|, R[i + 1]) with R as in ``tail_sup``."""
-    a, (ulo, uhi, xlo, xhi, c), h = _pieces(table)
-    r = np.maximum.accumulate(h[::-1], out=h[::-1])[::-1][1:]
+    on piece k, S(x) = max(|c_k/x - a|, R[k + 1]) with R as in ``tail_sup``."""
+    a = _density(table)
 
-    def piece(k, x, ux):
+    def piece(ulo, xlo, c, r, x, ux):
         # On [xlo, t) the left branch c/x - a exceeds R; beyond it S = R.
-        t = np.clip(c[k] / (a + r[k]), xlo[k], x)
+        t = np.clip(c / (a + r), xlo, x)
         lnt = np.log(t)
-        left = (c[k] / xlo[k] + a * ulo[k]) - (c[k] / t + a * lnt)
-        return np.maximum(left, 0.0) + np.maximum(r[k] * (ux - lnt), 0.0)
+        left = (c / xlo + a * ulo) - (c / t + a * lnt)
+        return np.maximum(left, 0.0) + np.maximum(r * (ux - lnt), 0.0)
 
-    return _integral_report(table, piece, xhi, uhi, checkpoints,
+    blocks = ((lo, (u[:-1], x[:-1], n[1:], r[1:]), x[1:], u[1:])
+              for lo, u, x, n, r in _suffix_blocks(table, a))
+    return _integral_report(table, blocks, piece, checkpoints,
                             "sup over t >= x truncated to t <= bound; S is under-estimated, "
                             "so convergence verdicts are tail-caveated")
 
@@ -251,19 +299,32 @@ def little_o_trend(table: CountingTable) -> TrendReport:
     the strict convention a jump on an edge gives its left limit to the
     window below and its right limit to the window above.
     """
-    a, (_, uhi, _, xhi, _), h = _pieces(table)
+    a = _density(table)
 
     def d(x):
         return np.log(x) * np.abs(table.count_n(x) - a * x) / x
 
     edges = _dyadic_edges(table.bound)
-    h[1:] *= uhi
-    # xhi[first:past] sit on an edge, N = first + 1 just left of them and past + 1 just
-    # right (the last entry of xhi is B itself, with its left limit)
-    first, past = (np.searchsorted(xhi, edges, side) for side in ("left", "right"))
-    k = np.minimum(first, len(xhi) - 1)
-    left, right = (np.where(first < past, uhi[k], 0.0) * abs((n + 1.0) / xhi[k] - a) for n in (first, past))
-    sups = list(map(max, _window_sups(h[1:], past[:-1], first[1:]), d(np.array(edges[1:])).tolist(),
+    # Over the jumps x_1..x_N (x_N = B, with its left limit): first[i] of them lie
+    # below edge i and past[i] at or below it, so first < past puts jumps on the
+    # edge, the first of them with log u_edge[i]; inside[i] is the largest
+    # log(x) h strictly inside window i.  Membership goes by value, so each
+    # block's own searchsorted finds its share.
+    first, past = np.zeros(len(edges), dtype=np.intp), np.zeros(len(edges), dtype=np.intp)
+    u_edge, inside = np.full(len(edges), math.nan), np.zeros(len(edges) - 1)
+    for _, u, x, _, h in _blocks(table, a):
+        uhi, xhi, vals = u[1:], x[1:], h[1:] * u[1:]
+        below, upto = (np.searchsorted(xhi, edges, side) for side in ("left", "right"))
+        for i in np.flatnonzero(below[1:] > upto[:-1]).tolist():
+            inside[i] = max(inside[i], np.max(vals[upto[i] : below[i + 1]]))
+        new = (below < upto) & np.isnan(u_edge)
+        u_edge[new] = uhi[below[new]]
+        first += below
+        past += upto
+    on_edge = first < past
+    u_on, x_on = np.where(on_edge, u_edge, 0.0), np.where(on_edge, edges, 1.0)
+    left, right = (u_on * abs((n + 1.0) / x_on - a) for n in (first, past))
+    sups = list(map(max, inside.tolist(), d(np.array(edges[1:])).tolist(),
                     left[1:].tolist(), right[:-1].tolist()))
     if len(sups) < 4:
         verdict = INCONCLUSIVE

@@ -29,6 +29,7 @@ from .systems import PrimeSequence
 TAYLOR_TERMS = 20  # series terms per run of jumps in _moment_sum
 KERNEL_CELLS = 1 << 14  # points x runs (or x terms) evaluated at once
 DIRECT_RUNS = 0.25  # runs past this share of the terms are summed term by term
+SLICE = 1 << 16  # jumps per pass of _moment_sum, widened to whole runs
 PRIME_RUNS = 1 / 32  # the Euler side's kernel cuts as many runs as this share of the primes
 POWER_REACH = 37.0  # the Euler side's list keeps p^k up to k log p = log p_max + 37
 MAX_POWERS = 128  # primes with more powers in reach are summed in closed form
@@ -63,6 +64,16 @@ def _require_halfplane(s, least: float):
     return s if s.ndim else complex(s)
 
 
+def _require_phases(table: CountingTable, s):
+    """``s``, once every phase |s| log B is finite (``finite_grid``'s rule),
+    so that no table transform overflows to NaN."""
+    with np.errstate(over="ignore"):  # |s| of finite parts may still overflow
+        r = float(np.max(np.abs(s), initial=0.0))
+    if not finite_grid(0.0, r, table.log_bound):
+        raise DomainError(f"|s| log B must be finite, got |s| = {r:g} with log B = {table.log_bound:g}")
+    return s
+
+
 def _stieltjes_sum(table: CountingTable, u, w, total, s):
     """sum_k w_k n_k^{-s} - total B^{-s} at each point of ``s`` over one of the
     table's jump lists ``u`` = log n_k: N's (unit weights, ``w`` None) or
@@ -79,6 +90,24 @@ def _stieltjes_sum(table: CountingTable, u, w, total, s):
     return out if out.ndim else complex(out)
 
 
+def _run_starts(u, r, limit):
+    """The index of the first jump of each run of ``u`` where floor(u r) is
+    constant, or None once the runs outnumber ``limit``; SLICE jumps at a time."""
+    starts, count, last = [], 0, math.nan
+    for lo in range(0, u.size, SLICE):
+        cell = u[lo : lo + SLICE] * r
+        np.floor(cell, out=cell)
+        first = np.empty(cell.size, dtype=bool)
+        first[0] = cell[0] != last
+        np.not_equal(cell[1:], cell[:-1], out=first[1:])
+        starts.append(np.flatnonzero(first) + lo)
+        count += starts[-1].size
+        if count > limit:
+            return None
+        last = cell[-1]
+    return np.concatenate(starts) if starts else np.zeros(0, dtype=np.intp)
+
+
 def _moment_sum(u, w, s, r):
     """sum_k w_k e^{-s u_k} at each point of the 1-d ``s``, the u cut into runs
     where floor(u r) is constant, r >= |s|.
@@ -90,29 +119,34 @@ def _moment_sum(u, w, s, r):
     jump is exact.  Each (points x runs) block is evaluated by Horner's rule
     in -s along its rows.  When the runs outnumber DIRECT_RUNS of the jumps,
     the moments would cost more than they save, and the jumps are summed
-    term by term instead.
+    term by term instead; :func:`_run_starts` stops as soon as they do, so it
+    keeps no more starts than the moments would.  The moments are taken over
+    slices of whole runs, about SLICE jumps each (one run, if it is longer),
+    so no run is split and each moment sums its run as one ``np.add.reduceat``
+    segment: a call holds O(SLICE) floats plus the longest run, beside its
+    starts and moments.
     """
-    cell = u * r
-    np.floor(cell, out=cell)
-    first = np.ones(u.size, dtype=bool)  # the first jump of each run
-    np.not_equal(cell[1:], cell[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    del cell, first
-    if starts.size > DIRECT_RUNS * u.size:
+    starts = _run_starts(u, r, DIRECT_RUNS * u.size)
+    if starts is None:
         def direct(x, cols):
             e = np.exp(x * u[cols])
             return e if w is None else np.multiply(e, w[cols], out=e)
 
         return _termwise(u, s, direct)
     c = u[starts]
-    d = np.repeat(c, np.diff(starts, append=u.size))
-    np.subtract(u, d, out=d)  # u_k - c over each run
-    term = np.ones_like(u) if w is None else w.astype(float)
+    ends = np.append(starts, u.size)
     moments = np.empty((TAYLOR_TERMS, c.size))
-    for j in range(TAYLOR_TERMS):
-        moments[j] = np.add.reduceat(term, starts) / math.factorial(j)
-        term *= d
-    del term, d
+    i = 0
+    while i < c.size:  # the runs i..j-1, jumps lo..hi-1
+        j = max(i + 1, int(np.searchsorted(starts, starts[i] + SLICE)))
+        lo, hi = ends[i], ends[j]
+        d = np.repeat(c[i:j], np.diff(ends[i : j + 1]))
+        np.subtract(u[lo:hi], d, out=d)  # u_k - c over each run
+        term = np.ones(hi - lo) if w is None else w[lo:hi].astype(float)
+        for k in range(TAYLOR_TERMS):
+            moments[k, i:j] = np.add.reduceat(term, starts[i:j] - lo) / math.factorial(k)
+            term *= d
+        i = j
 
     def horner(x, cols):
         acc = moments[-1, cols] * x
@@ -253,7 +287,7 @@ def _density_bound(table: CountingTable, s):
 
 def zeta_dirichlet(table: CountingTable, s) -> ZetaResult:
     """Dirichlet sum over the enumerated integers, density-completed beyond B."""
-    s = _require_halfplane(s, 1.0)
+    s = _require_phases(table, _require_halfplane(s, 1.0))
     if table.a is None:
         bound, model, tail = 0.0 * abs(s), "none", 0.0  # a zero bound at each point
     else:  # N ~ a x beyond B adds a B^{1-s}/(s-1) = (a B/(s-1)) B^{-s}
@@ -268,7 +302,7 @@ def zeta_stieltjes(table: CountingTable, s) -> ZetaResult:
     s * a * B^{1-s}/(s-1) completes it assuming N ~ a x beyond B.  Without a
     density the finite part is returned with a linear-growth heuristic bound.
     """
-    s = _require_halfplane(s, 1.0)
+    s = _require_phases(table, _require_halfplane(s, 1.0))
     sigma = s.real
     b = table.bound
     n = table.total_count
@@ -289,7 +323,7 @@ def laplace_psi(table: CountingTable, s):
     No tail is added; for identity comparisons against -zeta'/(s zeta) the
     caller should allow psi(B) * B^{-sigma} / sigma for the omitted range.
     """
-    s = _require_halfplane(s, 0.0)
+    s = _require_phases(table, _require_halfplane(s, 0.0))
     return _stieltjes_sum(table, table.psi_logs, table.lambdas, float(table.cum_lambda[-1]), s) / s
 
 
@@ -366,9 +400,9 @@ def fourier_E1_boundary(table: CountingTable, t):
     finite = np.isfinite(t)
     if not np.all(finite):
         raise DomainError(f"t must be finite, got {float(t.flat[np.argmin(finite)])}")
+    s = _require_phases(table, 1.0 + 1j * t)
     theta = t * table.log_bound
     part_a = -table.a * table.log_bound * np.exp(-0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
-    s = 1.0 + 1j * t
     g = _stieltjes_sum(table, table.jump_logs, None, table.total_count, s) + s * part_a + table.a
     return g if np.ndim(g) else complex(g)
 

@@ -135,6 +135,27 @@ def test_check_all_reports_and_summary(runner, tmp_path):
     assert (out / "boundary.csv").exists()
 
 
+
+@pytest.mark.parametrize("argv, stages", [
+    (["gen", "--bound", "50"], ["materialize", "enumerate", "dump", "build", "write"]),
+    (["check", "--bound", "50", "--density-a", "1", "--checks", "l1,boundary"],
+     ["materialize", "build", "check l1", "check boundary", "write"]),
+    (["zeta-sweep", "--bound", "50", "--density-a", "1", "--sigma-steps", "2", "--t-steps", "3"],
+     ["materialize", "build", "zeta", "write"]),
+], ids=["gen", "check", "zeta-sweep"])
+def test_run_log_has_one_line_per_stage(runner, tmp_path, argv, stages):
+    out = tmp_path / "o"
+    res = runner.invoke(main, argv + ["--variant", "explicit-list", "--params", "2,2,3", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    lines = [json.loads(line) for line in (out / "run.log").read_text().splitlines() if line.startswith("{")]
+    assert [line["stage"] for line in lines] == stages
+    for line in lines:
+        assert set(line) == {"stage", "items", "wall_s", "peak_rss_mb", "minor_faults"}
+        assert line["wall_s"] >= 0 and line["peak_rss_mb"] > 0 and line["minor_faults"] >= 0
+    items = {line["stage"]: line["items"] for line in lines}
+    assert items["materialize"] == 3 and items["build"] == 43  # the primes, N(50)
+    assert items["write"] == {"gen": 1, "check": 2, "zeta-sweep": 1}[argv[0]]  # files
+
 def test_check_reruns_byte_identical(runner, tmp_path):
     args = [
         "check", "--variant", "explicit-list", "--params", "2,3,5",

@@ -23,7 +23,6 @@ from beurling.hypothesis import (
     DIVERGENT,
     INCONCLUSIVE,
     VIOLATED,
-    _pieces,
 )
 from conftest import diamond_partial_naturals
 
@@ -388,8 +387,8 @@ def _reference_window_sups(table):
 def test_jump_extrema_match_reference(spec, bound, a):
     t = build_table_from_system(materialize(spec, bound), bound, a)
     r = _reference_zhang_r(t)
-    _, _, h = _pieces(t)
-    assert np.array_equal(np.maximum.accumulate(h[::-1])[::-1][1:], r)
+    # R at the jumps x_1..x_N, the right ends of the pieces, block by block
+    assert np.array_equal(np.concatenate([rb[1:] for *_, rb in hypothesis._suffix_blocks(t, a)]), r)
     # on the first jump j of each value, N = j and |j/x_j - a| is part of R[j],
     # so tail_sup reads R[j] = r[j - 1] itself
     first = np.unique(t.jump_logs, return_index=True)[1][1:]
@@ -397,17 +396,37 @@ def test_jump_extrema_match_reference(spec, bound, a):
     assert little_o_trend(t).window_sups == _reference_window_sups(t)
 
 
+def _checks_on_n(table):
+    """Every check on N, as comparable values: the reports' dicts and tail_sup
+    at the jumps, just beside them, and on a geometric grid."""
+    xs = np.exp(table.jump_logs)
+    xs = np.concatenate((xs, xs * (1 + 1e-12), np.geomspace(1.0, table.bound, 97)))
+    return ([f(table).to_dict() for f in (l1_condition, zhang_condition)],
+            json.dumps(little_o_trend(table).to_dict()),
+            tail_sup(table, np.minimum(xs, table.bound)).tolist())
+
+
 def test_integral_reports_independent_of_block(rational_2000, monkeypatch):
-    # whole pieces are summed a block at a time as one sequential pass
-    reports = [f(rational_2000).to_dict() for f in (l1_condition, zhang_condition)]
-    monkeypatch.setattr(hypothesis, "BLOCK", 7)
-    assert [f(rational_2000).to_dict() for f in (l1_condition, zhang_condition)] == reports
+    # each check is one pass over the jumps a block at a time: blocks of 7
+    # (which split the tie groups of [2, 2, 3], where 2^k is k + 1 tied
+    # integers), one block short of N(B), and one block past it; on the
+    # single prime 2 with a small a the edge jumps' one-sided limits set
+    # little-o's window sups
+    default = hypothesis.BLOCK
+    single = build_table_from_system(materialize(PrimeSystemSpec.single(2.0), 2.0**12), 2.0**12, 1e-3)
+    for table in (rational_2000, table_for([2.0, 2.0, 3.0], 3000.0, a=1.0), single):
+        monkeypatch.setattr(hypothesis, "BLOCK", default)
+        want = _checks_on_n(table)
+        for block in (7, table.total_count - 1, table.total_count + 5):
+            monkeypatch.setattr(hypothesis, "BLOCK", block)
+            assert _checks_on_n(table) == want, block
 
 
-@pytest.mark.parametrize("check", [l1_condition, zhang_condition, little_o_trend],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("check", [l1_condition, zhang_condition, little_o_trend,
+                                   lambda t: tail_sup(t, np.geomspace(1.0, t.bound, 400))],
+                         ids=["l1_condition", "zhang_condition", "little_o_trend", "tail_sup"])
 def test_check_peak_memory_bounded(rational_1e6, check):
-    # each check holds fewer than eight float64 arrays of N(B) entries at once
+    # each check holds O(BLOCK) floats, less than one float64 column of N(B) entries
     _, table = rational_1e6.value
     tracemalloc.start()
     try:
@@ -415,4 +434,4 @@ def test_check_peak_memory_bounded(rational_1e6, check):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 8 * table.total_count, peak / (8 * table.total_count)
+    assert peak < 8 * table.total_count, peak / (8 * table.total_count)

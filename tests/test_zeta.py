@@ -366,6 +366,56 @@ def test_kernel_blocks_match_single_points(rational_1e4):
                 assert sums[k] == zeta._moment_sum(u, w, s[k : k + 1], r)[0]
 
 
+
+def test_moment_sums_independent_of_slice(monkeypatch):
+    # the moments go over slices of whole runs, so each run is one reduceat
+    # segment however the jumps are sliced: slices of 3 jumps give the values
+    # of one slice over all of them, on the table's runs (t up to 5, and the
+    # 1e4-wide grid, whose runs pass DIRECT_RUNS of the jumps) and on the
+    # Euler side's kernel (|s| below 6.18 on the primes to 1e5)
+    primes = materialize(PrimeSystemSpec.rational(), 1e5)
+    table = build_table_from_system(primes, 1e5, 1.0)
+    ts = np.concatenate((np.linspace(-5.0, 5.0, 41), np.linspace(-1e4, 1e4, 3)))
+    s = (np.array([1.1, 1.5, 3.0])[:, None] + 1j * np.linspace(-5.0, 5.0, 5)).ravel()
+
+    def values():
+        return (fourier_E1_boundary(table, ts), zeta_stieltjes(table, s).value,
+                neg_logderiv(primes, s).value)
+
+    monkeypatch.setattr(zeta, "SLICE", table.total_count + 1)
+    whole = values()
+    monkeypatch.setattr(zeta, "SLICE", 3)
+    for got, want in zip(values(), whole):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("method, point", [(laplace_psi, 1.5 + 1e308j), (zeta_stieltjes, 1.5 + 1e308j),
+                                           (zeta_dirichlet, np.array([2.0, 1.5 + 1e308j])),
+                                           (fourier_E1_boundary, 1e308)],
+                         ids=["laplace_psi", "zeta_stieltjes", "zeta_dirichlet", "fourier_E1_boundary"])
+def test_table_transforms_reject_overflowing_phases(method, point):
+    # |s| log B overflows though s is finite: a DomainError, not NaN with an
+    # overflow warning (an error under this suite's warning filter)
+    table = table_for([2.0, 3.0], 1e3, a=1.0)
+    with pytest.raises(DomainError, match="log B must be finite"):
+        method(table, point)
+    fine = method(table, 1e300 if method is fourier_E1_boundary else 2.0 + 1e300j)  # 1e300 log B is finite
+    assert np.isfinite(getattr(fine, "value", fine))
+
+
+def test_boundary_scan_peak_memory_bounded(rational_1e6):
+    # the moments' temporaries span one slice of whole runs: less than one
+    # float64 column of N(B) entries
+    _, table = rational_1e6.value
+    boundary_scan(table, 5.0, points=201, floor=1e-3)
+    tracemalloc.start()
+    try:
+        boundary_scan(table, 5.0, points=201, floor=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * table.total_count, peak / (8 * table.total_count)
+
 # --- Laplace transform of psi ---
 
 def test_laplace_psi_single_prime_closed_form():
