@@ -62,9 +62,10 @@ CSV_TABLES = {
 
 
 def _s_grid_ok(sigma_lo, sigma_hi, t_lo, t_hi, bound) -> bool:
-    """A finite s-grid inside Re s > 1, where the Euler-product side converges."""
-    log_b = math.log(bound)
-    return (zeta.finite_grid(sigma_lo, sigma_hi, log_b) and zeta.finite_grid(t_lo, t_hi, log_b)
+    """A finite s-grid inside Re s > 1, where the Euler-product side converges,
+    with finite phases to that side's reach, below log B + POWER_REACH."""
+    reach = math.log(bound) + zeta.POWER_REACH
+    return (zeta.finite_grid(sigma_lo, sigma_hi, reach) and zeta.finite_grid(t_lo, t_hi, reach)
             and min(sigma_lo, sigma_hi) > 1.0)
 
 
@@ -298,7 +299,7 @@ def gen(dump, **opts):
 @main.command()
 @common_options
 @click.option("--checks", "checks_text", type=str, default=None,
-              help="Comma list from {l1, zhang, little-o, chebyshev, identity, boundary}.")
+              help="Comma list from {" + ", ".join(CHECKS) + "}.")
 def check(checks_text, **opts):
     """Run the requested hypothesis checks and write per-check reports, with
     counting.csv and summary.json; exit 1 if the Laplace identity fails."""

@@ -19,10 +19,11 @@ children are visited by ascending index.  Proof: a row's path from the unit has
 indices j_1 <= ... <= j_k; of two rows with equal value neither path extends
 the other, which would raise the value; where they first differ, the row with
 the smaller index holds more of that prime, so it is the dense-lex larger and
-the earlier in preorder.  The tied rows are re-sorted by one integer argsort on
-``group * rows - rank`` (``group`` numbers the tie groups by ascending value);
-ranks are unique and below ``rows``, and ``rows`` is at most ``MAX_ROWS`` <
-2**31, so the key orders by group first and fits int64.
+the earlier in preorder.  When the sorted logs hold any tie, one integer
+argsort over every row on ``group * rows - rank`` orders them (``group``
+counts the value changes along the sorted logs, so untied rows keep their
+places); ranks are unique and below ``rows``, and ``rows`` is at most
+``MAX_ROWS`` < 2**31, so the key orders by group first and fits int64.
 """
 
 from __future__ import annotations
@@ -178,31 +179,17 @@ def enumerate_integers(
     rows = row_logs.size
     order = np.argsort(row_logs)
     row_logs = row_logs[order]
-    tied = np.flatnonzero(row_logs[1:] == row_logs[:-1])
-    if tied.size:
-        # Mark both rows of each equal pair: every member of a tie group.
-        tie = np.zeros(rows, dtype=bool)
-        tie[tied] = tie[tied + 1] = True
-        tied = np.flatnonzero(tie)
-        del tie
+    if np.any(row_logs[1:] == row_logs[:-1]):
         # Ascending dense-lexicographic order is descending preorder rank: one
-        # int64 key, group * rows - rank (see the module docstring), built in
-        # place, where group counts the value changes along the tied rows (in
-        # place too: a cumsum of bools would cast a second tied-length copy).
-        key = _preorder(columns[1])[order[tied]].astype(np.int64)
-        np.negative(key, out=key)
-        group = row_logs[tied]
-        group = group[1:] != group[:-1]  # rebinding frees the gathered logs
-        group = group.astype(np.int64)
-        np.cumsum(group, out=group)
-        group *= rows
-        key[1:] += group
-        del group
-        # Rebinding frees the key before the gather, one tied-length array fewer;
-        # the gathers below need none of these.
-        key = np.argsort(key)
-        order[tied] = order[tied][key]
-        del key, tied
+        # int64 key over every row, group * rows - rank (see the module
+        # docstring), where group counts the value changes along the sorted logs.
+        key = np.zeros(rows, dtype=np.int64)
+        np.cumsum(row_logs[1:] != row_logs[:-1], out=key[1:])
+        key *= rows
+        key -= _preorder(columns[1])[order].astype(np.int64)
+        key = np.argsort(key)  # rebinding frees the key before the gather
+        order = order[key]
+        del key
     index = np.concatenate(columns.pop(0))[order]
     inverse = np.empty(rows, dtype=np.intc)
     inverse[order] = np.arange(rows, dtype=np.intc)

@@ -53,25 +53,22 @@ class ZetaResult:
         return self.value.imag
 
 
-def _require_halfplane(s, least: float):
-    """``s`` as a complex, or a complex array, every point finite with Re s > least."""
+def _require_halfplane(s, least: float, reach: float):
+    """``s`` as a complex, or a complex array, every point finite with Re s > least
+    and a finite phase |s| reach (``finite_grid``'s rule), so that no sum
+    overflows to NaN or keeps a phase with no digits.  ``reach`` is log B of a
+    table, or the largest log p^k that the Euler side sums."""
     s = np.asarray(s, dtype=complex)
     finite = np.isfinite(s)
     if not np.all(finite):
         raise DomainError(f"s must be finite, got {complex(s.flat[np.argmin(finite)])}")
     if np.any(s.real <= least):
         raise DomainError(f"Re s must exceed {least}, got {complex(s.flat[np.argmin(s.real)])}")
-    return s if s.ndim else complex(s)
-
-
-def _require_phases(table: CountingTable, s):
-    """``s``, once every phase |s| log B is finite (``finite_grid``'s rule),
-    so that no table transform overflows to NaN."""
     with np.errstate(over="ignore"):  # |s| of finite parts may still overflow
         r = float(np.max(np.abs(s), initial=0.0))
-    if not finite_grid(0.0, r, table.log_bound):
-        raise DomainError(f"|s| log B must be finite, got |s| = {r:g} with log B = {table.log_bound:g}")
-    return s
+    if not finite_grid(0.0, r, reach):
+        raise DomainError(f"|s| log B must be finite, got |s| = {r:g} with log B = {reach:g}")
+    return s if s.ndim else complex(s)
 
 
 def _stieltjes_sum(table: CountingTable, u, w, total, s):
@@ -220,10 +217,10 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     over the primes; each of its points then costs Horner steps over at most
     PRIME_RUNS of the primes' count of runs.  r is about 48 at 10^6, 390 at 10^7.
     """
-    s = _require_halfplane(s, 1.0)
-    flat = np.ravel(s)
     logs = primes.logs
-    reach = logs[-1] + POWER_REACH if logs.size else 1.0
+    reach = float(logs[-1]) + POWER_REACH if logs.size else 1.0
+    s = _require_halfplane(s, 1.0, reach)  # the phases of every p^{-ks} it sums
+    flat = np.ravel(s)
     r = PRIME_RUNS * logs.size / reach
     on_list = np.abs(flat) < r
     value = np.empty(flat.shape, dtype=complex)
@@ -287,7 +284,7 @@ def _density_bound(table: CountingTable, s):
 
 def zeta_dirichlet(table: CountingTable, s) -> ZetaResult:
     """Dirichlet sum over the enumerated integers, density-completed beyond B."""
-    s = _require_phases(table, _require_halfplane(s, 1.0))
+    s = _require_halfplane(s, 1.0, table.log_bound)
     if table.a is None:
         bound, model, tail = 0.0 * abs(s), "none", 0.0  # a zero bound at each point
     else:  # N ~ a x beyond B adds a B^{1-s}/(s-1) = (a B/(s-1)) B^{-s}
@@ -302,7 +299,7 @@ def zeta_stieltjes(table: CountingTable, s) -> ZetaResult:
     s * a * B^{1-s}/(s-1) completes it assuming N ~ a x beyond B.  Without a
     density the finite part is returned with a linear-growth heuristic bound.
     """
-    s = _require_phases(table, _require_halfplane(s, 1.0))
+    s = _require_halfplane(s, 1.0, table.log_bound)
     sigma = s.real
     b = table.bound
     n = table.total_count
@@ -323,7 +320,7 @@ def laplace_psi(table: CountingTable, s):
     No tail is added; for identity comparisons against -zeta'/(s zeta) the
     caller should allow psi(B) * B^{-sigma} / sigma for the omitted range.
     """
-    s = _require_phases(table, _require_halfplane(s, 0.0))
+    s = _require_halfplane(s, 0.0, table.log_bound)
     return _stieltjes_sum(table, table.psi_logs, table.lambdas, float(table.cum_lambda[-1]), s) / s
 
 
@@ -373,7 +370,7 @@ def g_eval(source, s, a: float | None = None) -> ZetaResult:
     CountingTable (Mellin-Stieltjes form, preferred near sigma = 1 where the
     Euler product truncates badly; the density is the table's own).
     """
-    s = _require_halfplane(s, 1.0)  # which keeps s off the subtraction pole at s = 1
+    s = _require_halfplane(s, 1.0, 0.0)  # off the pole at s = 1; the sum checks its phases
     on_table = isinstance(source, CountingTable)
     if on_table and a is not None:
         raise ValueError("g_eval reads the density from the table; do not pass a")
@@ -400,7 +397,7 @@ def fourier_E1_boundary(table: CountingTable, t):
     finite = np.isfinite(t)
     if not np.all(finite):
         raise DomainError(f"t must be finite, got {float(t.flat[np.argmin(finite)])}")
-    s = _require_phases(table, 1.0 + 1j * t)
+    s = _require_halfplane(1.0 + 1j * t, 0.0, table.log_bound)
     theta = t * table.log_bound
     part_a = -table.a * table.log_bound * np.exp(-0.5j * theta) * np.sinc(theta / (2.0 * np.pi))
     g = _stieltjes_sum(table, table.jump_logs, None, table.total_count, s) + s * part_a + table.a

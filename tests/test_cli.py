@@ -226,6 +226,9 @@ BAD_INPUTS = [
     ("identity-t-overflow", ["check", "--checks", "identity"],
      _system_ini() + "[identity]\nt_lo = -1e308\nt_hi = 1e308\n"),
     ("sweep-t-overflow", ["zeta-sweep", "--t-lo", "-1e308", "--t-hi", "1e308"], _system_ini()),
+    # t log B is finite, but not the Euler side's phases t (log p_max + POWER_REACH)
+    ("identity-t-past-euler-reach", ["check", "--checks", "identity"],
+     _system_ini() + "[identity]\nt_lo = 0\nt_hi = 1e307\n"),
     ("boundary-t-max-overflow", ["check", "--checks", "boundary"],
      _system_ini() + "[boundary]\nt_max = 1e308\n"),
     ("bound-1", ["check", "--checks", "l1", "--bound", "1"], _system_ini()),

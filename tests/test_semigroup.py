@@ -198,6 +198,7 @@ def test_one_row_order_on_tie_systems(values, bound):
         ([2, 2], 3),  # a tie group that ends on the last row
         ([2, 2, 3, 3], 4),  # two tie groups side by side, the second one last
         ([3, 3, 3], 10),  # groups of 3 and 6 rows, side by side
+        ([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 47], 2000),  # sparse ties among untied rows
     ],
 )
 def test_rows_match_brute_force_row_for_row(values, bound):

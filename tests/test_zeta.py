@@ -391,15 +391,20 @@ def test_moment_sums_independent_of_slice(monkeypatch):
 
 @pytest.mark.parametrize("method, point", [(laplace_psi, 1.5 + 1e308j), (zeta_stieltjes, 1.5 + 1e308j),
                                            (zeta_dirichlet, np.array([2.0, 1.5 + 1e308j])),
-                                           (fourier_E1_boundary, 1e308)],
-                         ids=["laplace_psi", "zeta_stieltjes", "zeta_dirichlet", "fourier_E1_boundary"])
+                                           (fourier_E1_boundary, 1e308), (zeta_euler, 1.5 + 1e308j),
+                                           (neg_logderiv, np.array([2.0, 1.5 + 1e308j]))],
+                         ids=["laplace_psi", "zeta_stieltjes", "zeta_dirichlet", "fourier_E1_boundary",
+                              "zeta_euler", "neg_logderiv"])
 def test_table_transforms_reject_overflowing_phases(method, point):
     # |s| log B overflows though s is finite: a DomainError, not NaN with an
-    # overflow warning (an error under this suite's warning filter)
+    # overflow warning (an error under this suite's warning filter).  The Euler
+    # side's B is its reach, log p_max + POWER_REACH: there it would return a
+    # finite value whose phases carry no digits.
     table = table_for([2.0, 3.0], 1e3, a=1.0)
+    source = system([2.0, 3.0], 1e3) if method in (zeta_euler, neg_logderiv) else table
     with pytest.raises(DomainError, match="log B must be finite"):
-        method(table, point)
-    fine = method(table, 1e300 if method is fourier_E1_boundary else 2.0 + 1e300j)  # 1e300 log B is finite
+        method(source, point)
+    fine = method(source, 1e300 if method is fourier_E1_boundary else 2.0 + 1e300j)  # 1e300 log B is finite
     assert np.isfinite(getattr(fine, "value", fine))
 
 
