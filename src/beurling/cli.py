@@ -61,14 +61,6 @@ CSV_TABLES = {
 }
 
 
-def _s_grid_ok(sigma_lo, sigma_hi, t_lo, t_hi, bound) -> bool:
-    """A finite s-grid inside Re s > 1, where the Euler-product side converges,
-    with finite phases to that side's reach, below log B + POWER_REACH."""
-    reach = math.log(bound) + zeta.POWER_REACH
-    return (zeta.finite_grid(sigma_lo, sigma_hi, reach) and zeta.finite_grid(t_lo, t_hi, reach)
-            and min(sigma_lo, sigma_hi) > 1.0)
-
-
 class ConfigError(Exception):
     pass
 
@@ -101,7 +93,7 @@ class RunConfig:
         if cheb and not 1.0 < cheb["window_lo"] <= cheb["window_hi"] <= self.bound:
             raise ConfigError(f"[chebyshev] needs 1 < window_lo <= window_hi <= bound = {self.bound:g}")
         ident = self.params.get("identity")
-        if ident and not _s_grid_ok(**ident, bound=self.bound):
+        if ident and not zeta.s_grid_ok(**ident, log_bound=math.log(self.bound)):
             raise ConfigError("[identity] needs a finite grid with sigma_lo, sigma_hi > 1")
         bd = self.params.get("boundary")
         if bd and not zeta.scan_grid_ok(**bd, log_bound=math.log(self.bound)):
@@ -293,7 +285,7 @@ def gen(dump, **opts):
         counting.write_counting_csv(table, out / "counting.csv")
         stage["items"] = 1  # files
     _run_log(out, cfg, "gen")
-    click.echo(f"enumerated {len(en)} integers below {cfg.bound:g}")
+    click.echo(f"enumerated {len(en)} integers below {cfg.bound:.15g}")
 
 
 @main.command()
@@ -341,7 +333,8 @@ def check(checks_text, **opts):
 def zeta_sweep(sigma_lo, sigma_hi, sigma_steps, t_lo, t_hi, t_steps, **opts):
     """Evaluate zeta by all three methods on a grid and write zeta_sweep.csv."""
     cfg = _load(opts, "")
-    if not _s_grid_ok(sigma_lo, sigma_hi, t_lo, t_hi, cfg.bound) or min(sigma_steps, t_steps) < 1:
+    if (not zeta.s_grid_ok(sigma_lo, sigma_hi, t_lo, t_hi, math.log(cfg.bound))
+            or min(sigma_steps, t_steps) < 1):
         _fail("the sigma/t grid must be finite, in Re s > 1, with at least one step each", 2)
     out, primes, table = _prepare(cfg, sigma_steps * t_steps)
     sigmas, ts = np.linspace(sigma_lo, sigma_hi, sigma_steps), np.linspace(t_lo, t_hi, t_steps)
@@ -354,8 +347,9 @@ def zeta_sweep(sigma_lo, sigma_hi, sigma_steps, t_lo, t_hi, t_steps, **opts):
         counting.write_csv(out / "zeta_sweep.csv",
                            "sigma,t,euler_re,euler_im,euler_bound,stieltjes_re,stieltjes_im,"
                            "stieltjes_bound,dirichlet_re,dirichlet_im,dirichlet_bound",
-                           zip(grid.real, grid.imag, ze.re, ze.im, ze.truncation_bound, zs.re, zs.im,
-                               zs.truncation_bound, zd.re, zd.im, zd.truncation_bound))
+                           zip(grid.real, grid.imag, ze.value.real, ze.value.imag, ze.truncation_bound,
+                               zs.value.real, zs.value.imag, zs.truncation_bound,
+                               zd.value.real, zd.value.imag, zd.truncation_bound))
         stage["items"] = 1  # files
     _run_log(out, cfg, "zeta-sweep")
     click.echo(f"wrote {out / 'zeta_sweep.csv'}")

@@ -20,6 +20,14 @@ from . import semigroup
 from .semigroup import DEFAULT_MAX_INTEGERS, EnumerationResult
 from .systems import QUERY_EPS, PrimeSequence
 
+BLOCK = 1 << 16  # jumps per pass of a kernel over a jump list, which bounds its temporaries
+
+
+def check_density(a) -> None:
+    """The declared-density rule: a is None (no density), or finite and >= 0."""
+    if a is not None and not 0.0 <= a < math.inf:
+        raise ValueError("density a must be finite and non-negative")
+
 
 def _below(logs: np.ndarray, u) -> np.ndarray:
     """Number of jumps in ``logs`` with log value strictly below u (the strict lookup)."""
@@ -38,8 +46,7 @@ class CountingTable:
     cum_lambda: np.ndarray = field(init=False)  # Lambda summed over psi's first k jumps, k = 0..P
 
     def __post_init__(self):
-        if self.a is not None and not 0.0 <= self.a < math.inf:
-            raise ValueError("density a must be finite and non-negative")
+        check_density(self.a)
         if np.ndim(self.psi_logs) != 1 or np.shape(self.lambdas) != np.shape(self.psi_logs):
             raise ValueError("psi_logs and lambdas must be 1-d arrays of equal length")
         object.__setattr__(self, "cum_lambda", np.concatenate(([0.0], np.cumsum(self.lambdas))))

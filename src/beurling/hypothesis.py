@@ -14,9 +14,9 @@ Verdicts are labeled evidence: no finite enumeration proves convergence or a
 limit at infinity.  All integrand pieces are closed forms; N is constant
 between jumps and |c - ax| changes sign at most once per piece (at x = c/a),
 so each piece splits into at most two signed parts with antiderivative
--c/x - a log x.  The checks on N read the table's jumps one BLOCK at a time
-(:func:`_blocks`), so each holds O(BLOCK) floats plus its query points beside
-the table, and no value depends on BLOCK.
+-c/x - a log x.  The checks on N read the table's jumps ``counting.BLOCK``
+at a time (:func:`_blocks`), so each holds O(BLOCK) floats plus its query
+points beside the table, and no value depends on BLOCK.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import counting
 from .counting import CountingTable, _below
 
 CONVERGENT = "convergent-evidence"
@@ -41,7 +42,6 @@ CONVERGENT_FRAC = 0.01
 DECAY_RATIO = 0.5
 CHECKPOINTS = 48      # default checkpoints, geometric from 2 to the bound
 TREND_SAMPLES = 400   # little_o_trend's reported sample grid
-BLOCK = 65536         # pieces per block of the checks' passes over N's jumps
 
 
 @dataclass(frozen=True)
@@ -104,16 +104,14 @@ class OmegaReport:
 
 
 def _density(table: CountingTable) -> float:
-    """The table's declared density a, which every check on N needs."""
-    if table.a is None:
-        raise ValueError("this check requires a declared density a")
-    if not 0.0 < table.a < math.inf:
-        raise ValueError("density a must be positive and finite")
+    """The table's declared density a, which every check on N needs > 0 (the table holds it finite)."""
+    if not table.a:
+        raise ValueError("this check requires a declared density a > 0")
     return float(table.a)
 
 
 def _blocks(table: CountingTable, a: float):
-    """The checks' one pass over N's jumps, BLOCK pieces at a time.
+    """The checks' one pass over N's jumps, ``counting.BLOCK`` pieces at a time.
 
     Piece k is [x_k, x_{k+1}), with x_0 = 1 the unit and x_N = B, and N = k + 1
     on it.  For the pieces lo..hi-1 this yields (lo, u, x, n, h) at the jumps
@@ -124,8 +122,8 @@ def _blocks(table: CountingTable, a: float):
     on BLOCK, and a pass holds O(BLOCK) floats beside the table.
     """
     logs, total = table.jump_logs, table.total_count
-    for lo in range(0, total, BLOCK):
-        hi = min(lo + BLOCK, total)
+    for lo in range(0, total, counting.BLOCK):
+        hi = min(lo + counting.BLOCK, total)
         u = logs[lo : hi + 1] if hi < total else np.append(logs[lo:], table.log_bound)
         x = np.exp(u)
         n = np.arange(lo, hi + 1, dtype=float)
@@ -284,11 +282,6 @@ def _dyadic_edges(bound: float):
     return edges[::-1]
 
 
-def _window_sups(vals, starts, ends):
-    """Max of vals[i:j] for each (i, j) of ``starts`` and ``ends`` (0.0 if empty)."""
-    return [float(np.max(vals[i:j])) if j > i else 0.0 for i, j in zip(starts, ends)]
-
-
 def little_o_trend(table: CountingTable) -> TrendReport:
     """Trend of D(x) = log(x)|N(x) - ax|/x against the o(x/log x) hypothesis.
 
@@ -378,7 +371,8 @@ def omega_lemma_check(omega, x_max: float, checkpoints=None) -> OmegaReport:
     pts, verdict, _ = _evidence(partial, x_max, checkpoints)
     edges = _dyadic_edges(x_max)
     cuts = np.searchsorted(np.exp(us), edges, side="right")
-    sups = _window_sups(w * us, cuts[:-1], cuts[1:])
+    wu = w * us
+    sups = [float(np.max(wu[i:j])) if j > i else 0.0 for i, j in zip(cuts[:-1], cuts[1:])]
     decaying = _decaying(sups)
     contradiction = verdict == CONVERGENT and not decaying
     return OmegaReport(pts, verdict, tuple(zip(edges, edges[1:], sups)), decaying, contradiction)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import counting
 from .counting import CountingTable
 from .errors import DomainError
 from .semigroup import _prime_powers
@@ -29,11 +30,9 @@ from .systems import PrimeSequence
 TAYLOR_TERMS = 20  # series terms per run of jumps in _moment_sum
 KERNEL_CELLS = 1 << 14  # points x runs (or x terms) evaluated at once
 DIRECT_RUNS = 0.25  # runs past this share of the terms are summed term by term
-SLICE = 1 << 16  # jumps per pass of _moment_sum, widened to whole runs
 PRIME_RUNS = 1 / 32  # the Euler side's kernel cuts as many runs as this share of the primes
 POWER_REACH = 37.0  # the Euler side's list keeps p^k up to k log p = log p_max + 37
 MAX_POWERS = 128  # primes with more powers in reach are summed in closed form
-LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -43,14 +42,6 @@ class ZetaResult:
     value: complex | np.ndarray
     truncation_bound: float | np.ndarray
     tail_model: str  # density | finite | none
-
-    @property
-    def re(self) -> float | np.ndarray:
-        return self.value.real
-
-    @property
-    def im(self) -> float | np.ndarray:
-        return self.value.imag
 
 
 def _require_halfplane(s, least: float, reach: float):
@@ -89,10 +80,10 @@ def _stieltjes_sum(table: CountingTable, u, w, total, s):
 
 def _run_starts(u, r, limit):
     """The index of the first jump of each run of ``u`` where floor(u r) is
-    constant, or None once the runs outnumber ``limit``; SLICE jumps at a time."""
+    constant, or None once the runs outnumber ``limit``; ``counting.BLOCK`` jumps at a time."""
     starts, count, last = [], 0, math.nan
-    for lo in range(0, u.size, SLICE):
-        cell = u[lo : lo + SLICE] * r
+    for lo in range(0, u.size, counting.BLOCK):
+        cell = u[lo : lo + counting.BLOCK] * r
         np.floor(cell, out=cell)
         first = np.empty(cell.size, dtype=bool)
         first[0] = cell[0] != last
@@ -118,10 +109,10 @@ def _moment_sum(u, w, s, r):
     the moments would cost more than they save, and the jumps are summed
     term by term instead; :func:`_run_starts` stops as soon as they do, so it
     keeps no more starts than the moments would.  The moments are taken over
-    slices of whole runs, about SLICE jumps each (one run, if it is longer),
-    so no run is split and each moment sums its run as one ``np.add.reduceat``
-    segment: a call holds O(SLICE) floats plus the longest run, beside its
-    starts and moments.
+    slices of whole runs, about ``counting.BLOCK`` jumps each (one run, if it
+    is longer), so no run is split and each moment sums its run as one
+    ``np.add.reduceat`` segment: a call holds O(BLOCK) floats plus the longest
+    run, beside its starts and moments.
     """
     starts = _run_starts(u, r, DIRECT_RUNS * u.size)
     if starts is None:
@@ -135,7 +126,7 @@ def _moment_sum(u, w, s, r):
     moments = np.empty((TAYLOR_TERMS, c.size))
     i = 0
     while i < c.size:  # the runs i..j-1, jumps lo..hi-1
-        j = max(i + 1, int(np.searchsorted(starts, starts[i] + SLICE)))
+        j = max(i + 1, int(np.searchsorted(starts, starts[i] + counting.BLOCK)))
         lo, hi = ends[i], ends[j]
         d = np.repeat(c[i:j], np.diff(ends[i : j + 1]))
         np.subtract(u[lo:hi], d, out=d)  # u_k - c over each run
@@ -200,7 +191,7 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     """log zeta (``log_zeta``, and then its exp) or -zeta'/zeta at a point (a
     complex) or at each point of an array (an array), with its tail model:
     finite (exhaustive list), none (no a), or density, bounded by
-    ``density_bound(s, value)``.
+    ``density_bound(s, value)``.  A density off ``counting.check_density`` raises ValueError.
 
     With reach = log p_max + POWER_REACH, the kernel's runs are 1/r wide for
     r * reach = PRIME_RUNS times the number of primes, a width set by the
@@ -217,6 +208,7 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     over the primes; each of its points then costs Horner steps over at most
     PRIME_RUNS of the primes' count of runs.  r is about 48 at 10^6, 390 at 10^7.
     """
+    counting.check_density(a)
     logs = primes.logs
     reach = float(logs[-1]) + POWER_REACH if logs.size else 1.0
     s = _require_halfplane(s, 1.0, reach)  # the phases of every p^{-ks} it sums
@@ -247,7 +239,7 @@ def _per_prime(logs, s, log_zeta: bool):
     1 - t = -expm1(-s log p).  So every term is good to a few ulps of its
     modulus, and the log's imaginary part needs no unwrapping.
     """
-    below, above = np.split(logs, [np.searchsorted(logs, LN2)])
+    below, above = np.split(logs, [np.searchsorted(logs, math.log(2.0))])
 
     def below_two(x, cols):
         x = x * below[cols]  # -s log p
@@ -426,6 +418,14 @@ class BoundaryScan:
 def finite_grid(lo: float, hi: float, log_bound: float) -> bool:
     """Whether np.linspace(lo, hi, n) and its phases t log B stay finite (not NaN)."""
     return math.isfinite(hi - lo) and math.isfinite(max(abs(lo), abs(hi)) * log_bound)
+
+
+def s_grid_ok(sigma_lo: float, sigma_hi: float, t_lo: float, t_hi: float, log_bound: float) -> bool:
+    """The s-grid rule of ``identity_check`` and the zeta sweep: a finite grid in Re s > 1,
+    where the Euler side converges, with finite phases to its reach, log B + POWER_REACH."""
+    reach = log_bound + POWER_REACH
+    return (finite_grid(sigma_lo, sigma_hi, reach) and finite_grid(t_lo, t_hi, reach)
+            and min(sigma_lo, sigma_hi) > 1.0)
 
 
 def scan_grid_ok(t_max: float, points: int, floor: float, log_bound: float) -> bool:

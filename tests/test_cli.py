@@ -49,6 +49,16 @@ def test_gen_small_system(runner, tmp_path):
     assert (tmp_path / "o" / "run.log").exists()
 
 
+def test_gen_prints_the_bound_it_used(runner, tmp_path):
+    # to 15 digits, so a bound just above 1 does not print as 1
+    res = runner.invoke(main, [
+        "gen", "--variant", "explicit-list", "--params", "2",
+        "--bound", "1.0000001", "--out", str(tmp_path / "o"),
+    ])
+    assert res.exit_code == 0, res.output
+    assert res.output == "enumerated 1 integers below 1.0000001\n"
+
+
 def test_gen_dump_matches_oracle_on_ties(runner, tmp_path):
     res = runner.invoke(main, [
         "gen", "--variant", "explicit-list", "--params", "2,2,3",
@@ -341,10 +351,10 @@ def test_zeta_sweep_rows_match_point_calls(runner, tmp_path):
         sigma, t, *cells = map(float, line.split(","))
         s = complex(sigma, t)
         ze = zeta.zeta_euler(primes, s, 0.5)
-        assert cells[:2] == [ze.re, ze.im]  # one exp pass per point, array or not
+        assert cells[:2] == [ze.value.real, ze.value.imag]  # one exp pass per point, array or not
         want = [ze.truncation_bound]
         for zr in (zeta.zeta_stieltjes(table, s), zeta.zeta_dirichlet(table, s)):
-            want += [zr.re, zr.im, zr.truncation_bound]
+            want += [zr.value.real, zr.value.imag, zr.truncation_bound]
         # the table sums cut their jumps into runs by the grid's largest |s|
         assert cells[2:] == pytest.approx(want, rel=1e-13, abs=1e-13)
 

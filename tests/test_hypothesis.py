@@ -16,7 +16,7 @@ from beurling import (
     tail_sup,
     zhang_condition,
 )
-from beurling import hypothesis
+from beurling import counting, hypothesis
 from beurling.hypothesis import (
     CONSISTENT,
     CONVERGENT,
@@ -412,13 +412,13 @@ def test_integral_reports_independent_of_block(rational_2000, monkeypatch):
     # integers), one block short of N(B), and one block past it; on the
     # single prime 2 with a small a the edge jumps' one-sided limits set
     # little-o's window sups
-    default = hypothesis.BLOCK
+    default = counting.BLOCK
     single = build_table_from_system(materialize(PrimeSystemSpec.single(2.0), 2.0**12), 2.0**12, 1e-3)
     for table in (rational_2000, table_for([2.0, 2.0, 3.0], 3000.0, a=1.0), single):
-        monkeypatch.setattr(hypothesis, "BLOCK", default)
+        monkeypatch.setattr(counting, "BLOCK", default)
         want = _checks_on_n(table)
         for block in (7, table.total_count - 1, table.total_count + 5):
-            monkeypatch.setattr(hypothesis, "BLOCK", block)
+            monkeypatch.setattr(counting, "BLOCK", block)
             assert _checks_on_n(table) == want, block
 
 

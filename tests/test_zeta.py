@@ -22,7 +22,7 @@ from beurling import (
     zeta_euler,
     zeta_stieltjes,
 )
-from beurling import zeta
+from beurling import counting, zeta
 from beurling.zeta import _stieltjes_sum
 
 EULER_GAMMA = 0.5772156649015329
@@ -71,6 +71,18 @@ def test_euler_side_tail_models(euler_side):
     assert density.tail_model == "density"
     assert 0.0 < density.truncation_bound < 0.01
     assert density.value == none.value
+
+
+@pytest.mark.parametrize("method", [zeta_euler, neg_logderiv, g_eval], ids=lambda f: f.__name__)
+def test_euler_side_refuses_density_off_the_rule(method):
+    # the table's density rule; off it the tail bound would be negative, NaN
+    # or infinite, and g_eval's a/(s-1) infinite
+    primes = materialize(PrimeSystemSpec.rational(), 1e3)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="density"):
+            method(primes, 2.0, a=bad)
+    zero = method(primes, 2.0, a=0.0)
+    assert zero.tail_model == "density" and zero.truncation_bound == 0.0
 
 
 @pytest.mark.parametrize("method", [zeta_euler, neg_logderiv, g_eval], ids=lambda f: f.__name__)
@@ -382,9 +394,9 @@ def test_moment_sums_independent_of_slice(monkeypatch):
         return (fourier_E1_boundary(table, ts), zeta_stieltjes(table, s).value,
                 neg_logderiv(primes, s).value)
 
-    monkeypatch.setattr(zeta, "SLICE", table.total_count + 1)
+    monkeypatch.setattr(counting, "BLOCK", table.total_count + 1)
     whole = values()
-    monkeypatch.setattr(zeta, "SLICE", 3)
+    monkeypatch.setattr(counting, "BLOCK", 3)
     for got, want in zip(values(), whole):
         assert np.array_equal(got, want)
 
