@@ -5,7 +5,7 @@ default), with each check's parameters in the INI section named after it; all
 of it is resolved and range-checked before any file is written.  ``check``
 runs the requested checks through one loop over the ``CHECKS`` table.  Data
 files are deterministic; run.log alone records the wall-clock time, with one
-JSON line per stage (``_stage``).
+JSON line per stage (``_stage``) and one for the command (``_run_log``).
 
 Exit codes: 0 success, 1 check found the Laplace identity violated, 2 bad
 configuration, 3 over capacity.
@@ -48,6 +48,7 @@ CHECKS = {
         table, cfg.params["chebyshev"]["window_lo"], cfg.params["chebyshev"]["window_hi"]),
     "identity": _identity,
     "boundary": lambda cfg, primes, table: zeta.boundary_scan(table, **cfg.params["boundary"]),
+    "zeta": lambda cfg, primes, table: zeta.zeta_sweep(table, primes, **cfg.params["zeta"]),
 }
 CHECKS_NEEDING_A = {"l1", "zhang", "little-o", "boundary"}
 
@@ -58,6 +59,10 @@ CSV_TABLES = {
                               for sigma, t, lap, rhs, diff, allowance in rep.rows)),
     "boundary": ("boundary.csv", "t,G_re,G_im,G_abs",
                  lambda scan: ((t, v.real, v.imag, abs(v)) for t, v in zip(scan.ts, scan.values))),
+    "zeta": ("zeta_sweep.csv", "sigma,t,euler_re,euler_im,euler_bound,stieltjes_re,stieltjes_im,"
+             "stieltjes_bound,dirichlet_re,dirichlet_im,dirichlet_bound",
+             lambda sweep: zip(sweep.s.real, sweep.s.imag, *(col for zr in sweep.methods for col in
+                                                              (zr.value.real, zr.value.imag, zr.truncation_bound)))),
 }
 
 
@@ -90,11 +95,12 @@ class RunConfig:
         if not 1 <= self.max_integers <= semigroup.MAX_ROWS:
             raise ConfigError(f"max_integers must be in [1, {semigroup.MAX_ROWS}], got {self.max_integers}")
         cheb = self.params.get("chebyshev")
-        if cheb and not 1.0 < cheb["window_lo"] <= cheb["window_hi"] <= self.bound:
+        if cheb and not hypothesis.window_ok(cheb["window_lo"], cheb["window_hi"], self.bound):
             raise ConfigError(f"[chebyshev] needs 1 < window_lo <= window_hi <= bound = {self.bound:g}")
-        ident = self.params.get("identity")
-        if ident and not zeta.s_grid_ok(**ident, log_bound=math.log(self.bound)):
-            raise ConfigError("[identity] needs a finite grid with sigma_lo, sigma_hi > 1")
+        for name in ("identity", "zeta"):
+            grid = self.params.get(name)
+            if grid and not zeta.s_grid_ok(**grid, log_bound=math.log(self.bound)):
+                raise ConfigError(f"[{name}] needs a finite grid with sigma_lo, sigma_hi > 1")
         bd = self.params.get("boundary")
         if bd and not zeta.scan_grid_ok(**bd, log_bound=math.log(self.bound)):
             raise ConfigError("[boundary] needs 0 < t_max on a finite grid, points >= 2 and floor >= 0")
@@ -135,6 +141,7 @@ def load_config(config_path, overrides) -> RunConfig:
     defaults = {
         "chebyshev": {"window_lo": min(2.0, bound), "window_hi": bound},
         "identity": {"sigma_lo": 1.5, "sigma_hi": 3.0, "t_lo": -5.0, "t_hi": 5.0},
+        "zeta": {"sigma_lo": 1.5, "sigma_hi": 3.0, "t_lo": -5.0, "t_hi": 5.0},
         "boundary": {"t_max": 5.0, "points": 201, "floor": 1e-3},
     }
     return RunConfig(
@@ -175,8 +182,12 @@ def _stage(out: Path, name: str):
     after = resource.getrusage(resource.RUSAGE_SELF)
     line.update(wall_s=round(time.perf_counter() - start, 6), peak_rss_mb=round(after.ru_maxrss / 1024.0, 1),
                 minor_faults=after.ru_minflt - before.ru_minflt)
+    _log_line(out, line)
+
+
+def _log_line(out: Path, obj: dict) -> None:
     with open(out / "run.log", "a") as fh:
-        fh.write(json.dumps(line, sort_keys=True) + "\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _primes(cfg: RunConfig):
@@ -187,19 +198,6 @@ def _primes(cfg: RunConfig):
         primes = materialize(cfg.spec, cfg.bound)
         stage["items"] = len(primes)
     return out, primes
-
-
-def _prepare(cfg: RunConfig, grid_points: int):
-    """The output directory, the primes and their counting table.  A grid of
-    ``grid_points`` past max_integers exits 3 before anything is built."""
-    if grid_points > cfg.max_integers:
-        _fail(f"a grid of {grid_points} points exceeds max_integers = {cfg.max_integers}", 3)
-    out, primes = _primes(cfg)
-    with _stage(out, "build") as stage:
-        table = _within_capacity(counting.build_table_from_system, primes, cfg.bound, cfg.density_a,
-                                 cfg.max_integers)
-        stage["items"] = table.total_count
-    return out, primes, table
 
 
 def _write_json(path: Path, obj) -> None:
@@ -253,9 +251,8 @@ def _load(opts: dict, checks) -> RunConfig:
 
 
 def _run_log(out: Path, cfg: RunConfig, command: str) -> None:
-    with open(out / "run.log", "a") as fh:
-        fh.write(f"{time.strftime('%Y-%m-%dT%H:%M:%S%z')} {command} "
-                 f"variant={cfg.spec.variant} bound={cfg.bound} checks={','.join(cfg.checks)}\n")
+    _log_line(out, {"time": time.strftime("%Y-%m-%dT%H:%M:%S%z"), "command": command,
+                    "variant": cfg.spec.variant, "bound": cfg.bound, "checks": list(cfg.checks)})
 
 
 @click.group()
@@ -298,7 +295,14 @@ def check(checks_text, **opts):
     cfg = _load(opts, checks_text or None)
     if not cfg.checks:
         _fail("no checks requested", 2)
-    out, primes, table = _prepare(cfg, cfg.params.get("boundary", {}).get("points", 0))
+    points = cfg.params.get("boundary", {}).get("points", 0)
+    if points > cfg.max_integers:  # refused before anything is built
+        _fail(f"a grid of {points} points exceeds max_integers = {cfg.max_integers}", 3)
+    out, primes = _primes(cfg)
+    with _stage(out, "build") as stage:
+        table = _within_capacity(counting.build_table_from_system, primes, cfg.bound, cfg.density_a,
+                                 cfg.max_integers)
+        stage["items"] = table.total_count
     parameters = {"variant": cfg.spec.variant, "params": list(cfg.spec.params),
                   "bound": cfg.bound, "density_a": cfg.density_a}
     reports = {}
@@ -320,39 +324,6 @@ def check(checks_text, **opts):
         click.echo(f"{name}: {rep['verdict']}")
     if reports.get("identity", {}).get("verdict") == "fail":
         sys.exit(1)
-
-
-@main.command(name="zeta-sweep")
-@common_options
-@click.option("--sigma-lo", type=float, default=1.5)
-@click.option("--sigma-hi", type=float, default=3.0)
-@click.option("--sigma-steps", type=int, default=7)
-@click.option("--t-lo", type=float, default=-5.0)
-@click.option("--t-hi", type=float, default=5.0)
-@click.option("--t-steps", type=int, default=5)
-def zeta_sweep(sigma_lo, sigma_hi, sigma_steps, t_lo, t_hi, t_steps, **opts):
-    """Evaluate zeta by all three methods on a grid and write zeta_sweep.csv."""
-    cfg = _load(opts, "")
-    if (not zeta.s_grid_ok(sigma_lo, sigma_hi, t_lo, t_hi, math.log(cfg.bound))
-            or min(sigma_steps, t_steps) < 1):
-        _fail("the sigma/t grid must be finite, in Re s > 1, with at least one step each", 2)
-    out, primes, table = _prepare(cfg, sigma_steps * t_steps)
-    sigmas, ts = np.linspace(sigma_lo, sigma_hi, sigma_steps), np.linspace(t_lo, t_hi, t_steps)
-    grid = (sigmas[:, None] + 1j * ts).ravel()
-    with _stage(out, "zeta") as stage:
-        ze, zs, zd = (zeta.zeta_euler(primes, grid, cfg.density_a), zeta.zeta_stieltjes(table, grid),
-                      zeta.zeta_dirichlet(table, grid))
-        stage["items"] = grid.size
-    with _stage(out, "write") as stage:
-        counting.write_csv(out / "zeta_sweep.csv",
-                           "sigma,t,euler_re,euler_im,euler_bound,stieltjes_re,stieltjes_im,"
-                           "stieltjes_bound,dirichlet_re,dirichlet_im,dirichlet_bound",
-                           zip(grid.real, grid.imag, ze.value.real, ze.value.imag, ze.truncation_bound,
-                               zs.value.real, zs.value.imag, zs.truncation_bound,
-                               zd.value.real, zd.value.imag, zd.truncation_bound))
-        stage["items"] = 1  # files
-    _run_log(out, cfg, "zeta-sweep")
-    click.echo(f"wrote {out / 'zeta_sweep.csv'}")
 
 
 @main.command()

@@ -285,12 +285,13 @@ def _dyadic_edges(bound: float):
 def little_o_trend(table: CountingTable) -> TrendReport:
     """Trend of D(x) = log(x)|N(x) - ax|/x against the o(x/log x) hypothesis.
 
-    The extrema of |N - ax| on a piece sit at its endpoints, so each window
-    (lo, hi]'s sup is the larger of log(x) h at the jumps x inside it (both
-    one-sided limits) and D at hi itself; no grid density tuning affects
-    them, and the geometric grid is only the reported sample series.  Under
-    the strict convention a jump on an edge gives its left limit to the
-    window below and its right limit to the window above.
+    For x >= e, D falls on a piece where N > ax and rises where N < ax, so
+    each window (lo, hi] with lo >= e has its sup in log(x) h at the jumps x
+    inside it (both one-sided limits), D at hi itself and the right limit
+    D(lo+); no grid density affects them, and the geometric grid is only the
+    reported sample series.  Under the strict convention a jump on an edge
+    gives its left limit to the window below and its right limit to the
+    window above.  Below e, D can peak inside a piece, past these endpoints.
     """
     a = _density(table)
 
@@ -300,9 +301,9 @@ def little_o_trend(table: CountingTable) -> TrendReport:
     edges = _dyadic_edges(table.bound)
     # Over the jumps x_1..x_N (x_N = B, with its left limit): first[i] of them lie
     # below edge i and past[i] at or below it, so first < past puts jumps on the
-    # edge, the first of them with log u_edge[i]; inside[i] is the largest
-    # log(x) h strictly inside window i.  Membership goes by value, so each
-    # block's own searchsorted finds its share.
+    # edge, the first of them with log u_edge[i], and N is past[i] + 1 just right
+    # of the edge; inside[i] is the largest log(x) h strictly inside window i.
+    # Membership goes by value, so each block's own searchsorted finds its share.
     first, past = np.zeros(len(edges), dtype=np.intp), np.zeros(len(edges), dtype=np.intp)
     u_edge, inside = np.full(len(edges), math.nan), np.zeros(len(edges) - 1)
     for _, u, x, _, h in _blocks(table, a):
@@ -315,8 +316,9 @@ def little_o_trend(table: CountingTable) -> TrendReport:
         first += below
         past += upto
     on_edge = first < past
-    u_on, x_on = np.where(on_edge, u_edge, 0.0), np.where(on_edge, edges, 1.0)
-    left, right = (u_on * abs((n + 1.0) / x_on - a) for n in (first, past))
+    u_on = np.where(on_edge, u_edge, np.log(edges))
+    left, right = (u_on * abs((n + 1.0) / edges - a) for n in (first, past))
+    left[~on_edge] = 0.0  # the left limit only of a jump on the edge
     sups = list(map(max, inside.tolist(), d(np.array(edges[1:])).tolist(),
                     left[1:].tolist(), right[:-1].tolist()))
     if len(sups) < 4:
@@ -378,6 +380,11 @@ def omega_lemma_check(omega, x_max: float, checkpoints=None) -> OmegaReport:
     return OmegaReport(pts, verdict, tuple(zip(edges, edges[1:], sups)), decaying, contradiction)
 
 
+def window_ok(x_lo: float, x_hi: float, bound: float) -> bool:
+    """The Chebyshev window rule: 1 < x_lo <= x_hi <= bound."""
+    return 1.0 < x_lo <= x_hi <= bound
+
+
 def chebyshev_verdict(table: CountingTable, x_lo: float, x_hi: float) -> ChebyshevReport:
     """Min and max of psi(x)/x over [x_lo, x_hi].
 
@@ -388,10 +395,8 @@ def chebyshev_verdict(table: CountingTable, x_lo: float, x_hi: float) -> Chebysh
     x_hi lies outside the window, and its left limit is the endpoint value.
     """
     x_lo, x_hi = float(x_lo), float(x_hi)
-    if x_lo > x_hi:
-        raise ValueError("empty window")
-    if not (1.0 < x_lo and x_hi <= table.bound):
-        raise ValueError(f"window must lie in (1, bound={table.bound}]")
+    if not window_ok(x_lo, x_hi, table.bound):
+        raise ValueError("empty window" if x_lo > x_hi else f"window must lie in (1, bound={table.bound}]")
     i, j = _below(table.psi_logs, np.log([x_lo, x_hi]))
     xj = np.exp(table.psi_logs[i:j])
     pref = table.cum_lambda[i + 1 : j + 1]  # psi just after each jump

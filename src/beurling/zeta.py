@@ -355,6 +355,29 @@ def identity_check(table: CountingTable, primes: PrimeSequence, sigmas, ts) -> I
                           float(np.max(diff - allowance, initial=0.0)))
 
 
+@dataclass(frozen=True)
+class ZetaSweep:
+    """zeta by three methods on an s-grid, and the largest |difference| between two of them."""
+
+    s: np.ndarray
+    methods: tuple  # (euler, stieltjes, dirichlet) ZetaResults
+    max_gap: float
+
+    def to_dict(self):
+        return {"verdict": f"max-method-gap={self.max_gap:.6g}", "grid_points": self.s.size}
+
+
+def zeta_sweep(table: CountingTable, primes: PrimeSequence, sigma_lo: float, sigma_hi: float,
+               t_lo: float, t_hi: float) -> ZetaSweep:
+    """:func:`zeta_euler` (with the table's density), :func:`zeta_stieltjes` and :func:`zeta_dirichlet`,
+    one call each, on the 7 x 5 grid of sigma in [sigma_lo, sigma_hi] and t in [t_lo, t_hi]."""
+    s = (np.linspace(sigma_lo, sigma_hi, 7)[:, None] + 1j * np.linspace(t_lo, t_hi, 5)).ravel()
+    methods = (zeta_euler(primes, s, table.a), zeta_stieltjes(table, s), zeta_dirichlet(table, s))
+    e, st, d = (zr.value for zr in methods)
+    gaps = np.array([e - st, e - d, st - d])
+    return ZetaSweep(s, methods, float(np.max(np.hypot(gaps.real, gaps.imag))))
+
+
 def g_eval(source, s, a: float | None = None) -> ZetaResult:
     """G(s) = zeta(s) - a/(s-1), direct region Re s > 1, at a point or an array.
 
@@ -421,7 +444,7 @@ def finite_grid(lo: float, hi: float, log_bound: float) -> bool:
 
 
 def s_grid_ok(sigma_lo: float, sigma_hi: float, t_lo: float, t_hi: float, log_bound: float) -> bool:
-    """The s-grid rule of ``identity_check`` and the zeta sweep: a finite grid in Re s > 1,
+    """The s-grid rule of ``identity_check`` and ``zeta_sweep``: a finite grid in Re s > 1,
     where the Euler side converges, with finite phases to its reach, log B + POWER_REACH."""
     reach = log_bound + POWER_REACH
     return (finite_grid(sigma_lo, sigma_hi, reach) and finite_grid(t_lo, t_hi, reach)

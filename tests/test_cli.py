@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -129,12 +130,12 @@ def test_check_all_reports_and_summary(runner, tmp_path):
     res = runner.invoke(main, [
         "check", "--variant", "rational-primes", "--bound", "10000",
         "--density-a", "1",
-        "--checks", "l1,zhang,little-o,chebyshev,identity,boundary",
+        "--checks", "l1,zhang,little-o,chebyshev,identity,boundary,zeta",
         "--out", str(out),
     ])
     assert res.exit_code == 0, res.output
     summary = read_json(out / "summary.json")
-    for name in ("l1", "zhang", "little-o", "chebyshev", "identity", "boundary"):
+    for name in ("l1", "zhang", "little-o", "chebyshev", "identity", "boundary", "zeta"):
         rep = read_json(out / f"report-{name}.json")
         assert rep["check"] == name
         assert summary["verdicts"][name] == rep["verdict"]
@@ -143,28 +144,32 @@ def test_check_all_reports_and_summary(runner, tmp_path):
     assert "ratio_min" in summary["verdicts"]["chebyshev"]
     assert (out / "identity.csv").exists()
     assert (out / "boundary.csv").exists()
-
+    assert (out / "zeta_sweep.csv").exists()
 
 
 @pytest.mark.parametrize("argv, stages", [
     (["gen", "--bound", "50"], ["materialize", "enumerate", "dump", "build", "write"]),
     (["check", "--bound", "50", "--density-a", "1", "--checks", "l1,boundary"],
      ["materialize", "build", "check l1", "check boundary", "write"]),
-    (["zeta-sweep", "--bound", "50", "--density-a", "1", "--sigma-steps", "2", "--t-steps", "3"],
-     ["materialize", "build", "zeta", "write"]),
-], ids=["gen", "check", "zeta-sweep"])
+    (["check", "--bound", "50", "--density-a", "1", "--checks", "zeta"],
+     ["materialize", "build", "check zeta", "write"]),
+], ids=["gen", "check", "check-zeta"])
 def test_run_log_has_one_line_per_stage(runner, tmp_path, argv, stages):
     out = tmp_path / "o"
     res = runner.invoke(main, argv + ["--variant", "explicit-list", "--params", "2,2,3", "--out", str(out)])
     assert res.exit_code == 0, res.output
-    lines = [json.loads(line) for line in (out / "run.log").read_text().splitlines() if line.startswith("{")]
+    logged = [json.loads(line) for line in (out / "run.log").read_text().splitlines()]
+    lines = [line for line in logged if "stage" in line]
     assert [line["stage"] for line in lines] == stages
+    assert logged[-1]["command"] == argv[0] and logged[-1]["bound"] == 50.0
+    assert set(logged[-1]) == {"time", "command", "variant", "bound", "checks"}
     for line in lines:
         assert set(line) == {"stage", "items", "wall_s", "peak_rss_mb", "minor_faults"}
         assert line["wall_s"] >= 0 and line["peak_rss_mb"] > 0 and line["minor_faults"] >= 0
     items = {line["stage"]: line["items"] for line in lines}
     assert items["materialize"] == 3 and items["build"] == 43  # the primes, N(50)
-    assert items["write"] == {"gen": 1, "check": 2, "zeta-sweep": 1}[argv[0]]  # files
+    assert items["write"] == {"gen": 1, "check": 2}[argv[0]]  # files
+
 
 def test_check_reruns_byte_identical(runner, tmp_path):
     args = [
@@ -181,8 +186,7 @@ def test_check_reruns_byte_identical(runner, tmp_path):
 @pytest.mark.parametrize("argv, ini", [
     (["gen", "--max-integers", "5"], ""),
     (["check", "--checks", "boundary", "--density-a", "1"], "[boundary]\npoints = 1000000000000\n"),
-    (["zeta-sweep", "--sigma-steps", "1000000", "--t-steps", "1000000"], ""),
-], ids=["enumeration", "boundary-grid", "sweep-grid"])
+], ids=["enumeration", "boundary-grid"])
 def test_capacity_exit_code(runner, tmp_path, argv, ini):
     # a grid of more points than max_integers is refused before the table is built
     cfg = tmp_path / "run.ini"
@@ -230,12 +234,12 @@ BAD_INPUTS = [
     ("window-past-bound", ["check", "--checks", "chebyshev"],
      _system_ini() + "[chebyshev]\nwindow_lo = 5e3\n"),
     ("identity-sigma", ["check", "--checks", "identity"], _system_ini() + "[identity]\nsigma_lo = 1.0\n"),
-    ("sweep-sigma", ["zeta-sweep", "--sigma-hi", "0.5"], _system_ini()),
+    ("zeta-sigma", ["check", "--checks", "zeta"], _system_ini() + "[zeta]\nsigma_hi = 0.5\n"),
     ("boundary-points", ["check", "--checks", "boundary"], _system_ini() + "[boundary]\npoints = 0\n"),
     # spans past the float range, which np.linspace would fill with NaN
     ("identity-t-overflow", ["check", "--checks", "identity"],
      _system_ini() + "[identity]\nt_lo = -1e308\nt_hi = 1e308\n"),
-    ("sweep-t-overflow", ["zeta-sweep", "--t-lo", "-1e308", "--t-hi", "1e308"], _system_ini()),
+    ("zeta-t-overflow", ["check", "--checks", "zeta"], _system_ini() + "[zeta]\nt_lo = -1e308\nt_hi = 1e308\n"),
     # t log B is finite, but not the Euler side's phases t (log p_max + POWER_REACH)
     ("identity-t-past-euler-reach", ["check", "--checks", "identity"],
      _system_ini() + "[identity]\nt_lo = 0\nt_hi = 1e307\n"),
@@ -286,7 +290,7 @@ def test_demo_configs_load_and_validate():
     assert paths
     for path in paths:
         cfg = load_config(path, {})
-        assert set(cfg.params) == set(cfg.checks) & {"chebyshev", "identity", "boundary"}
+        assert set(cfg.params) == set(cfg.checks) & {"chebyshev", "identity", "boundary", "zeta"}
 
 
 def test_readme_command_block_matches_cli():
@@ -320,13 +324,12 @@ def test_missing_config_file(runner, tmp_path):
 def test_zeta_sweep(runner, tmp_path):
     out = tmp_path / "o"
     res = runner.invoke(main, [
-        "zeta-sweep", "--variant", "explicit-list", "--params", "2,3",
+        "check", "--checks", "zeta", "--variant", "explicit-list", "--params", "2,3",
         "--bound", "1000", "--density-a", "0.2", "--out", str(out),
-        "--sigma-steps", "3", "--t-steps", "3",
     ])
     assert res.exit_code == 0, res.output
     lines = (out / "zeta_sweep.csv").read_text().splitlines()
-    assert len(lines) == 1 + 9
+    assert len(lines) == 1 + 35
     header = lines[0].split(",")
     assert header[:2] == ["sigma", "t"]
     row = dict(zip(header, map(float, lines[1].split(","))))
@@ -334,21 +337,26 @@ def test_zeta_sweep(runner, tmp_path):
     gap = math.hypot(row["euler_re"] - row["stieltjes_re"],
                      row["euler_im"] - row["stieltjes_im"])
     assert gap <= row["euler_bound"] + row["stieltjes_bound"] + 1e-9
+    assert set(strip_log(out)) == {"zeta_sweep.csv", "report-zeta.json", "counting.csv", "summary.json"}
 
 
 def test_zeta_sweep_rows_match_point_calls(runner, tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[zeta]\nsigma_lo = 1.2\nsigma_hi = 2.5\nt_lo = -3\nt_hi = 7\n")
     out = tmp_path / "o"
     res = runner.invoke(main, [
-        "zeta-sweep", "--variant", "explicit-list", "--params", "2,3,5", "--bound", "3000",
-        "--density-a", "0.5", "--out", str(out), "--sigma-steps", "3", "--t-steps", "4",
+        "check", "--checks", "zeta", "--config", str(cfg), "--variant", "explicit-list",
+        "--params", "2,3,5", "--bound", "3000", "--density-a", "0.5", "--out", str(out),
     ])
     assert res.exit_code == 0, res.output
     lines = (out / "zeta_sweep.csv").read_text().splitlines()
-    assert len(lines) == 1 + 12
+    assert len(lines) == 1 + 35
     primes = materialize(PrimeSystemSpec.explicit([2, 3, 5]), 3000)
     table = counting.build_table_from_system(primes, 3000, 0.5)
-    for line in lines[1:]:
+    grid = [(sigma, t) for sigma in np.linspace(1.2, 2.5, 7) for t in np.linspace(-3, 7, 5)]
+    for line, (sigma_want, t_want) in zip(lines[1:], grid):
         sigma, t, *cells = map(float, line.split(","))
+        assert (sigma, t) == (sigma_want, t_want)
         s = complex(sigma, t)
         ze = zeta.zeta_euler(primes, s, 0.5)
         assert cells[:2] == [ze.value.real, ze.value.imag]  # one exp pass per point, array or not
@@ -359,12 +367,31 @@ def test_zeta_sweep_rows_match_point_calls(runner, tmp_path):
         assert cells[2:] == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
+def test_zeta_report_gap_matches_csv(runner, tmp_path):
+    out = tmp_path / "o"
+    res = runner.invoke(main, ["check", "--config", str(DEMO_CONFIGS / "scaled_sweep.ini"), "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    rep = read_json(out / "report-zeta.json")
+    header, *rows = (out / "zeta_sweep.csv").read_text().splitlines()
+    gap = 0.0
+    for row in rows:
+        cell = dict(zip(header.split(","), map(float, row.split(","))))
+        values = [complex(cell[f"{m}_re"], cell[f"{m}_im"]) for m in ("euler", "stieltjes", "dirichlet")]
+        gap = max([gap] + [abs(x - y) for i, x in enumerate(values) for y in values[i + 1:]])
+    assert rep["verdict"] == f"max-method-gap={gap:.6g}"
+    assert rep["grid_points"] == len(rows) == 35
+    assert res.output == f"zeta: {rep['verdict']}\n"
+
+
 def test_zeta_sweep_rejects_bad_sigma(runner, tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[zeta]\nsigma_lo = 0.5\n")
     res = runner.invoke(main, [
-        "zeta-sweep", "--variant", "single-prime", "--params", "2",
-        "--bound", "100", "--sigma-lo", "0.5", "--out", str(tmp_path / "o"),
+        "check", "--checks", "zeta", "--config", str(cfg), "--variant", "single-prime", "--params", "2",
+        "--bound", "100", "--out", str(tmp_path / "o"),
     ])
     assert res.exit_code == 2
+    assert "[zeta]" in res.output and not (tmp_path / "o").exists()
 
 
 def test_identity_check_single_prime(runner, tmp_path):

@@ -199,6 +199,17 @@ def test_trend_few_windows_inconclusive():
     assert rep.verdict == INCONCLUSIVE
 
 
+def test_trend_window_sups_cover_dense_samples():
+    # On [2, 3] with a = 0.1, N > ax on many pieces, where D falls for x >= e, so
+    # the right limit at a window's lower edge is often its sup.
+    table = table_for([2.0, 3.0], 1e4, a=0.1)
+    for lo, hi, sup in little_o_trend(table).window_sups:
+        if lo >= math.e:
+            x = np.linspace(lo, hi, 100_001)[1:]
+            d = np.log(x) * np.abs(table.count_n(x) - 0.1 * x) / x
+            assert sup >= np.max(d), (lo, hi)
+
+
 def test_trend_window_sups_cover_jump_limits(rational_2000):
     rep = little_o_trend(rational_2000)
     for lo, hi, sup in rep.window_sups:
@@ -353,14 +364,19 @@ def _reference_window_sups(table):
     piece's two end values and the window edges.  Under the strict convention
     a piece's left end x belongs to the window lo <= x < hi, and its right end
     and an edge to lo < x <= hi; a piece of zero length, between tied jumps,
-    has no ends."""
+    has no ends.  An edge that cuts a piece is the left end of its part in
+    the window above."""
     a, b = table.a, table.bound
     edges = np.array([1.0] + [b / 2**k for k in range(64) if b / 2**k > 1.0][::-1])
     u = np.concatenate((table.jump_logs, [table.log_bound]))
     x = np.exp(u)
     c = np.arange(1, table.total_count + 1, dtype=float)
     real = x[:-1] < x[1:]  # pieces of positive length
-    left_x, left_d = x[:-1][real], (u[:-1] * np.abs(c / x[:-1] - a))[real]
+    n_edge = np.searchsorted(x[:-1], edges, side="right")  # N just right of each edge
+    cut = x[:-1][n_edge - 1] < edges  # no jump on the edge
+    left_x = np.concatenate((x[:-1][real], edges[cut]))
+    left_d = np.concatenate(((u[:-1] * np.abs(c / x[:-1] - a))[real],
+                             (np.log(edges) * np.abs(n_edge / edges - a))[cut]))
     right_x = np.concatenate((x[1:][real], edges))
     right_d = np.concatenate(((u[1:] * np.abs(c / x[1:] - a))[real],
                               np.log(edges) * np.abs(table.count_n(edges) - a * edges) / edges))
