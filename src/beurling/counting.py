@@ -20,7 +20,7 @@ from . import semigroup
 from .semigroup import DEFAULT_MAX_INTEGERS, EnumerationResult
 from .systems import QUERY_EPS, PrimeSequence
 
-BLOCK = 1 << 16  # jumps per pass of a kernel over a jump list, which bounds its temporaries
+BLOCK = 1 << 14  # jumps per pass of a kernel over a jump list, which bounds its temporaries
 
 
 def check_density(a) -> None:

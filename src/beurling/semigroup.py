@@ -7,10 +7,11 @@ j >= i whose product stays below the bound, one contiguous run of j per row.
 Each exponent vector is built exactly once, and coincident prime values at
 distinct indices yield distinct generalized integers (multiset semantics).
 
-:func:`_generations` yields each generation's log values (each its parent's log
-plus log p_j, summed in that order), largest prime indices and child counts,
-whose runs in row order make the next generation.  :func:`jump_arrays` joins
-the logs; :func:`enumerate_integers` also makes the stems, once per generation.
+:func:`_generations` yields one buffer that it fills with every row's log
+(its parent's log plus log p_j, summed in that order), in generation order,
+then each generation's largest prime indices and child counts, whose runs in
+row order make the next generation.  :func:`jump_arrays` sorts the buffer in
+place; :func:`enumerate_integers` also makes the stems, once per generation.
 The cut :func:`_fits`, shared with :func:`_prime_powers`, keeps psi's jumps
 equal to their rows' logs bit for bit.  One sort by log value orders the rows.
 Rows of exactly equal log value are put in dense-lexicographic order of their
@@ -85,8 +86,18 @@ class EnumerationResult:
 
 
 def _generations(primes: PrimeSequence, bound: float, max_count: int):
-    """Yield each generation's log values, largest prime indices and child counts
-    (C int), from the unit's on; past ``max_count`` rows it raises before building."""
+    """Yield one float64 buffer, then each generation's largest prime indices and
+    child counts (C int), from the unit's on.  The generations fill the buffer
+    with every row's log, in generation order; once they are spent it holds
+    exactly the rows.  Past ``max_count`` rows it raises before the buffer grows.
+
+    The buffer grows 1.25x, up to ``max_count`` rows.  Beside it a generation
+    holds its parents' and its children's C int columns and O(``counting.BLOCK``)
+    items: :func:`_child_counts` and :func:`_fill_children` go ``BLOCK``
+    parents, and ``BLOCK`` children, at a time.
+    """
+    from .counting import BLOCK  # counting imports this module
+
     if not math.isfinite(bound) or bound <= 1.0:
         raise ValueError(f"bound must be finite and > 1, got {bound}")
     if bound > primes.bound and not primes.exhaustive:
@@ -95,26 +106,61 @@ def _generations(primes: PrimeSequence, bound: float, max_count: int):
         raise ValueError(f"max_count must be at most {MAX_ROWS} (row ids are C int), got {max_count}")
     logs = primes.logs
     log_bound = math.log(bound)
-    lv, index, rows = np.zeros(1), np.full(1, -1, np.intc), 1
-    while True:
-        # Children p_j for j from the row's largest index while the sum stays
-        # below the bound: one run per row, since logs are non-decreasing.
-        # fl(log B - lv) can admit a j that fails the cut; step back.
-        lo = np.maximum(index, 0)
-        hi = np.searchsorted(logs, log_bound - lv, side="right")
-        live = np.flatnonzero(hi > lo)
-        while (over := live[~_fits(lv[live], logs[hi[live] - 1], log_bound)]).size:
+    buf = np.zeros(1)  # the unit's log
+    yield buf
+    first, rows, index = 0, 1, np.full(1, -1, np.intc)  # the generation is rows first..rows-1
+    while index.size:
+        counts = _child_counts(logs, buf[first:rows], index, log_bound, BLOCK)
+        size = int(counts.sum())
+        if rows + size > max_count:
+            raise CapacityError(f"enumeration exceeded max_count={max_count}")
+        if rows + size > buf.size:  # no view of buf is held here: a resize may move it
+            buf.resize(min(max_count, max(rows + size, buf.size * 5 // 4)), refcheck=False)
+        yield index, counts
+        children = np.empty(size, np.intc)
+        _fill_children(logs, buf[first:rows], index, counts, buf[rows : rows + size], children, BLOCK)
+        first, rows, index = rows, rows + size, children
+        del counts  # before the next generation's
+    buf.resize(rows, refcheck=False)
+
+
+def _child_counts(logs, lv, index, log_bound, block):
+    """Each parent's number of children (C int): p_j for j from its largest
+    index while the sum stays below the bound, one run per parent, since logs
+    are non-decreasing.  ``lv`` and ``index`` are the parents' logs and largest
+    indices.  fl(log B - lv) can admit a j that fails the cut; step back."""
+    counts = np.empty(index.size, np.intc)
+    for a in range(0, index.size, block):
+        lo = np.maximum(index[a : a + block], 0)
+        u = lv[a : a + block]
+        hi = logs.searchsorted(log_bound - u, side="right")
+        live = (hi > lo).nonzero()[0]
+        while (over := live[~_fits(u[live], logs[hi[live] - 1], log_bound)]).size:
             hi[over] -= 1
             live = over[hi[over] > lo[over]]  # the others still fit
-        counts = np.maximum(hi - lo, 0)
-        size = int(counts.sum())
-        if (rows := rows + size) > max_count:
-            raise CapacityError(f"enumeration exceeded max_count={max_count}")
-        yield lv, index, counts.astype(np.intc)  # np.repeat reads int64 counts without a copy
-        if not size:
-            return
-        j = np.arange(size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-        lv, index = np.repeat(lv, counts) + logs[j], j.astype(np.intc)
+        counts[a : a + block] = np.maximum(hi - lo, 0)
+    return counts
+
+
+def _fill_children(logs, lv, index, counts, out, out_index, block):
+    """Write the children's logs (parent's log plus log p_j, in that order) into
+    ``out`` and their j into ``out_index``, the parents' runs in row order.
+    Each piece is at most ``block`` children of at most ``block`` parents."""
+    done = 0
+    for a in range(0, index.size, block):
+        k = counts[a : a + block]
+        edges = np.zeros(k.size + 1, dtype=np.int64)  # parent i's children are edges[i]..edges[i+1]-1
+        size = int(k.cumsum(out=edges[1:])[-1])
+        offset = edges[:-1] - np.maximum(index[a : a + block], 0)  # child c of parent i has j = c - offset[i]
+        for c in range(0, size, block):  # the children c..c1-1, of the parents i..i1-1
+            c1 = min(c + block, size)
+            i, i1 = edges.searchsorted(c, side="right") - 1, edges.searchsorted(c1 - 1, side="right")
+            n = np.minimum(np.maximum(edges[i : i1 + 1], c), c1)
+            n = n[1:] - n[:-1]  # each parent's children among c..c1-1
+            j = np.arange(c, c1) - offset[i:i1].repeat(n)
+            np.add(lv[a + i : a + i1].repeat(n), logs[j], out=out[done + c : done + c1])
+            out_index[done + c : done + c1] = j
+        done += size
 
 
 def _fits(u, step, reach):
@@ -123,27 +169,58 @@ def _fits(u, step, reach):
     return u + step < reach
 
 
-def _prime_powers(logs, reach):
+def _prime_powers(logs, reach, r=0.0):
     """Every p_j^k the enumeration to ``reach`` keeps, as ``(u, j, k)`` sorted by
-    u = log p_j^k, summed one factor at a time as its row's log is.  Level k is
-    a prefix of level k - 1; the levels go k-major, each by descending j, into
-    one stable argsort, so equal logs come by descending j (and ascending k),
-    the rows' tie order: of two equal powers, the smaller j holds more factors."""
+    u = log p_j^k, summed one factor at a time as its row's log is.  They come
+    in windows of whole runs, where floor(u r) is constant, of at most
+    ``counting.BLOCK`` powers (or one longer run); with r = 0 all are one run.
+
+    Level k, by ascending j, is a prefix of level k - 1.  A window's slices of
+    the levels go k-major, each by descending j, into one stable argsort, so
+    equal logs come by descending j (and ascending k), the rows' tie order: of
+    two equal powers, the smaller j holds more factors.  The windows, joined,
+    are thus the whole list sorted that way.  Beside the levels a window holds
+    O(BLOCK) items, and the runs' edges O(levels) per window.
+    """
+    from .counting import BLOCK  # counting imports this module
+
     u, levels = np.zeros(logs.size), []
     while n := np.count_nonzero(_fits(u, logs[: u.size], reach)):
         u = u[:n] + logs[:n]
-        levels.append(u[::-1])
-    ends = np.cumsum([0] + [level.size for level in levels])  # level k fills ends[k - 1]:ends[k]
-    u = np.concatenate([logs[:0], *levels])
-    order = np.argsort(u, kind="stable")
-    k = np.searchsorted(ends, order, side="right")
-    j = (ends - 1)[k] - order  # level k holds j = n - 1, ..., 0
-    return u[order], j, k
+        levels.append(u)
+    edges, cuts = [0, 1], [[0, level.size] for level in levels]  # each window's first run, each level's cuts
+    if r:  # else every power is in run 0, and one window holds them all
+        runs = int(reach * r) + 1  # floor(u r) <= floor(reach r) for u < reach
+        below = np.zeros(runs + 1, dtype=np.int64)  # below[m]: the powers in runs under m
+        for level in levels:
+            below[1:] += np.bincount(_run_ids(level, r), minlength=runs)
+        np.cumsum(below, out=below)
+        edges = [0]
+        while edges[-1] < runs:
+            e = edges[-1]
+            edges.append(max(e + 1, int(np.searchsorted(below, below[e] + BLOCK, side="right")) - 1))
+        cuts = [np.searchsorted(_run_ids(level, r), edges).tolist() for level in levels]
+    for w in range(len(edges) - 1):
+        pieces = [(k, cut[w], cut[w + 1]) for k, cut in enumerate(cuts, 1) if cut[w] < cut[w + 1]]
+        u = np.concatenate([logs[:0]] + [levels[k - 1][lo:hi][::-1] for k, lo, hi in pieces])
+        order = np.argsort(u, kind="stable")
+        u = u[order]
+        ends = np.cumsum([0] + [hi - lo for _, lo, hi in pieces])  # piece q fills ends[q]:ends[q + 1]
+        q = np.searchsorted(ends, order, side="right")
+        q -= 1
+        j = (np.array([hi - 1 for _, _, hi in pieces], dtype=np.intp) + ends[:-1])[q]
+        j -= order  # piece q holds j = hi - 1, ..., lo
+        yield u, j, np.array([k for k, _, _ in pieces], dtype=np.intp)[q]
+
+
+def _run_ids(u, r):
+    """floor(u r) as integers: the run of each u, as ``zeta._run_starts`` cuts them."""
+    return np.floor(u * r).astype(np.intp)
 
 
 def _psi_jumps(primes: PrimeSequence, bound: float):
     """psi's jumps below ``bound``: the prime powers' logs and Lambda, log p_j."""
-    u, j, _ = _prime_powers(primes.logs, math.log(bound))
+    u, j, _ = next(_prime_powers(primes.logs, math.log(bound)))  # one window
     return u, primes.logs[j]
 
 
@@ -174,8 +251,9 @@ def enumerate_integers(
     tree.  Raises :class:`CapacityError` past ``max_count``, and ``ValueError``
     for a ``max_count`` above ``MAX_ROWS``.
     """
-    columns = [list(c) for c in zip(*_generations(primes, bound, max_count))]
-    row_logs = np.concatenate(columns.pop(0))  # a pop frees one column's generations
+    generations = _generations(primes, bound, max_count)
+    row_logs = next(generations)
+    columns = [list(c) for c in zip(*generations)]
     rows = row_logs.size
     order = np.argsort(row_logs)
     row_logs = row_logs[order]
@@ -212,7 +290,10 @@ def jump_arrays(
 ):
     """The jumps of N and psi below bound: ``(logs, psi_logs, lambdas)``, the
     ``logs`` of :func:`enumerate_integers` and psi's list (:func:`_psi_jumps`)."""
-    logs = np.concatenate([lv for lv, _, _ in _generations(primes, bound, max_count)])
+    generations = _generations(primes, bound, max_count)
+    logs = next(generations)
+    for _ in generations:  # each fills the buffer
+        pass
     logs.sort()  # tied rows share their log, so their order does not show
     return (logs, *_psi_jumps(primes, bound))
 

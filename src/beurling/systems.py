@@ -29,16 +29,23 @@ QUERY_EPS = 1e-9
 
 
 def rational_primes_below(limit: float) -> np.ndarray:
-    """Ordinary primes strictly below ``limit``, as a float array (Eratosthenes)."""
+    """Ordinary primes strictly below ``limit``, as a float array (Eratosthenes
+    over the odd numbers: ``odd[i]`` stands for 2i + 1)."""
     n = int(math.ceil(limit)) - 1
     if limit <= 2:
         return np.empty(0)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.nonzero(mask)[0].astype(float)
+    odd = np.ones((n + 1) // 2, dtype=bool)
+    odd[0] = False
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = False
+    odd = np.flatnonzero(odd)  # the i of each odd prime; rebinding frees the mask
+    primes = np.empty(odd.size + 1)
+    primes[0] = 2.0
+    np.multiply(odd, 2.0, out=primes[1:])
+    primes[1:] += 1.0
+    return primes
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,7 @@ class PrimeSequence:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "logs", np.log(values))
         if values.size:
-            if np.any(np.diff(values) < 0):
+            if np.any(values[1:] < values[:-1]):
                 raise InvalidSystemError("prime values must be non-decreasing")
             if not np.all(np.isfinite(values)) or values[0] <= 1.0 or values[-1] >= self.bound:
                 raise InvalidSystemError("prime values must be finite and lie strictly in (1, bound)")
@@ -140,4 +147,5 @@ def materialize(spec: PrimeSystemSpec, bound: float) -> PrimeSequence:
         return PrimeSequence(vals, bound=bound, exhaustive=len(vals) == len(spec.params))
     c = spec.params[0] if spec.params else 1.0  # rational-primes is scaled-rational with c = 1
     vals = c * rational_primes_below(bound / c + 1)
-    return PrimeSequence(vals[(vals > 1.0) & (vals < bound)], bound=bound)
+    vals = vals[(vals > 1.0) & (vals < bound)]  # rebinding frees the unfiltered values
+    return PrimeSequence(vals, bound=bound)

@@ -121,21 +121,34 @@ def _moment_sum(u, w, s, r):
             return e if w is None else np.multiply(e, w[cols], out=e)
 
         return _termwise(u, s, direct)
-    c = u[starts]
     ends = np.append(starts, u.size)
-    moments = np.empty((TAYLOR_TERMS, c.size))
+    moments = np.empty((TAYLOR_TERMS, starts.size))
     i = 0
-    while i < c.size:  # the runs i..j-1, jumps lo..hi-1
+    while i < starts.size:  # the runs i..j-1, jumps lo..hi-1
         j = max(i + 1, int(np.searchsorted(starts, starts[i] + counting.BLOCK)))
         lo, hi = ends[i], ends[j]
-        d = np.repeat(c[i:j], np.diff(ends[i : j + 1]))
-        np.subtract(u[lo:hi], d, out=d)  # u_k - c over each run
-        term = np.ones(hi - lo) if w is None else w[lo:hi].astype(float)
-        for k in range(TAYLOR_TERMS):
-            moments[k, i:j] = np.add.reduceat(term, starts[i:j] - lo) / math.factorial(k)
-            term *= d
+        _run_moments(u[lo:hi], None if w is None else w[lo:hi], starts[i:j] - lo, moments[:, i:j])
         i = j
+    return _horner(u[starts], moments, s)
 
+
+def _run_moments(u, w, starts, out):
+    """The moments m_j = sum_run w_k (u_k - c)^j / j!, j < TAYLOR_TERMS, of the
+    runs of the jumps ``u`` (weights ``w``, None for 1) that start at ``starts``,
+    whole runs only, into the columns of ``out``: each run one
+    ``np.add.reduceat`` segment."""
+    d = np.repeat(u[starts], np.diff(np.append(starts, u.size)))
+    np.subtract(u, d, out=d)  # u_k - c over each run
+    term = np.ones(u.size) if w is None else w.astype(float)
+    for k in range(TAYLOR_TERMS):
+        out[k] = np.add.reduceat(term, starts) / math.factorial(k)
+        term *= d
+
+
+def _horner(c, moments, s):
+    """sum over the runs of e^{-s c} sum_j (-s)^j m_j, at each point of the 1-d
+    ``s``, the runs' first jumps ``c`` and ``moments`` from :func:`_run_moments`:
+    Horner's rule in -s along each (points x runs) block of :func:`_termwise`."""
     def horner(x, cols):
         acc = moments[-1, cols] * x
         for m in moments[-2:0:-1, cols]:
@@ -195,18 +208,23 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
 
     With reach = log p_max + POWER_REACH, the kernel's runs are 1/r wide for
     r * reach = PRIME_RUNS times the number of primes, a width set by the
-    primes alone.  The points with |s| < r take it: one :func:`_moment_sum`
-    call over the powers below reach (``semigroup._prime_powers``), weights
-    1/k or log p, plus the primes near 1 (more than MAX_POWERS powers in
-    reach) in closed form.  A prime's omitted powers, past log p +
+    primes alone.  The points with |s| < r take it: the powers below reach
+    (``semigroup._prime_powers``), weights 1/k or log p, come in windows of
+    whole runs, whose :func:`_run_moments` all go into one :func:`_horner`
+    call, and the primes near 1 (more than MAX_POWERS powers in reach) are
+    summed in closed form.  Each run is one ``np.add.reduceat`` segment over
+    the same jumps in the same order as in the whole list sorted at once, so
+    the windows change no bit.  A prime's omitted powers, past log p +
     POWER_REACH, sum to less than e^{-37 sigma} < 1e-16 of its series of
     |w| p^{-k sigma} (1/k falls too): below the rounding.  The other points
     go prime by prime in closed form (:func:`_per_prime`).  Which way a point
     goes depends on |s| alone, so an array gives each point its own value.
 
-    The kernel call pays the list and 20 passes over it, about three passes
-    over the primes; each of its points then costs Horner steps over at most
-    PRIME_RUNS of the primes' count of runs.  r is about 48 at 10^6, 390 at 10^7.
+    The kernel call pays the list's levels, two passes over them for the
+    windows' edges and 20 passes over each window, about six passes over the
+    primes, and holds the levels plus O(``counting.BLOCK``) floats a window;
+    each of its points then costs Horner steps over at most PRIME_RUNS of the
+    primes' count of runs.  r is about 48 at 10^6, 390 at 10^7.
     """
     counting.check_density(a)
     logs = primes.logs
@@ -219,9 +237,14 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     value[~on_list] = _per_prime(logs, flat[~on_list], log_zeta)
     if np.any(on_list):
         near_one = np.searchsorted(logs, reach / MAX_POWERS)  # log p < reach / MAX_POWERS
-        u, j, k = _prime_powers(logs[near_one:], reach)
-        w = 1.0 / k if log_zeta else logs[near_one:][j]
-        value[on_list] = _moment_sum(u, w, flat[on_list], r) + _per_prime(logs[:near_one], flat[on_list], log_zeta)
+        c, moments = [], []
+        for u, j, k in _prime_powers(logs[near_one:], reach, r):
+            starts = _run_starts(u, r, math.inf)
+            c.append(u[starts])
+            moments.append(np.empty((TAYLOR_TERMS, starts.size)))
+            _run_moments(u, 1.0 / k if log_zeta else logs[near_one:][j], starts, moments[-1])
+        value[on_list] = (_horner(np.concatenate(c), np.hstack(moments), flat[on_list])
+                          + _per_prime(logs[:near_one], flat[on_list], log_zeta))
     value = (np.exp(value) if log_zeta else value).reshape(np.shape(s))
     value = value if value.ndim else complex(value)
     model = "finite" if primes.exhaustive else "none" if a is None else "density"

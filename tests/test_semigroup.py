@@ -11,6 +11,7 @@ from beurling import (
     PrimeSystemSpec,
     build_table,
     build_table_from_system,
+    counting,
     enumerate_integers,
     jump_arrays,
     materialize,
@@ -276,8 +277,9 @@ def test_repeated_primes_stay_linear():
 
 
 def test_jump_arrays_keeps_only_logs(rational_1e6):
-    # The check path joins each generation's logs and nothing else: its traced
-    # peak stays under 2.5 float64 columns of N(B).
+    # The check path keeps every row's log in one buffer and builds each
+    # generation a block at a time: its traced peak stays under 1.5 float64
+    # columns of N(B).
     primes = rational_1e6.value[0]
     tracemalloc.start()
     try:
@@ -285,7 +287,7 @@ def test_jump_arrays_keeps_only_logs(rational_1e6):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 8 * logs.size
+    assert peak < 1.5 * 8 * logs.size
 
 
 def test_stems_take_linear_time():
@@ -331,6 +333,33 @@ def test_capacity_error():
     for enumerate_ in (enumerate_integers, jump_arrays):
         with pytest.raises(ValueError, match="C int"):
             enumerate_(system([7], 5), 5, max_count=2**31)
+
+
+def test_capacity_error_before_the_buffer_grows(monkeypatch):
+    # blocks of 7 parents and 7 children: the cap is still exact, on the same
+    # rows as one block, and a run far past it raises before the log buffer
+    # holds more than max_count rows
+    primes = materialize(PrimeSystemSpec.rational(), 1e5)
+    whole, en = jump_arrays(primes, 1e5)[0], enumerate_integers(primes, 1e5)
+    monkeypatch.setattr(counting, "BLOCK", 7)
+    for enumerate_ in (enumerate_integers, jump_arrays):
+        with pytest.raises(CapacityError):
+            enumerate_(primes, 1e5, max_count=whole.size - 1)
+    assert np.array_equal(jump_arrays(primes, 1e5, max_count=whole.size)[0], whole)
+    blocks = enumerate_integers(primes, 1e5, max_count=whole.size)
+    for column in ("logs", "stem", "index", "exp"):
+        assert np.array_equal(getattr(blocks, column), getattr(en, column)), column
+    monkeypatch.undo()
+    primes = materialize(PrimeSystemSpec.rational(), 1e7)
+    for enumerate_ in (enumerate_integers, jump_arrays):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                enumerate_(primes, 1e7, max_count=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**5  # one float64 column of max_count rows
 
 
 def test_dirichlet_series_approaches_euler_product():

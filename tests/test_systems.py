@@ -35,6 +35,14 @@ def test_rational_matches_trial_division(bound):
     assert seq.values.tolist() == trial_division_primes(bound)
 
 
+@pytest.mark.parametrize("limit", [2, 2.000001, 3, 3.000001, 4, 9, 9.5, 11.000001, 25, 25.000001, 49, 121.5,
+                                   7919, 7919.000001])
+def test_odd_sieve_matches_trial_division(limit):
+    # the sieve marks odd numbers only, 2 added apart: limits at and just
+    # above a prime, and at and above the square of one
+    assert rational_primes_below(limit).tolist() == trial_division_primes(limit)
+
+
 def test_scaled_rational():
     seq = materialize(PrimeSystemSpec.scaled_rational(1.5), 12)
     assert seq.values.tolist() == [3.0, 4.5, 7.5, 10.5]

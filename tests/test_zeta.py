@@ -22,7 +22,7 @@ from beurling import (
     zeta_euler,
     zeta_stieltjes,
 )
-from beurling import counting, zeta
+from beurling import counting, semigroup, zeta
 from beurling.zeta import _stieltjes_sum
 
 EULER_GAMMA = 0.5772156649015329
@@ -240,13 +240,13 @@ def test_euler_side_routes_against_mpmath(monkeypatch):
     primes = materialize(PrimeSystemSpec.rational(), 1e5)
     assert abs(1.5 + 5j) < _kernel_width(primes) <= abs(1.5 - 7j)
     kernel_points = []
-    kernel = zeta._moment_sum
+    kernel = zeta._horner
 
-    def counted(u, w, s, r):
+    def counted(c, moments, s):
         kernel_points.extend(s)
-        return kernel(u, w, s, r)
+        return kernel(c, moments, s)
 
-    monkeypatch.setattr(zeta, "_moment_sum", counted)
+    monkeypatch.setattr(zeta, "_horner", counted)
     for s, on_kernel in ((1.5 + 5j, True), (1.5 - 7j, False), (1.01 - 9000j, False), (4 + 1e5j, False)):
         zeta_, nld = _euler_oracle(primes, s)
         phase = np.finfo(float).eps * abs(s) * math.log(primes.bound)
@@ -330,24 +330,75 @@ def test_euler_side_grid_matches_points(method, euler_systems):
 
 
 def test_euler_side_one_kernel_call(monkeypatch, euler_systems):
-    calls = []
-    kernel = zeta._moment_sum
+    # one windowed pass over the powers at the kernel width r, and one Horner
+    # call for all the kernel's points, if any
+    calls, widths = [], []
+    kernel, powers = zeta._horner, zeta._prime_powers
 
-    def counted(u, w, s, r):
-        calls.append((s, r))
-        return kernel(u, w, s, r)
+    def counted(c, moments, s):
+        calls.append(s)
+        return kernel(c, moments, s)
 
-    monkeypatch.setattr(zeta, "_moment_sum", counted)
+    def windows(logs, reach, r=0.0):
+        widths.append(r)
+        return powers(logs, reach, r)
+
+    monkeypatch.setattr(zeta, "_horner", counted)
+    monkeypatch.setattr(zeta, "_prime_powers", windows)
     for seq, a in euler_systems:
         r = _kernel_width(seq)
         on_kernel = EULER_GRID[np.abs(EULER_GRID) < r]
         assert on_kernel.size == {9592: 7, 17664: 8}.get(len(seq), 0)  # none on the small systems
         for method in (zeta_euler, neg_logderiv):
             calls.clear()
+            widths.clear()
             method(seq, EULER_GRID, a)
-            assert len(calls) == (on_kernel.size > 0)  # one call for all its points, if any
-            for s, width in calls:
-                assert width == r and np.array_equal(s, on_kernel)
+            assert len(calls) == (on_kernel.size > 0)
+            assert widths == [r] * len(calls)
+            for s in calls:
+                assert np.array_equal(s, on_kernel)
+
+
+def test_euler_side_windows_match_full_list(euler_systems):
+    # the windows of whole runs give, bit for bit, one kernel call over the
+    # whole power list: levels k log p_j by k sequential sums, k-major and each
+    # by descending j into one stable argsort
+    for seq, a in euler_systems:
+        r = _kernel_width(seq)
+        s = EULER_GRID[np.abs(EULER_GRID) < r]
+        if not s.size:
+            continue
+        reach = float(seq.logs[-1]) + zeta.POWER_REACH
+        near_one = np.searchsorted(seq.logs, reach / zeta.MAX_POWERS)
+        logs = seq.logs[near_one:]
+        u, levels = np.zeros(logs.size), []
+        while n := np.count_nonzero(u + logs[: u.size] < reach):
+            u = u[:n] + logs[:n]
+            levels.append((u[::-1], np.arange(n)[::-1], np.full(n, len(levels) + 1)))
+        order = np.argsort(np.concatenate([u for u, _, _ in levels]), kind="stable")
+        u, j, k = (np.concatenate(column)[order] for column in zip(*levels))
+        for method, w, log_zeta in ((zeta_euler, 1.0 / k, True), (neg_logderiv, logs[j], False)):
+            want = zeta._moment_sum(u, w, s, r) + zeta._per_prime(seq.logs[:near_one], s, log_zeta)
+            assert np.array_equal(method(seq, s, a).value, np.exp(want) if log_zeta else want)
+
+
+def test_euler_side_peak_memory_bounded(rational_1e6):
+    # on the identity's 5 x 4 grid the primes to 1e6 take the kernel, whose
+    # powers go a window of whole runs at a time: the traced peak stays under
+    # 3 float64 columns of the power list
+    primes = rational_1e6.value[0]
+    s = (np.linspace(1.5, 3.0, 5)[:, None] + 1j * np.linspace(-5.0, 5.0, 4)).ravel()
+    assert np.all(np.abs(s) < _kernel_width(primes))
+    u, _, _ = next(semigroup._prime_powers(primes.logs, float(primes.logs[-1]) + zeta.POWER_REACH))
+    for method in (neg_logderiv, zeta_euler):
+        method(primes, s, 1.0)  # zeta_euler's first call imports scipy
+        tracemalloc.start()
+        try:
+            method(primes, s, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * u.size, peak / (8 * u.size)
 
 
 def test_boundary_scan_blocks_match_one_point_at_a_time(rational_1e4, monkeypatch):
