@@ -6,7 +6,7 @@ piecewise, and collect numerical evidence for the Chebyshev-estimate
 hypotheses (the L1 condition, the tail-sup condition, and the little-o trend).
 """
 
-from .counting import CountingTable, build_table, build_table_from_system, estimate_density
+from .counting import CountingTable, build_table, build_table_from_system
 from .errors import CapacityError, DomainError, InvalidSystemError
 from .hypothesis import (
     ChebyshevReport,
@@ -60,7 +60,6 @@ __all__ = [
     "build_table_from_system",
     "chebyshev_verdict",
     "enumerate_integers",
-    "estimate_density",
     "fourier_E1_boundary",
     "g_eval",
     "identity_check",

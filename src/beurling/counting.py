@@ -114,21 +114,6 @@ def build_table_from_system(
     return CountingTable(*semigroup.jump_arrays(primes, bound, max_count), float(bound), a)
 
 
-def estimate_density(table: CountingTable):
-    """Estimate a-hat = N(B)/B with a last-decade drift diagnostic.
-
-    Returns ``(a_hat, drift)`` where drift is the maximum deviation of N(x)/x
-    from a-hat over a 32-point geometric grid spanning the last decade below the bound.
-    Diagnostic only; hypothesis checks never substitute it for a declared a.
-    """
-    b = table.bound
-    a_hat = table.total_count / b
-    lo = min(max(2.0, b / 10.0), b)
-    xs = np.geomspace(lo, b, 32)
-    ratios = table.count_n(xs) / xs
-    return a_hat, float(np.max(np.abs(ratios - a_hat)))
-
-
 def write_csv(path, header: str, rows) -> None:
     """CSV of ``rows`` under ``header``, numbers to 17 significant digits, locale free."""
     with open(path, "w") as fh:

@@ -393,16 +393,19 @@ def chebyshev_verdict(table: CountingTable, x_lo: float, x_hi: float) -> Chebysh
     those are evaluated, making the result grid free.  The jumps are those
     in [x_lo, x_hi) under the strict convention: the right limit of a jump on
     x_hi lies outside the window, and its left limit is the endpoint value.
+    They are read ``counting.BLOCK`` at a time, and max and min are exact, so
+    a call holds O(BLOCK) floats and no value depends on BLOCK.
     """
     x_lo, x_hi = float(x_lo), float(x_hi)
     if not window_ok(x_lo, x_hi, table.bound):
         raise ValueError("empty window" if x_lo > x_hi else f"window must lie in (1, bound={table.bound}]")
-    i, j = _below(table.psi_logs, np.log([x_lo, x_hi]))
-    xj = np.exp(table.psi_logs[i:j])
-    pref = table.cum_lambda[i + 1 : j + 1]  # psi just after each jump
-    after = pref / xj                       # limit from the right of each jump
-    before = (pref - table.lambdas[i:j]) / xj  # limit from the left
+    i, j = _below(table.psi_logs, np.log([x_lo, x_hi])).tolist()
     ends = table.cum_lambda[[i, j]] / np.array([x_lo, x_hi])
-    ratio_max = float(np.max(np.concatenate((after, ends))))
-    ratio_min = float(np.min(np.concatenate((before, ends))))
-    return ChebyshevReport((x_lo, x_hi), ratio_min, ratio_max, int(j - i) * 2 + 2)
+    ratio_max, ratio_min = float(np.max(ends)), float(np.min(ends))
+    for lo in range(i, j, counting.BLOCK):
+        hi = min(lo + counting.BLOCK, j)
+        xj = np.exp(table.psi_logs[lo:hi])
+        pref = table.cum_lambda[lo + 1 : hi + 1]  # psi just after each jump
+        ratio_max = max(ratio_max, float(np.max(pref / xj)))  # limits from the right
+        ratio_min = min(ratio_min, float(np.min((pref - table.lambdas[lo:hi]) / xj)))  # from the left
+    return ChebyshevReport((x_lo, x_hi), ratio_min, ratio_max, (j - i) * 2 + 2)

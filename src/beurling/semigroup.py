@@ -175,42 +175,89 @@ def _prime_powers(logs, reach, r=0.0):
     in windows of whole runs, where floor(u r) is constant, of at most
     ``counting.BLOCK`` powers (or one longer run); with r = 0 all are one run.
 
-    Level k, by ascending j, is a prefix of level k - 1.  A window's slices of
-    the levels go k-major, each by descending j, into one stable argsort, so
-    equal logs come by descending j (and ascending k), the rows' tie order: of
-    two equal powers, the smaller j holds more factors.  The windows, joined,
-    are thus the whole list sorted that way.  Beside the levels a window holds
-    O(BLOCK) items, and the runs' edges O(levels) per window.
+    Level k, by ascending j, is a prefix of level k - 1, and :func:`_levels`
+    makes it ``BLOCK`` primes at a time.  A window's slices of the levels go
+    k-major, each by descending j, into one stable argsort, so equal logs come
+    by descending j (and ascending k), the rows' tie order: of two equal
+    powers, the smaller j holds more factors.  The windows, joined, are thus
+    the whole list sorted that way.  With r = 0 the one window is the list,
+    made of the levels' blocks.  With r > 0 no level is held: a first pass
+    counts each run's powers, which sets the window edges, a second cuts each
+    level at them, and each window rebuilds its slice of level k by the same
+    k additions from 0, which keep its bits (k <= ``zeta.MAX_POWERS`` on the
+    Euler side).  Such a window holds O(BLOCK) items, and the cuts O(levels)
+    per window.
     """
     from .counting import BLOCK  # counting imports this module
 
-    u, levels = np.zeros(logs.size), []
-    while n := np.count_nonzero(_fits(u, logs[: u.size], reach)):
-        u = u[:n] + logs[:n]
-        levels.append(u)
-    edges, cuts = [0, 1], [[0, level.size] for level in levels]  # each window's first run, each level's cuts
-    if r:  # else every power is in run 0, and one window holds them all
-        runs = int(reach * r) + 1  # floor(u r) <= floor(reach r) for u < reach
-        below = np.zeros(runs + 1, dtype=np.int64)  # below[m]: the powers in runs under m
-        for level in levels:
-            below[1:] += np.bincount(_run_ids(level, r), minlength=runs)
-        np.cumsum(below, out=below)
-        edges = [0]
-        while edges[-1] < runs:
-            e = edges[-1]
-            edges.append(max(e + 1, int(np.searchsorted(below, below[e] + BLOCK, side="right")) - 1))
-        cuts = [np.searchsorted(_run_ids(level, r), edges).tolist() for level in levels]
-    for w in range(len(edges) - 1):
-        pieces = [(k, cut[w], cut[w + 1]) for k, cut in enumerate(cuts, 1) if cut[w] < cut[w + 1]]
-        u = np.concatenate([logs[:0]] + [levels[k - 1][lo:hi][::-1] for k, lo, hi in pieces])
-        order = np.argsort(u, kind="stable")
-        u = u[order]
-        ends = np.cumsum([0] + [hi - lo for _, lo, hi in pieces])  # piece q fills ends[q]:ends[q + 1]
-        q = np.searchsorted(ends, order, side="right")
-        q -= 1
-        j = (np.array([hi - 1 for _, _, hi in pieces], dtype=np.intp) + ends[:-1])[q]
-        j -= order  # piece q holds j = hi - 1, ..., lo
-        yield u, j, np.array([k for k, _, _ in pieces], dtype=np.intp)[q]
+    if not r:
+        blocks = sorted(_levels(logs, reach, BLOCK), key=lambda b: (b[0], -b[1]))  # k-major, descending j
+        yield _window([(k, lo, lo + u.size) for k, lo, u in blocks],
+                      np.concatenate([logs[:0]] + [u[::-1] for _, _, u in blocks]))
+        return
+    cuts = _cuts(logs, reach, r, BLOCK)
+    for w in range(cuts.shape[1] - 1):
+        pieces = [(k, lo, hi) for k, (lo, hi) in enumerate(cuts[:, w : w + 2].tolist(), 1) if lo < hi]
+        yield _window(pieces, _rebuilt(logs, pieces))
+
+
+def _levels(logs, reach, block):
+    """(k, lo, u): level k's powers of the primes lo, lo + 1, ..., ``block`` primes
+    at a time, each block's levels made one from the one before."""
+    for lo in range(0, logs.size, block):
+        step, k = logs[lo : lo + block], 0
+        u = np.zeros(step.size)
+        while n := np.count_nonzero(_fits(u, step[: u.size], reach)):
+            u, k = u[:n] + step[:n], k + 1
+            yield k, lo, u
+
+
+def _cuts(logs, reach, r, block):
+    """cuts[k - 1, w]: level k's powers before window w, from two passes over the
+    levels (:func:`_levels`).  Window w holds the runs edges[w] to
+    edges[w + 1] - 1: whole runs of at most ``block`` powers, or one longer run."""
+    sizes, runs = [], int(reach * r) + 1  # floor(u r) <= floor(reach r) for u < reach
+    below = np.zeros(runs + 1, dtype=np.int64)  # below[m]: the powers in runs under m
+    for k, _, u in _levels(logs, reach, block):
+        sizes += [0] * (k - len(sizes))
+        sizes[k - 1] += u.size
+        ids = _run_ids(u, r)
+        below[ids[0] + 1 : ids[-1] + 2] += np.bincount(ids - ids[0])
+    np.cumsum(below, out=below)
+    edges = [0]
+    while edges[-1] < runs:
+        e = edges[-1]
+        edges.append(max(e + 1, int(np.searchsorted(below, below[e] + block, side="right")) - 1))
+    cuts = np.zeros((len(sizes), len(edges)), dtype=np.intp)
+    for k, _, u in _levels(logs, reach, block):
+        cuts[k - 1] += np.searchsorted(_run_ids(u, r), edges)
+    return cuts
+
+
+def _rebuilt(logs, pieces):
+    """The logs of the ``pieces`` (k, lo, hi) laid end to end, each by descending
+    j, each summed by the k additions from 0 that made its level."""
+    step = np.concatenate([logs[:0]] + [logs[lo:hi][::-1] for _, lo, hi in pieces])
+    u, done, e = np.zeros(step.size), 0, 0
+    for k, lo, hi in pieces:  # the pieces of level k and above get their k - done more additions
+        for _ in range(k - done):
+            u[e:] += step[e:]
+        done, e = k, e + hi - lo
+    return u
+
+
+def _window(pieces, u):
+    """(u, j, k) sorted by u, stably, from the logs ``u`` of the ``pieces``
+    (k, lo, hi) laid end to end, each by descending j from hi - 1 to lo."""
+    ends = np.cumsum([0] + [hi - lo for _, lo, hi in pieces])  # piece q fills ends[q]:ends[q + 1]
+    order = np.argsort(u, kind="stable")
+    u = u[order]
+    j = np.searchsorted(ends, order, side="right")
+    j -= 1  # the piece of each
+    k = np.array([piece[0] for piece in pieces], dtype=np.intp)[j]
+    np.take(np.array([hi - 1 for _, _, hi in pieces], dtype=np.intp) + ends[:-1], j, out=j)
+    j -= order  # piece q holds j = hi - 1, ..., lo
+    return u, j, k
 
 
 def _run_ids(u, r):

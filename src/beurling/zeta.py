@@ -29,6 +29,7 @@ from .systems import PrimeSequence
 
 TAYLOR_TERMS = 20  # series terms per run of jumps in _moment_sum
 KERNEL_CELLS = 1 << 14  # points x runs (or x terms) evaluated at once
+RUN_JUMPS = 1 << 14  # jumps per run at most: a longer floor(u r) run is cut every RUN_JUMPS jumps
 DIRECT_RUNS = 0.25  # runs past this share of the terms are summed term by term
 PRIME_RUNS = 1 / 32  # the Euler side's kernel cuts as many runs as this share of the primes
 POWER_REACH = 37.0  # the Euler side's list keeps p^k up to k log p = log p_max + 37
@@ -79,16 +80,24 @@ def _stieltjes_sum(table: CountingTable, u, w, total, s):
 
 
 def _run_starts(u, r, limit):
-    """The index of the first jump of each run of ``u`` where floor(u r) is
-    constant, or None once the runs outnumber ``limit``; ``counting.BLOCK`` jumps at a time."""
-    starts, count, last = [], 0, math.nan
+    """The index of the first jump of each run of ``u``, or None once the runs
+    outnumber ``limit``; ``counting.BLOCK`` jumps at a time.  A run starts
+    where floor(u r) changes, and again every RUN_JUMPS jumps after such a
+    start, so no run holds more than RUN_JUMPS jumps, whatever the block."""
+    starts, count, last, anchor = [], 0, math.nan, 0
     for lo in range(0, u.size, counting.BLOCK):
         cell = u[lo : lo + counting.BLOCK] * r
         np.floor(cell, out=cell)
         first = np.empty(cell.size, dtype=bool)
         first[0] = cell[0] != last
         np.not_equal(cell[1:], cell[:-1], out=first[1:])
-        starts.append(np.flatnonzero(first) + lo)
+        heads = np.append(anchor, np.flatnonzero(first) + lo)  # the floor(u r) runs here, from their first jumps
+        tails = np.append(heads[1:], lo + cell.size)
+        long = tails - heads > RUN_JUMPS
+        cuts = [np.arange(a + RUN_JUMPS * max(1, -((a - lo) // RUN_JUMPS)), b, RUN_JUMPS)
+                for a, b in zip(heads[long].tolist(), tails[long].tolist())]
+        starts.append(np.sort(np.concatenate([heads[1:], *cuts])) if cuts else heads[1:])
+        anchor = heads[-1]
         count += starts[-1].size
         if count > limit:
             return None
@@ -98,7 +107,7 @@ def _run_starts(u, r, limit):
 
 def _moment_sum(u, w, s, r):
     """sum_k w_k e^{-s u_k} at each point of the 1-d ``s``, the u cut into runs
-    where floor(u r) is constant, r >= |s|.
+    where floor(u r) is constant, r >= |s|, and at most RUN_JUMPS jumps long.
 
     A run whose first jump is c sums to e^{-sc} sum_j (-s)^j m_j, with the
     moments m_j = sum_run w_k (u_k - c)^j / j! shared by all points
@@ -109,10 +118,11 @@ def _moment_sum(u, w, s, r):
     the moments would cost more than they save, and the jumps are summed
     term by term instead; :func:`_run_starts` stops as soon as they do, so it
     keeps no more starts than the moments would.  The moments are taken over
-    slices of whole runs, about ``counting.BLOCK`` jumps each (one run, if it
-    is longer), so no run is split and each moment sums its run as one
-    ``np.add.reduceat`` segment: a call holds O(BLOCK) floats plus the longest
-    run, beside its starts and moments.
+    slices of whole runs, at most ``counting.BLOCK`` jumps each (one run, if
+    it is longer), and each moment sums its run as one ``np.add.reduceat``
+    segment, so no value depends on BLOCK: a call holds
+    O(max(BLOCK, RUN_JUMPS)) floats and the (points x runs) blocks of
+    :func:`_termwise` beside its starts and moments.
     """
     starts = _run_starts(u, r, DIRECT_RUNS * u.size)
     if starts is None:
@@ -124,8 +134,8 @@ def _moment_sum(u, w, s, r):
     ends = np.append(starts, u.size)
     moments = np.empty((TAYLOR_TERMS, starts.size))
     i = 0
-    while i < starts.size:  # the runs i..j-1, jumps lo..hi-1
-        j = max(i + 1, int(np.searchsorted(starts, starts[i] + counting.BLOCK)))
+    while i < starts.size:  # the runs i..j-1, jumps lo..hi-1: at most BLOCK jumps, or one run
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] + counting.BLOCK, side="right")) - 1)
         lo, hi = ends[i], ends[j]
         _run_moments(u[lo:hi], None if w is None else w[lo:hi], starts[i:j] - lo, moments[:, i:j])
         i = j
@@ -136,7 +146,7 @@ def _run_moments(u, w, starts, out):
     """The moments m_j = sum_run w_k (u_k - c)^j / j!, j < TAYLOR_TERMS, of the
     runs of the jumps ``u`` (weights ``w``, None for 1) that start at ``starts``,
     whole runs only, into the columns of ``out``: each run one
-    ``np.add.reduceat`` segment."""
+    ``np.add.reduceat`` segment, and a few floats per jump of ``u`` held."""
     d = np.repeat(u[starts], np.diff(np.append(starts, u.size)))
     np.subtract(u, d, out=d)  # u_k - c over each run
     term = np.ones(u.size) if w is None else w.astype(float)
@@ -210,21 +220,22 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     r * reach = PRIME_RUNS times the number of primes, a width set by the
     primes alone.  The points with |s| < r take it: the powers below reach
     (``semigroup._prime_powers``), weights 1/k or log p, come in windows of
-    whole runs, whose :func:`_run_moments` all go into one :func:`_horner`
-    call, and the primes near 1 (more than MAX_POWERS powers in reach) are
-    summed in closed form.  Each run is one ``np.add.reduceat`` segment over
-    the same jumps in the same order as in the whole list sorted at once, so
-    the windows change no bit.  A prime's omitted powers, past log p +
-    POWER_REACH, sum to less than e^{-37 sigma} < 1e-16 of its series of
-    |w| p^{-k sigma} (1/k falls too): below the rounding.  The other points
-    go prime by prime in closed form (:func:`_per_prime`).  Which way a point
-    goes depends on |s| alone, so an array gives each point its own value.
+    whole runs, whose :func:`_run_moments` go into one pair of arrays, sized
+    once for every run, and one :func:`_horner` call; the primes near 1 (more
+    than MAX_POWERS powers in reach) are summed in closed form.  Each run is
+    one ``np.add.reduceat`` segment over the same jumps in the same order as
+    in the whole list sorted at once, so the windows change no bit.  A
+    prime's omitted powers, past log p + POWER_REACH, sum to less than
+    e^{-37 sigma} < 1e-16 of its series of |w| p^{-k sigma} (1/k falls too):
+    below the rounding.  The other points go prime by prime in closed form
+    (:func:`_per_prime`).  Which way a point goes depends on |s| alone, so an
+    array gives each point its own value.
 
-    The kernel call pays the list's levels, two passes over them for the
-    windows' edges and 20 passes over each window, about six passes over the
-    primes, and holds the levels plus O(``counting.BLOCK``) floats a window;
-    each of its points then costs Horner steps over at most PRIME_RUNS of the
-    primes' count of runs.  r is about 48 at 10^6, 390 at 10^7.
+    The kernel call makes two passes over the powers for the windows' edges,
+    rebuilds each window's powers and takes 20 passes over it, and holds
+    O(``counting.BLOCK``) floats a window beside the runs' moments; each of
+    its points then costs Horner steps over at most PRIME_RUNS of the primes'
+    count of runs.  r is about 48 at 10^6, 390 at 10^7.
     """
     counting.check_density(a)
     logs = primes.logs
@@ -237,13 +248,17 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     value[~on_list] = _per_prime(logs, flat[~on_list], log_zeta)
     if np.any(on_list):
         near_one = np.searchsorted(logs, reach / MAX_POWERS)  # log p < reach / MAX_POWERS
-        c, moments = [], []
-        for u, j, k in _prime_powers(logs[near_one:], reach, r):
+        listed = logs[near_one:]
+        # at most int(reach r) + 1 runs, plus a cut every RUN_JUMPS of at most MAX_POWERS powers a prime
+        size = int(reach * r) + 1 + listed.size * MAX_POWERS // RUN_JUMPS
+        c, moments, n = np.empty(size), np.empty((TAYLOR_TERMS, size)), 0
+        for u, j, k in _prime_powers(listed, reach, r):
             starts = _run_starts(u, r, math.inf)
-            c.append(u[starts])
-            moments.append(np.empty((TAYLOR_TERMS, starts.size)))
-            _run_moments(u, 1.0 / k if log_zeta else logs[near_one:][j], starts, moments[-1])
-        value[on_list] = (_horner(np.concatenate(c), np.hstack(moments), flat[on_list])
+            c[n : n + starts.size] = u[starts]
+            _run_moments(u, 1.0 / k if log_zeta else listed[j], starts, moments[:, n : n + starts.size])
+            n += starts.size
+            del u, j, k  # before the next window is built
+        value[on_list] = (_horner(c[:n], moments[:, :n], flat[on_list])
                           + _per_prime(logs[:near_one], flat[on_list], log_zeta))
     value = (np.exp(value) if log_zeta else value).reshape(np.shape(s))
     value = value if value.ndim else complex(value)

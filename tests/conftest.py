@@ -10,6 +10,7 @@ the library's parent rows, so value comparisons can be exact.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,16 @@ def diamond_partial_naturals(x_int):
     )
 
 
+def traced_peak(fn):
+    """(peak, result): the tracemalloc peak in bytes of one call of ``fn``, and what it returned."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
 class Timed:
     """Records the wall-clock cost of building the big shared table."""
 
@@ -109,6 +120,13 @@ def rational_1e6():
     table = build_table_from_system(primes, 1e6, 1.0)
     elapsed = time.perf_counter() - t0
     return Timed((primes, table), elapsed)
+
+
+@pytest.fixture(scope="session")
+def rational_1e5():
+    """Rational-primes system at bound 10^5 with a = 1, built once."""
+    primes = materialize(PrimeSystemSpec.rational(), 1e5)
+    return primes, build_table_from_system(primes, 1e5, 1.0)
 
 
 @pytest.fixture(scope="session")

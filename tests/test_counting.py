@@ -8,7 +8,6 @@ from beurling import (
     build_table,
     build_table_from_system,
     enumerate_integers,
-    estimate_density,
     materialize,
 )
 from beurling.counting import QUERY_EPS, CountingTable, write_counting_csv
@@ -213,16 +212,6 @@ def test_nan_queries_raise(rational_1e4):
         for x in (math.nan, np.array([2.0, math.nan])):
             with pytest.raises(ValueError):
                 query(x)
-
-
-def test_estimate_density(rational_1e4):
-    _, t = rational_1e4
-    a_hat, drift = estimate_density(t)
-    assert a_hat == pytest.approx(1.0, abs=2e-3)
-    assert drift < 2e-3
-    # 1 < B < 2: only the unit is enumerated, and the grid must stay below B
-    _, unit_only = table_for([2.0], 1.5)
-    assert estimate_density(unit_only) == (1.0 / 1.5, 0.0)
 
 
 def test_counting_csv(tmp_path, rational_1e4):

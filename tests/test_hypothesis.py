@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from beurling.hypothesis import (
     INCONCLUSIVE,
     VIOLATED,
 )
-from conftest import diamond_partial_naturals
+from conftest import diamond_partial_naturals, traced_peak
 
 
 def table_for(values, bound, a=None):
@@ -413,13 +412,17 @@ def test_jump_extrema_match_reference(spec, bound, a):
 
 
 def _checks_on_n(table):
-    """Every check on N, as comparable values: the reports' dicts and tail_sup
-    at the jumps, just beside them, and on a geometric grid."""
+    """Every check on N, as comparable values: the reports' dicts, tail_sup at
+    the jumps, just beside them, and on a geometric grid, and the Chebyshev
+    verdict on psi's whole list and on a window whose ends sit on psi's jumps."""
     xs = np.exp(table.jump_logs)
     xs = np.concatenate((xs, xs * (1 + 1e-12), np.geomspace(1.0, table.bound, 97)))
+    on_jumps = np.exp(table.psi_logs[[2, -3]])
     return ([f(table).to_dict() for f in (l1_condition, zhang_condition)],
             json.dumps(little_o_trend(table).to_dict()),
-            tail_sup(table, np.minimum(xs, table.bound)).tolist())
+            tail_sup(table, np.minimum(xs, table.bound)).tolist(),
+            [chebyshev_verdict(table, lo, hi).to_dict()
+             for lo, hi in ((1.5, table.bound), (on_jumps[0], min(on_jumps[1], table.bound)))])
 
 
 def test_integral_reports_independent_of_block(rational_2000, monkeypatch):
@@ -438,16 +441,19 @@ def test_integral_reports_independent_of_block(rational_2000, monkeypatch):
             assert _checks_on_n(table) == want, block
 
 
-@pytest.mark.parametrize("check", [l1_condition, zhang_condition, little_o_trend,
-                                   lambda t: tail_sup(t, np.geomspace(1.0, t.bound, 400))],
-                         ids=["l1_condition", "zhang_condition", "little_o_trend", "tail_sup"])
-def test_check_peak_memory_bounded(rational_1e6, check):
-    # each check holds O(BLOCK) floats, less than one float64 column of N(B) entries
-    _, table = rational_1e6.value
-    tracemalloc.start()
-    try:
-        check(table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+CHECKS_ON_N = {"l1_condition": l1_condition, "zhang_condition": zhang_condition,
+               "little_o_trend": little_o_trend,
+               "tail_sup": lambda t: tail_sup(t, np.geomspace(1.0, t.bound, 400)),
+               "chebyshev_verdict": lambda t: chebyshev_verdict(t, 2.0, t.bound)}
+
+
+@pytest.mark.parametrize("check", CHECKS_ON_N)
+def test_check_peak_memory_bounded(rational_1e5, rational_1e6, check):
+    # each check holds O(BLOCK) floats beside the table: less than one float64
+    # column of N(B) entries, and its peak at 1e6 is its peak at 1e5 (where
+    # N(B) is ten times smaller) plus at most two blocks of floats
+    check = CHECKS_ON_N[check]
+    small, table = rational_1e5[1], rational_1e6.value[1]
+    peak = traced_peak(lambda: check(table))[0]
     assert peak < 8 * table.total_count, peak / (8 * table.total_count)
+    assert peak <= traced_peak(lambda: check(small))[0] + 2 * 8 * counting.BLOCK

@@ -1,6 +1,5 @@
 import math
 import time
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -19,7 +18,7 @@ from beurling import (
     zeta_euler,
 )
 from beurling.semigroup import DUMP_BLOCK, write_dump
-from conftest import brute_force_dump, brute_force_enumerate, trial_division_primes
+from conftest import brute_force_dump, brute_force_enumerate, traced_peak, trial_division_primes
 
 
 def system(values, bound):
@@ -266,12 +265,7 @@ def test_repeated_primes_stay_linear():
     # the tie order must cost memory per row, not per row and prime.
     assert_rows_match_oracle(trial_division_primes(2000) * 2, 2000)
     seq = system(trial_division_primes(8000) * 2, 8000)
-    tracemalloc.start()
-    try:
-        en = enumerate_integers(seq, 8000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, en = traced_peak(lambda: enumerate_integers(seq, 8000))
     assert (len(seq), len(en)) == (2014, 73119)
     assert peak < 8 * 24 * len(en)  # 24 bytes of final columns per row
 
@@ -281,12 +275,7 @@ def test_jump_arrays_keeps_only_logs(rational_1e6):
     # generation a block at a time: its traced peak stays under 1.5 float64
     # columns of N(B).
     primes = rational_1e6.value[0]
-    tracemalloc.start()
-    try:
-        logs = jump_arrays(primes, 1e6)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, (logs, _, _) = traced_peak(lambda: jump_arrays(primes, 1e6))
     assert peak < 1.5 * 8 * logs.size
 
 
@@ -352,14 +341,11 @@ def test_capacity_error_before_the_buffer_grows(monkeypatch):
     monkeypatch.undo()
     primes = materialize(PrimeSystemSpec.rational(), 1e7)
     for enumerate_ in (enumerate_integers, jump_arrays):
-        tracemalloc.start()
-        try:
+        def capped():
             with pytest.raises(CapacityError):
                 enumerate_(primes, 1e7, max_count=10**5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 10**5  # one float64 column of max_count rows
+
+        assert traced_peak(capped)[0] < 8 * 10**5  # one float64 column of max_count rows
 
 
 def test_dirichlet_series_approaches_euler_product():
@@ -445,10 +431,4 @@ def test_write_dump_peak_memory_bounded(tmp_path):
     # builds no string per row, so its traced peak stays under 10 MiB.
     en = enumerate_integers(system(TIE_GEN_PRIMES, 2e5), 2e5)
     assert len(en) == 348_300
-    tracemalloc.start()
-    try:
-        write_dump(en, tmp_path / "dump.tsv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2**20
+    assert traced_peak(lambda: write_dump(en, tmp_path / "dump.tsv"))[0] < 10 * 2**20

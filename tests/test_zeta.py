@@ -1,6 +1,5 @@
 import cmath
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -24,6 +23,7 @@ from beurling import (
 )
 from beurling import counting, semigroup, zeta
 from beurling.zeta import _stieltjes_sum
+from conftest import traced_peak
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -276,12 +276,8 @@ def test_euler_side_primes_near_one_stay_small(name):
     zeta_euler(primes, 2.0)  # its lazy scipy import is not the call's memory
     for s in points:
         zeta_, nld = _euler_oracle(primes, s)
-        tracemalloc.start()
-        try:
-            got_zeta, got_nld = zeta_euler(primes, s).value, neg_logderiv(primes, s).value
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, (got_zeta, got_nld) = traced_peak(lambda: (zeta_euler(primes, s).value,
+                                                         neg_logderiv(primes, s).value))
         assert peak < 1 << 22
         assert abs(got_zeta - zeta_) <= 1e-15 * math.log(abs(zeta_)) * abs(zeta_)
         assert abs(got_nld - nld) <= 5e-15 * abs(nld)
@@ -290,12 +286,7 @@ def test_euler_side_primes_near_one_stay_small(name):
 def test_euler_side_scaled_primes_near_one_stay_small():
     scaled = materialize(PrimeSystemSpec.scaled_rational(0.5000000001), 50.0)
     zeta_euler(scaled, 2.0)
-    tracemalloc.start()
-    try:
-        zeta_euler(scaled, np.array([1.5, 3 + 1j]))
-        assert tracemalloc.get_traced_memory()[1] < 1 << 20
-    finally:
-        tracemalloc.stop()
+    assert traced_peak(lambda: zeta_euler(scaled, np.array([1.5, 3 + 1j])))[0] < 1 << 20
 
 
 # |s| from 1.01 to about 300, several points on each side of the kernel widths
@@ -382,23 +373,61 @@ def test_euler_side_windows_match_full_list(euler_systems):
             assert np.array_equal(method(seq, s, a).value, np.exp(want) if log_zeta else want)
 
 
-def test_euler_side_peak_memory_bounded(rational_1e6):
+def _window_columns():
+    """Eight float64 columns of the largest of BLOCK, RUN_JUMPS and KERNEL_CELLS, in bytes:
+    a kernel call's window of jumps, or its (points x runs) blocks of complex terms."""
+    return 8 * 8 * max(counting.BLOCK, zeta.RUN_JUMPS, zeta.KERNEL_CELLS)
+
+
+def _euler_moments(primes):
+    """The bytes of the Euler side's run moments and first powers, at most
+    (TAYLOR_TERMS + 1) floats for each of its PRIME_RUNS * P + 1 runs and a
+    cut every RUN_JUMPS of its at most MAX_POWERS * P powers, P primes."""
+    runs = zeta.PRIME_RUNS * len(primes) + 1 + len(primes) * zeta.MAX_POWERS / zeta.RUN_JUMPS
+    return 8 * (zeta.TAYLOR_TERMS + 1) * runs
+
+
+def test_euler_side_peak_memory_bounded(rational_1e5, rational_1e6):
     # on the identity's 5 x 4 grid the primes to 1e6 take the kernel, whose
-    # powers go a window of whole runs at a time: the traced peak stays under
-    # 3 float64 columns of the power list
-    primes = rational_1e6.value[0]
+    # powers go a window of whole runs at a time and hold no level: the traced
+    # peak stays under the runs' moments plus eight columns of a window, and
+    # from 1e5 to 1e6 it grows by the moments' growth and two blocks at most
+    primes, small = rational_1e6.value[0], rational_1e5[0]
     s = (np.linspace(1.5, 3.0, 5)[:, None] + 1j * np.linspace(-5.0, 5.0, 4)).ravel()
     assert np.all(np.abs(s) < _kernel_width(primes))
-    u, _, _ = next(semigroup._prime_powers(primes.logs, float(primes.logs[-1]) + zeta.POWER_REACH))
     for method in (neg_logderiv, zeta_euler):
-        method(primes, s, 1.0)  # zeta_euler's first call imports scipy
-        tracemalloc.start()
-        try:
-            method(primes, s, 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 8 * u.size, peak / (8 * u.size)
+        method(small, s, 1.0)  # zeta_euler's first call imports scipy
+        peak, small_peak = (traced_peak(lambda: method(p, s, 1.0))[0] for p in (primes, small))
+        assert peak < _euler_moments(primes) + _window_columns(), peak
+        assert peak <= small_peak + _euler_moments(primes) - _euler_moments(small) + 2 * 8 * counting.BLOCK
+
+
+def test_kernel_cuts_long_runs(monkeypatch):
+    # a floor(u r) run is cut every RUN_JUMPS jumps from its first jump, however
+    # the jumps are blocked, so no run is longer
+    u = np.sort(np.random.default_rng(5).choice([0.1, 0.5, 0.9, 2.2, 2.3, 7.5], 60)) + 1e-3 * np.arange(60)
+    natural = np.flatnonzero(np.r_[True, np.floor(u[1:]) != np.floor(u[:-1])])
+    ends = np.append(natural[1:], u.size)
+    want = np.concatenate([np.arange(a, b, 4) for a, b in zip(natural, ends)])
+    assert np.max(np.diff(natural, append=u.size)) > 8  # runs of more than two cuts
+    monkeypatch.setattr(zeta, "RUN_JUMPS", 4)
+    for block in (1, 3, 4, 7, 60, 61):
+        monkeypatch.setattr(counting, "BLOCK", block)
+        assert np.array_equal(zeta._run_starts(u, 1.0, math.inf), want), block
+
+
+def test_long_run_matches_direct_sum(rational_1e6):
+    # at t = +-5 on 1e6 the longest floor(u r) run holds 163,182 jumps, so the
+    # kernel cuts it; the cut runs' sums match the term-by-term sum to within
+    # the series' e/20! of sum |w| e^{-sigma u} plus rounding
+    u = rational_1e6.value[1].jump_logs
+    s = 1.0 + 1j * np.array([-5.0, -2.5, 0.0, 2.5, 5.0])
+    r = abs(s[0])
+    assert np.max(np.unique(np.floor(u * r), return_counts=True)[1]) > 8 * zeta.RUN_JUMPS
+    got = zeta._moment_sum(u, None, s, r)
+    direct = zeta._termwise(u, s, lambda x, cols: np.exp(x * u[cols]))
+    scale = np.sum(np.exp(-u))  # sum |w| e^{-sigma u}, sigma = 1
+    assert np.all(np.abs(got - direct) <= (math.e / math.factorial(20) + 16 * np.finfo(float).eps) * scale)
 
 
 def test_boundary_scan_blocks_match_one_point_at_a_time(rational_1e4, monkeypatch):
@@ -471,18 +500,15 @@ def test_table_transforms_reject_overflowing_phases(method, point):
     assert np.isfinite(getattr(fine, "value", fine))
 
 
-def test_boundary_scan_peak_memory_bounded(rational_1e6):
-    # the moments' temporaries span one slice of whole runs: less than one
-    # float64 column of N(B) entries
-    _, table = rational_1e6.value
-    boundary_scan(table, 5.0, points=201, floor=1e-3)
-    tracemalloc.start()
-    try:
-        boundary_scan(table, 5.0, points=201, floor=1e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * table.total_count, peak / (8 * table.total_count)
+def test_boundary_scan_peak_memory_bounded(rational_1e5, rational_1e6):
+    # the moments go over slices of whole runs of at most BLOCK jumps, and no
+    # run holds more than RUN_JUMPS: eight columns of the larger of those and
+    # KERNEL_CELLS, and from 1e5 to 1e6 the peak grows by two blocks at most
+    table, small = rational_1e6.value[1], rational_1e5[1]
+    peak, small_peak = (traced_peak(lambda: boundary_scan(t, 5.0, points=201, floor=1e-3))[0]
+                        for t in (table, small))
+    assert peak < _window_columns(), peak
+    assert peak <= small_peak + 2 * 8 * counting.BLOCK
 
 # --- Laplace transform of psi ---
 
