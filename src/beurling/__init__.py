@@ -11,12 +11,10 @@ from .errors import CapacityError, DomainError, InvalidSystemError
 from .hypothesis import (
     ChebyshevReport,
     IntegralReport,
-    OmegaReport,
     TrendReport,
     chebyshev_verdict,
     l1_condition,
     little_o_trend,
-    omega_lemma_check,
     tail_sup,
     zhang_condition,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "IdentityReport",
     "IntegralReport",
     "InvalidSystemError",
-    "OmegaReport",
     "PrimeSequence",
     "PrimeSystemSpec",
     "TrendReport",
@@ -69,7 +66,6 @@ __all__ = [
     "little_o_trend",
     "materialize",
     "neg_logderiv",
-    "omega_lemma_check",
     "rational_primes_below",
     "tail_sup",
     "zeta_dirichlet",

@@ -24,17 +24,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import counting, hypothesis, semigroup, zeta
 from .errors import CapacityError, InvalidSystemError
 from .systems import VARIANTS, PrimeSystemSpec, materialize
-
-
-def _identity(cfg, primes, table):
-    p = cfg.params["identity"]
-    return zeta.identity_check(table, primes, np.linspace(p["sigma_lo"], p["sigma_hi"], 5),
-                               np.linspace(p["t_lo"], p["t_hi"], 4))
 
 
 # Every check: (cfg, primes, table) -> a report with ``to_dict()``; the table carries
@@ -46,7 +39,7 @@ CHECKS = {
     "little-o": lambda cfg, primes, table: hypothesis.little_o_trend(table),
     "chebyshev": lambda cfg, primes, table: hypothesis.chebyshev_verdict(
         table, cfg.params["chebyshev"]["window_lo"], cfg.params["chebyshev"]["window_hi"]),
-    "identity": _identity,
+    "identity": lambda cfg, primes, table: zeta.identity_check(table, primes, **cfg.params["identity"]),
     "boundary": lambda cfg, primes, table: zeta.boundary_scan(table, **cfg.params["boundary"]),
     "zeta": lambda cfg, primes, table: zeta.zeta_sweep(table, primes, **cfg.params["zeta"]),
 }
@@ -341,9 +334,10 @@ def report(output_dir):
             rep = json.loads(path.read_text())
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             _fail(f"{path} is not valid JSON: {exc}", 2)
-        if not (isinstance(rep, dict) and "check" in rep and isinstance(rep.get("parameters"), dict)
+        if not (isinstance(rep, dict) and isinstance(rep.get("check"), str)
+                and isinstance(rep.get("parameters"), dict)
                 and {"variant", "params", "bound", "density_a"} <= rep["parameters"].keys()):
-            _fail(f"{path} lacks check, or parameters with variant, params, bound and density_a", 2)
+            _fail(f"{path} lacks a check name, or parameters with variant, params, bound and density_a", 2)
         # the headline fields that _write_summary reads; a report without checkpoints passes
         cps = rep.get("checkpoints", [[None, None]])
         if not (isinstance(cps, list) and cps and isinstance(cps[-1], list) and len(cps[-1]) == 2

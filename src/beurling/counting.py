@@ -1,4 +1,4 @@
-"""Counting structures: N(x), psi(x) and their normalized forms.
+"""Counting structures: N(x) and psi(x).
 
 A :class:`CountingTable` keeps two sorted lists of jump logs: N's, one per
 generalized integer, and psi's, one per prime power with its Lambda weight.
@@ -77,26 +77,6 @@ class CountingTable:
         """psi(x): sum of Lambda over generalized integers below x."""
         out = self.cum_lambda[self._index_below(self.psi_logs, x)]
         return out if np.ndim(x) else float(out)
-
-    def normalized_error(self, u):
-        """E1(u) = e^{-u} N(e^u) - a H(u), with H(0) = 0."""
-        if self.a is None:
-            raise ValueError("normalized_error requires a declared density a")
-        u = np.asarray(u, dtype=float)
-        if not np.all(u <= self.log_bound):
-            raise ValueError(f"e^u beyond enumeration bound {self.bound} (or u is NaN)")
-        count = _below(self.jump_logs, u)
-        # e^{-u} overflows below u = -709; the count there is 0 (the unit sits at u = 0).
-        out = np.exp(-u, out=np.zeros_like(u), where=count > 0) * count - self.a * (u > 0)
-        return out if out.ndim else float(out)
-
-    def normalized_psi(self, u):
-        """T(u) = e^{-u} psi(e^u), for 0 <= u <= log(bound)."""
-        u = np.asarray(u, dtype=float)
-        if not np.all((u >= 0) & (u <= self.log_bound)):
-            raise ValueError("u must lie in [0, log bound] (not NaN)")
-        out = np.exp(-u) * self.cum_lambda[_below(self.psi_logs, u)]
-        return out if out.ndim else float(out)
 
 
 def build_table(en: EnumerationResult, primes: PrimeSequence, a: float | None = None) -> CountingTable:

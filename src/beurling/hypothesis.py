@@ -89,20 +89,6 @@ class ChebyshevReport:
                 "verdict": f"ratio_min={self.ratio_min:.12g},ratio_max={self.ratio_max:.12g}"}
 
 
-@dataclass(frozen=True)
-class OmegaReport:
-    """Quadrature partials of integral omega(x)/x dx plus decay of omega log x."""
-
-    checkpoints: tuple
-    verdict: str
-    logweight_sups: tuple
-    decaying: bool
-    contradiction: bool
-
-    def to_dict(self):
-        return asdict(self)
-
-
 def _density(table: CountingTable) -> float:
     """The table's declared density a, which every check on N needs > 0 (the table holds it finite)."""
     if not table.a:
@@ -149,36 +135,6 @@ def _rising(vals) -> bool:
             and vals[-2] >= vals[-3] * (1 - 1e-12))
 
 
-def _decaying(vals) -> bool:
-    """The last value is at most DECAY_RATIO times the largest of the first half."""
-    return vals[-1] <= DECAY_RATIO * max(vals[: max(1, len(vals) // 2)])
-
-
-def _query_points(bound, checkpoints):
-    """The points :func:`_evidence` reads: the checkpoints, sorted (by default
-    CHECKPOINTS geometric ones from 2 to the bound), and the decade points."""
-    if checkpoints is None:
-        checkpoints = np.geomspace(min(2.0, bound), bound, CHECKPOINTS)
-    return (np.sort(np.asarray(checkpoints, dtype=float)),
-            [1.0] + [x for x in (bound / 1e3, bound / 1e2, bound / 10.0, bound) if x > 1.0])
-
-
-def _evidence(partial, bound, checkpoints):
-    """(checkpoint partials, decade verdict, tail estimate): the verdict weighs
-    a flat last decade against non-decreasing per-decade increments."""
-    checkpoints, xs = _query_points(bound, checkpoints)
-    pts = tuple((float(x), partial(x)) for x in checkpoints)
-    ps = [partial(x) for x in xs]
-    incr = [q - p for p, q in zip(ps, ps[1:])]
-    if _rising(incr) and incr[-1] > 0:
-        verdict = DIVERGENT
-    elif ps[-1] == 0.0 or (incr and incr[-1] < CONVERGENT_FRAC * ps[-1]):
-        verdict = CONVERGENT
-    else:
-        verdict = INCONCLUSIVE
-    return pts, verdict, incr[-1] if incr else 0.0
-
-
 def _integral_report(table: CountingTable, blocks, piece, checkpoints, caveat) -> IntegralReport:
     """Exact partials of integral_1^X f dx, where ``piece(*ends, x, log x)``
     integrates f over piece k from x_k to x, ``ends`` its per-piece arrays.
@@ -186,13 +142,19 @@ def _integral_report(table: CountingTable, blocks, piece, checkpoints, caveat) -
     ``blocks`` yields (lo, ends, xhi, uhi) for each block of pieces from lo on,
     xhi and uhi at their right ends.  The whole pieces are summed in one
     sequential pass, each block carrying the running sum into its first term.
-    The pieces that hold a query point of :func:`_evidence` are found before
-    the pass, which keeps only the sum before each of them and its ends.
+    The partials are read at the checkpoints, sorted (by default CHECKPOINTS
+    geometric ones from 2 to the bound), and at the decade points; the verdict
+    weighs a flat last decade against non-decreasing per-decade increments.
+    The pieces that hold a query point are found before the pass, which keeps
+    only the sum before each of them and its ends.
     """
-    logs = table.jump_logs
+    bound, logs = table.bound, table.jump_logs
+    if checkpoints is None:
+        checkpoints = np.geomspace(min(2.0, bound), bound, CHECKPOINTS)
+    checkpoints = np.sort(np.asarray(checkpoints, dtype=float)).tolist()
+    decades = [1.0] + [x for x in (bound / 1e3, bound / 1e2, bound / 10.0, bound) if x > 1.0]
     wanted = np.array([np.searchsorted(logs, math.log(x), side="right") - 1
-                       for x in np.concatenate(_query_points(table.bound, checkpoints)).tolist()
-                       if 1.0 < x < table.bound], dtype=np.intp)
+                       for x in checkpoints + decades if 1.0 < x < bound], dtype=np.intp)
     before, ends_at, total = {}, {}, 0.0
     for lo, ends, xhi, uhi in blocks:
         part = piece(*ends, xhi, uhi)
@@ -208,14 +170,23 @@ def _integral_report(table: CountingTable, blocks, piece, checkpoints, caveat) -
         x = float(x)
         if x <= 1.0:
             return 0.0
-        if x >= table.bound:
+        if x >= bound:
             return float(total)
         ux = math.log(x)
         k = int(np.searchsorted(logs, ux, side="right")) - 1
         return float(before[k] + piece(*ends_at[k], x, ux))
 
-    pts, verdict, tail = _evidence(partial, table.bound, checkpoints)
-    return IntegralReport(pts, max(tail, 0.0), verdict, exact=True, caveats=(caveat,))
+    ps = [partial(x) for x in decades]
+    incr = [q - p for p, q in zip(ps, ps[1:])]
+    if _rising(incr) and incr[-1] > 0:
+        verdict = DIVERGENT
+    elif ps[-1] == 0.0 or (incr and incr[-1] < CONVERGENT_FRAC * ps[-1]):
+        verdict = CONVERGENT
+    else:
+        verdict = INCONCLUSIVE
+    tail = max(incr[-1], 0.0) if incr else 0.0
+    return IntegralReport(tuple((x, partial(x)) for x in checkpoints), tail, verdict, exact=True,
+                          caveats=(caveat,))
 
 
 def l1_condition(table: CountingTable, checkpoints=None) -> IntegralReport:
@@ -325,59 +296,12 @@ def little_o_trend(table: CountingTable) -> TrendReport:
         verdict = INCONCLUSIVE
     elif _rising(sups):
         verdict = VIOLATED
-    elif _decaying(sups):
+    elif sups[-1] <= DECAY_RATIO * max(sups[: len(sups) // 2]):
         verdict = CONSISTENT
     else:
         verdict = INCONCLUSIVE
     grid = np.geomspace(1.0, table.bound, TREND_SAMPLES)
     return TrendReport(grid, d(grid), tuple(zip(edges, edges[1:], sups)), verdict)
-
-
-def omega_lemma_check(omega, x_max: float, checkpoints=None) -> OmegaReport:
-    """Trapezoid partials of integral_1^{x_max} omega(x)/x dx plus the decay
-    profile of omega(x) log x over dyadic tail windows.
-
-    ``omega`` is a vectorized callable; samples must be non-increasing and
-    non-negative.  The grid is refined (doubled, in log x, at most 12 times)
-    until successive integral estimates agree to 1e-6 relative.  A convergent
-    integral with a non-decaying omega(x) log x profile is flagged as a
-    contradiction indicator; it should never fire on valid inputs.
-    """
-    if not 1.0 < x_max < math.inf:
-        raise ValueError(f"x_max must be finite and exceed 1, got {x_max}")
-    u_max = math.log(x_max)
-    n = 1025
-    prev = None
-    for _ in range(12):
-        us = np.linspace(0.0, u_max, n)
-        w = np.asarray(omega(np.exp(us)), dtype=float)
-        slack = 1e-12 * (1.0 + float(np.max(np.abs(w))))
-        if np.any(w < -slack):
-            raise ValueError("omega must be non-negative")
-        if np.any(np.diff(w) > slack):
-            raise ValueError("omega samples must be non-increasing")
-        du = us[1] - us[0]
-        cum = np.concatenate(([0.0], np.cumsum((w[1:] + w[:-1]) * 0.5 * du)))
-        total = float(cum[-1])
-        if prev is not None and abs(total - prev) <= 1e-6 * max(abs(total), 1e-12):
-            break
-        prev = total
-        n = 2 * (n - 1) + 1
-
-    def partial(x):
-        x = float(x)
-        if x <= 1.0:
-            return 0.0
-        return float(np.interp(min(math.log(x), u_max), us, cum))
-
-    pts, verdict, _ = _evidence(partial, x_max, checkpoints)
-    edges = _dyadic_edges(x_max)
-    cuts = np.searchsorted(np.exp(us), edges, side="right")
-    wu = w * us
-    sups = [float(np.max(wu[i:j])) if j > i else 0.0 for i, j in zip(cuts[:-1], cuts[1:])]
-    decaying = _decaying(sups)
-    contradiction = verdict == CONVERGENT and not decaying
-    return OmegaReport(pts, verdict, tuple(zip(edges, edges[1:], sups)), decaying, contradiction)
 
 
 def window_ok(x_lo: float, x_hi: float, bound: float) -> bool:

@@ -372,16 +372,18 @@ class IdentityReport:
         }
 
 
-def identity_check(table: CountingTable, primes: PrimeSequence, sigmas, ts) -> IdentityReport:
-    """Compare :func:`laplace_psi` with :func:`neg_logderiv` / s at every
-    (sigma, t) of the grid, the Euler side with the table's density.
+def identity_check(table: CountingTable, primes: PrimeSequence, sigma_lo: float, sigma_hi: float,
+                   t_lo: float, t_hi: float) -> IdentityReport:
+    """Compare :func:`laplace_psi` with :func:`neg_logderiv` / s at every point
+    of the 5 x 4 grid of sigma in [sigma_lo, sigma_hi] and t in [t_lo, t_hi],
+    the Euler side with the table's density.
 
     A point passes when the difference stays within the allowance: the Euler
     side's truncation bound over |s|, plus psi(B) B^{-sigma} / sigma for the
     range beyond B that the transform omits, plus 1e-9 for rounding.
     """
     psi_total = float(table.cum_lambda[-1])
-    s = (np.asarray(sigmas, dtype=float)[:, None] + 1j * np.asarray(ts, dtype=float)).ravel()
+    s = (np.linspace(sigma_lo, sigma_hi, 5)[:, None] + 1j * np.linspace(t_lo, t_hi, 4)).ravel()
     lap = laplace_psi(table, s)
     nld = neg_logderiv(primes, s, table.a)
     rhs = nld.value / s

@@ -410,7 +410,7 @@ def test_identity_check_failure_exits_1(runner, tmp_path, monkeypatch):
     # the {3} primes against the {2} table: the identity cannot hold
     real, three = zeta.identity_check, materialize(PrimeSystemSpec.single(3.0), 1024)
     monkeypatch.setattr(zeta, "identity_check",
-                        lambda table, primes, *grid: real(table, three, *grid))
+                        lambda table, primes, **grid: real(table, three, **grid))
     out = tmp_path / "o"
     res = runner.invoke(main, [
         "check", "--checks", "identity,l1", "--variant", "single-prime", "--params", "2",
@@ -495,9 +495,10 @@ PARAMETERS = '"parameters": {"variant": "rational-primes", "params": [], "bound"
 @pytest.mark.parametrize("text", ["{not json", '{"check": "l1"}', '["check", "parameters"]',
                                   '{"check": "l1", "parameters": {"bound": 10}}',
                                   '{"check": "l1", %s, "checkpoints": [5]}' % PARAMETERS,
-                                  '{"check": "chebyshev", %s, "ratio_min": 0.9}' % PARAMETERS],
+                                  '{"check": "chebyshev", %s, "ratio_min": 0.9}' % PARAMETERS,
+                                  '{"check": ["l1"], %s}' % PARAMETERS],
                          ids=["invalid-json", "no-parameters", "not-an-object", "no-variant",
-                              "checkpoint-not-a-pair", "ratio-min-alone"])
+                              "checkpoint-not-a-pair", "ratio-min-alone", "check-not-a-string"])
 def test_report_rejects_malformed_report(runner, tmp_path, text):
     (tmp_path / "report-l1.json").write_text(text)
     res = runner.invoke(main, ["report", "--out", str(tmp_path)])

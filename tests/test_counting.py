@@ -83,8 +83,6 @@ def test_psi_list_matches_per_jump_oracle(spec, bound):
     xs = np.concatenate((np.exp(en.logs[en.logs > 0]), np.geomspace(1.0, bound, 101)))
     xs = np.clip(np.concatenate((xs, xs * (1 + 1e-12), xs * (1 - 1e-12))), 1.0, bound)
     assert np.array_equal(t.psi(xs), cum[below(np.log(xs))])
-    us = np.log(xs)
-    assert np.array_equal(t.normalized_psi(us), np.exp(-us) * cum[below(us)])
 
     # the window's jumps run from x_lo up to, not including, x_hi (strict convention)
     rows = np.arange(len(en.logs))
@@ -115,6 +113,38 @@ def test_count_examples(rational_1e4):
     assert t.count_n(1e4) == 9999  # the unit plus integers 2..9999
 
 
+# The enumeration cuts at log n < log B in float, the queries at log B - QUERY_EPS, so
+# an integer equal to B whose summed float log falls below log B is a row that count_n(B)
+# leaves out.  Making the cut strict changes tie-gen's enumeration.csv, so it waits on
+# a remade benchmark reference (ROADMAP item 2).
+_ROW_AT_BOUND = pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the enumeration keeps rows "
+                                  "equal to B until its cut is strict and the benchmark reference is remade")
+
+
+def _case_id(v):
+    return v.variant + "".join(f"-{p:g}" for p in v.params) if isinstance(v, PrimeSystemSpec) else f"{v:g}"
+
+
+@pytest.mark.parametrize("spec, bound", [
+    pytest.param(PrimeSystemSpec.rational(), 1e4, marks=_ROW_AT_BOUND),
+    pytest.param(PrimeSystemSpec.rational(), 1e5, marks=_ROW_AT_BOUND),
+    (PrimeSystemSpec.rational(), 2.0**17),
+    (PrimeSystemSpec.rational(), 2.0**20),
+    (PrimeSystemSpec.single(2.0), 2.0**20),
+    (PrimeSystemSpec.single(2.0), 1e6),
+    (PrimeSystemSpec.explicit([2.0, 5.0]), 2.0**20),
+    pytest.param(PrimeSystemSpec.explicit([2.0, 5.0]), 1e6, marks=_ROW_AT_BOUND),
+    (PrimeSystemSpec.scaled_rational(0.6), 1e4),
+    (PrimeSystemSpec.scaled_rational(0.6), 2.0**14),
+    (PrimeSystemSpec.scaled_rational(2.0), 1e4),
+    (PrimeSystemSpec.scaled_rational(2.0), 2.0**14),
+], ids=_case_id)
+def test_total_count_is_count_below_bound(spec, bound):
+    # the strict convention in every layer: the table holds exactly the integers n < B
+    t = build_table_from_system(materialize(spec, bound), bound)
+    assert t.total_count == t.count_n(bound)
+
+
 def test_count_powers_of_two():
     _, t = table_for([2.0], 16)
     assert t.count_n(9) == 4  # 1, 2, 4, 8
@@ -126,34 +156,6 @@ def test_psi_examples(rational_1e4):
     assert t.psi(1) == 0.0
     _, t2 = table_for([2.0], 16)
     assert t2.psi(9) == pytest.approx(3 * math.log(2), rel=1e-13)
-
-
-def test_normalized_error(rational_1e4):
-    _, t = rational_1e4
-    assert t.normalized_error(math.log(10)) == pytest.approx(-0.1, abs=1e-12)
-    assert t.normalized_error(0.0) == 0.0  # H(0) = 0, N(1) = 0
-    assert t.normalized_error(-1.0) == 0.0
-    _, t2 = table_for([2.0], 16, a=1.0)
-    assert t2.normalized_error(math.log(9)) == pytest.approx(4 / 9 - 1, abs=1e-12)
-
-
-@pytest.mark.filterwarnings("error")
-def test_normalized_error_far_left_is_zero():
-    # e^{-u} overflows below u = -709, where N(e^u) = 0: the product must be 0, not nan
-    _, t = table_for([2, 3], 100, a=1.0)
-    assert t.normalized_error(-800.0) == 0.0
-    assert t.normalized_error(-math.inf) == 0.0
-    got = t.normalized_error(np.array([-math.inf, -800.0, -1.0, math.log(10)]))
-    assert got[:3].tolist() == [0.0, 0.0, 0.0]
-    assert got[3] == pytest.approx(7 / 10 - 1, abs=1e-12)  # N(10) = 7
-
-
-def test_normalized_psi(rational_1e4):
-    _, t = rational_1e4
-    assert t.normalized_psi(0.0) == 0.0
-    assert t.normalized_psi(math.log(10)) == pytest.approx(math.log(2520) / 10, rel=1e-12)
-    _, t2 = table_for([2.0], 16)
-    assert t2.normalized_psi(math.log(9)) == pytest.approx(3 * math.log(2) / 9, rel=1e-12)
 
 
 def test_monotonicity_and_domination(rational_1e4, rng):
@@ -169,11 +171,15 @@ def test_monotonicity_and_domination(rational_1e4, rng):
 def test_tauberian_inequality(rational_1e4, rng):
     # e^{-u} T(h) <= T(u + h) because psi is non-decreasing
     _, t = rational_1e4
+
+    def T(u):  # e^{-u} psi(e^u)
+        return math.exp(-u) * t.psi(min(math.exp(u), t.bound))
+
     log_b = t.log_bound
     for _ in range(200):
         h = rng.uniform(0.1, log_b - 0.1)
         u = rng.uniform(0.0, log_b - h)
-        assert math.exp(-u) * t.normalized_psi(h) <= t.normalized_psi(u + h) + 1e-12
+        assert math.exp(-u) * T(h) <= T(u + h) + 1e-12
 
 
 def test_psi_equals_resummation(rational_1e4):
@@ -198,17 +204,12 @@ def test_query_validation(rational_1e4):
         t.count_n(2e4)
     with pytest.raises(ValueError):
         t.psi(0.0)
-    with pytest.raises(ValueError):
-        t.normalized_psi(t.log_bound + 1.0)
-    t_no_a = build_table_from_system(materialize(PrimeSystemSpec.single(2.0), 8.0), 8.0)
-    with pytest.raises(ValueError):
-        t_no_a.normalized_error(1.0)
 
 
 def test_nan_queries_raise(rational_1e4):
     # NaN fails every comparison, so a guard written as "any bad" would let it through
     _, t = rational_1e4
-    for query in (t.count_n, t.psi, t.normalized_error, t.normalized_psi):
+    for query in (t.count_n, t.psi):
         for x in (math.nan, np.array([2.0, math.nan])):
             with pytest.raises(ValueError):
                 query(x)

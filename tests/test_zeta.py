@@ -535,13 +535,15 @@ def test_identity_check_passes_and_flags_mismatched_primes():
     # {2} to 2^10 is exhaustive, so its allowance is only the omitted range
     two = system([2.0], 2.0**10)
     table = build_table_from_system(two, 2.0**10)
-    sigmas, ts = np.linspace(1.5, 3.0, 5), np.linspace(-5.0, 5.0, 4)
-    good = identity_check(table, two, sigmas, ts)
+    grid = (1.5, 3.0, -5.0, 5.0)  # sigma_lo, sigma_hi, t_lo, t_hi: a 5 x 4 grid
+    good = identity_check(table, two, *grid)
     assert good.verdict == "pass" and good.max_excess == 0.0
     assert len(good.rows) == good.to_dict()["grid_points"] == 20
     sigma, t, lap, rhs, diff, allowance = good.rows[0]
     assert (sigma, t) == (1.5, -5.0) and diff == abs(lap - rhs) <= allowance
-    bad = identity_check(table, system([3.0], 2.0**10), sigmas, ts)
+    sigmas, ts = np.linspace(1.5, 3.0, 5).tolist(), np.linspace(-5.0, 5.0, 4).tolist()
+    assert [row[:2] for row in good.rows] == [(sigma, t) for sigma in sigmas for t in ts]
+    bad = identity_check(table, system([3.0], 2.0**10), *grid)
     assert bad.verdict == "fail" and bad.max_excess > 0
     assert bad.to_dict()["max_excess_over_allowance"] == bad.max_excess
 
