@@ -11,7 +11,9 @@ distinct indices yield distinct generalized integers (multiset semantics).
 (its parent's log plus log p_j, summed in that order), in generation order,
 then each generation's largest prime indices and child counts, whose runs in
 row order make the next generation.  :func:`jump_arrays` sorts the buffer in
-place; :func:`enumerate_integers` also makes the stems, once per generation.
+place; :func:`enumerate_integers` argsorts it first (C int row ids), then
+sorts it in place and scatters the indices, stems and exponents to their
+sorted places, ``counting.BLOCK`` rows or parents at a time.
 The cut :func:`_fits`, shared with :func:`_prime_powers`, keeps psi's jumps
 equal to their rows' logs bit for bit.  One sort by log value orders the rows.
 Rows of exactly equal log value are put in dense-lexicographic order of their
@@ -20,9 +22,12 @@ children are visited by ascending index.  Proof: a row's path from the unit has
 indices j_1 <= ... <= j_k; of two rows with equal value neither path extends
 the other, which would raise the value; where they first differ, the row with
 the smaller index holds more of that prime, so it is the dense-lex larger and
-the earlier in preorder.  When the sorted logs hold any tie, one integer
-argsort over every row on ``group * rows - rank`` orders them (``group``
-counts the value changes along the sorted logs, so untied rows keep their
+the earlier in preorder.  Only when the sorted logs hold a tie are the ranks
+made, as C int in one array (:func:`_preorder`), and :func:`_tie_order`
+reorders the rows about ``BLOCK`` at a time, each block cut at the end of the
+tie group of its last row, so no group is split, and a block with no tie
+skipped.  A block is sorted on the int64 key ``group * rows - rank``
+(``group`` counts the value changes in the block, so untied rows keep their
 places); ranks are unique and below ``rows``, and ``rows`` is at most
 ``MAX_ROWS`` < 2**31, so the key orders by group first and fits int64.
 """
@@ -186,7 +191,8 @@ def _prime_powers(logs, reach, r=0.0):
     level at them, and each window rebuilds its slice of level k by the same
     k additions from 0, which keep its bits (k <= ``zeta.MAX_POWERS`` on the
     Euler side).  Such a window holds O(BLOCK) items, and the cuts O(levels)
-    per window.
+    per window.  With r > 0 the first item yielded, before the windows, is
+    each run's count of powers (int64), so a caller can size its arrays.
     """
     from .counting import BLOCK  # counting imports this module
 
@@ -195,7 +201,8 @@ def _prime_powers(logs, reach, r=0.0):
         yield _window([(k, lo, lo + u.size) for k, lo, u in blocks],
                       np.concatenate([logs[:0]] + [u[::-1] for _, _, u in blocks]))
         return
-    cuts = _cuts(logs, reach, r, BLOCK)
+    cuts, runs = _cuts(logs, reach, r, BLOCK)
+    yield runs
     for w in range(cuts.shape[1] - 1):
         pieces = [(k, lo, hi) for k, (lo, hi) in enumerate(cuts[:, w : w + 2].tolist(), 1) if lo < hi]
         yield _window(pieces, _rebuilt(logs, pieces))
@@ -213,25 +220,27 @@ def _levels(logs, reach, block):
 
 
 def _cuts(logs, reach, r, block):
-    """cuts[k - 1, w]: level k's powers before window w, from two passes over the
-    levels (:func:`_levels`).  Window w holds the runs edges[w] to
-    edges[w + 1] - 1: whole runs of at most ``block`` powers, or one longer run."""
-    sizes, runs = [], int(reach * r) + 1  # floor(u r) <= floor(reach r) for u < reach
-    below = np.zeros(runs + 1, dtype=np.int64)  # below[m]: the powers in runs under m
+    """``(cuts, runs)``: cuts[k - 1, w], level k's powers before window w, and
+    runs[m], the powers in run m, from two passes over the levels
+    (:func:`_levels`).  Window w holds the runs edges[w] to edges[w + 1] - 1:
+    whole runs of at most ``block`` powers, or one longer run."""
+    # below[m]: the powers in runs under m; floor(u r) <= floor(reach r) for u < reach
+    sizes, below = [], np.zeros(int(reach * r) + 2, dtype=np.int64)
     for k, _, u in _levels(logs, reach, block):
         sizes += [0] * (k - len(sizes))
         sizes[k - 1] += u.size
         ids = _run_ids(u, r)
         below[ids[0] + 1 : ids[-1] + 2] += np.bincount(ids - ids[0])
+    runs = below[1:].copy()
     np.cumsum(below, out=below)
     edges = [0]
-    while edges[-1] < runs:
+    while edges[-1] < runs.size:
         e = edges[-1]
         edges.append(max(e + 1, int(np.searchsorted(below, below[e] + block, side="right")) - 1))
     cuts = np.zeros((len(sizes), len(edges)), dtype=np.intp)
     for k, _, u in _levels(logs, reach, block):
         cuts[k - 1] += np.searchsorted(_run_ids(u, r), edges)
-    return cuts
+    return cuts, runs
 
 
 def _rebuilt(logs, pieces):
@@ -272,20 +281,43 @@ def _psi_jumps(primes: PrimeSequence, bound: float):
 
 
 def _preorder(counts):
-    """Preorder rank (exact in float64) of every row, from each generation's child
-    counts: a row's rank less the subtrees before it in its generation is the
-    same offset of its parent, plus one, plus the parent's place in its generation."""
+    """Preorder rank of every row in the build tree (C int), from each
+    generation's child counts, in one array that first holds the subtree sizes.
+    A parent's children are one run of the next generation, so its size is one
+    plus one ``np.add.reduceat`` segment.  A row's rank less the subtrees before
+    it in its generation is the same offset of its parent, plus one, plus the
+    parent's place in its generation."""
     firsts = np.cumsum([0] + [c.size for c in counts])
-    rank = np.ones(firsts[-1])
+    rank = np.ones(firsts[-1], dtype=np.intc)
     gens = np.split(rank, firsts[1:-1])  # one view per generation
     for k in range(len(counts) - 1, 0, -1):  # subtree sizes, bottom-up
-        parent = np.repeat(np.arange(counts[k - 1].size), counts[k - 1])
-        gens[k - 1] += np.bincount(parent, gens[k], counts[k - 1].size)
-    rank[0] = offset = 0.0
+        c = counts[k - 1]
+        parents = np.flatnonzero(c)
+        gens[k - 1][parents] += np.add.reduceat(gens[k], (np.cumsum(c) - c)[parents], dtype=np.intc)
+    rank[0], offset = 0, np.zeros(1, dtype=np.intc)
     for k in range(1, len(counts)):  # sizes to ranks, top-down
-        offset = np.repeat(offset + 1 + np.arange(np.size(offset)), counts[k - 1])
-        gens[k][:] = offset + np.cumsum(gens[k]) - gens[k]
+        offset = np.repeat(offset + np.arange(1, offset.size + 1, dtype=np.intc), counts[k - 1])
+        before = offset - gens[k]
+        np.cumsum(gens[k], dtype=np.intc, out=gens[k])
+        gens[k] += before
     return rank
+
+
+def _tie_order(logs, order, rank, block):
+    """Reorder ``order`` so that each tie group of the sorted ``logs`` goes by
+    descending ``rank``, ``block`` rows or so at a time, each block cut at the
+    end of the group of its last row (see the module docstring)."""
+    rows, a = logs.size, 0
+    while a < rows:
+        b = int(logs.searchsorted(logs[min(a + block, rows) - 1], side="right"))
+        change = logs[a + 1 : b] != logs[a : b - 1]
+        if not change.all():  # a block with no tie keeps its order
+            key = np.zeros(b - a, dtype=np.int64)
+            np.cumsum(change, out=key[1:])
+            key *= rows
+            key -= rank[order[a:b]]
+            order[a:b] = order[a:b][np.argsort(key)]
+        a = b
 
 
 def enumerate_integers(
@@ -298,38 +330,44 @@ def enumerate_integers(
     tree.  Raises :class:`CapacityError` past ``max_count``, and ``ValueError``
     for a ``max_count`` above ``MAX_ROWS``.
     """
+    from .counting import BLOCK  # counting imports this module
+
     generations = _generations(primes, bound, max_count)
-    row_logs = next(generations)
-    columns = [list(c) for c in zip(*generations)]
-    rows = row_logs.size
-    order = np.argsort(row_logs)
-    row_logs = row_logs[order]
-    if np.any(row_logs[1:] == row_logs[:-1]):
-        # Ascending dense-lexicographic order is descending preorder rank: one
-        # int64 key over every row, group * rows - rank (see the module
-        # docstring), where group counts the value changes along the sorted logs.
-        key = np.zeros(rows, dtype=np.int64)
-        np.cumsum(row_logs[1:] != row_logs[:-1], out=key[1:])
-        key *= rows
-        key -= _preorder(columns[1])[order].astype(np.int64)
-        key = np.argsort(key)  # rebinding frees the key before the gather
-        order = order[key]
-        del key
-    index = np.concatenate(columns.pop(0))[order]
-    inverse = np.empty(rows, dtype=np.intc)
-    inverse[order] = np.arange(rows, dtype=np.intc)
-    # Stems as sorted row ids, once per generation: a row's first child (by its own
-    # largest prime) keeps the row's stem one exponent up; the others' stem is the row.
-    gens = np.split(inverse, np.cumsum([c.size for c in columns[0]])[:-1])  # per generation
-    stem, exp = [np.zeros(1, dtype=np.intc)], [np.zeros(1, dtype=np.intc)]
-    for c, ids in zip(columns.pop(), gens):  # the counts go with the loop
-        stem.append(np.repeat(ids, c))
-        exp.append(np.ones(stem[-1].size, dtype=np.intc))
-        first = (np.cumsum(c) - c)[c > 0]  # each parent's first child
-        stem[-1][first], exp[-1][first] = stem[-2][c > 0], exp[-2][c > 0] + 1
-    stem = np.concatenate(stem)[order]
-    exp = np.concatenate(exp)[order]
-    return EnumerationResult(row_logs, stem, index, exp, float(bound))
+    logs = next(generations)
+    index, counts = (list(c) for c in zip(*generations))
+    rows = logs.size
+    order = np.argsort(logs).astype(np.intc)
+    logs.sort()
+    if np.any(logs[1:] == logs[:-1]):
+        _tie_order(logs, order, _preorder(counts), BLOCK)
+    # Each row's sorted place (rows in generation order), and the prime indices
+    # in sorted order, BLOCK sorted places at a time.
+    sizes, index = [j.size for j in index], np.concatenate(index)
+    inverse, sorted_index = np.empty(rows, dtype=np.intc), np.empty(rows, dtype=np.intc)
+    for a in range(0, rows, BLOCK):
+        rows_here = order[a : a + BLOCK].astype(np.intp)
+        inverse[rows_here] = np.arange(a, a + rows_here.size, dtype=np.intc)
+        np.take(index, rows_here, out=sorted_index[a : a + BLOCK])
+    del order, index
+    # Stems as sorted row ids, scattered to sorted places BLOCK parents at a time:
+    # a row's first child (by its own largest prime) keeps the row's stem one
+    # exponent up; the others' stem is the row, and their exponent 1.
+    gens = np.split(inverse, np.cumsum(sizes)[:-1])  # sorted ids, one view per generation
+    stem, exp = np.zeros(rows, dtype=np.intc), np.ones(rows, dtype=np.intc)
+    exp[0] = 0  # the unit's
+    for above, below, c in zip(gens, gens[1:], counts):
+        done = 0
+        for a in range(0, c.size, BLOCK):
+            n, parents = c[a : a + BLOCK], above[a : a + BLOCK]
+            s = np.repeat(parents, n)
+            parents, n = parents[n > 0], n[n > 0]
+            first = np.cumsum(n) - n  # each parent's first child
+            s[first] = stem[parents]
+            ids = below[done : done + s.size].astype(np.intp)
+            np.put(stem, ids, s)
+            exp[ids[first]] = exp[parents] + 1
+            done += s.size
+    return EnumerationResult(logs, stem, sorted_index, exp, float(bound))
 
 
 def jump_arrays(

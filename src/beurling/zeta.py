@@ -221,7 +221,7 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     primes alone.  The points with |s| < r take it: the powers below reach
     (``semigroup._prime_powers``), weights 1/k or log p, come in windows of
     whole runs, whose :func:`_run_moments` go into one pair of arrays, sized
-    once for every run, and one :func:`_horner` call; the primes near 1 (more
+    exactly from each run's count of powers, and one :func:`_horner` call; the primes near 1 (more
     than MAX_POWERS powers in reach) are summed in closed form.  Each run is
     one ``np.add.reduceat`` segment over the same jumps in the same order as
     in the whole list sorted at once, so the windows change no bit.  A
@@ -249,16 +249,16 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     if np.any(on_list):
         near_one = np.searchsorted(logs, reach / MAX_POWERS)  # log p < reach / MAX_POWERS
         listed = logs[near_one:]
-        # at most int(reach r) + 1 runs, plus a cut every RUN_JUMPS of at most MAX_POWERS powers a prime
-        size = int(reach * r) + 1 + listed.size * MAX_POWERS // RUN_JUMPS
+        windows = _prime_powers(listed, reach, r)
+        size = int(np.sum(-(-next(windows) // RUN_JUMPS)))  # each run, cut every RUN_JUMPS powers
         c, moments, n = np.empty(size), np.empty((TAYLOR_TERMS, size)), 0
-        for u, j, k in _prime_powers(listed, reach, r):
+        for u, j, k in windows:
             starts = _run_starts(u, r, math.inf)
             c[n : n + starts.size] = u[starts]
             _run_moments(u, 1.0 / k if log_zeta else listed[j], starts, moments[:, n : n + starts.size])
             n += starts.size
             del u, j, k  # before the next window is built
-        value[on_list] = (_horner(c[:n], moments[:, :n], flat[on_list])
+        value[on_list] = (_horner(c, moments, flat[on_list])
                           + _per_prime(logs[:near_one], flat[on_list], log_zeta))
     value = (np.exp(value) if log_zeta else value).reshape(np.shape(s))
     value = value if value.ndim else complex(value)

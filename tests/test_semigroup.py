@@ -302,6 +302,36 @@ TIE_GEN_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59
                   2, 3, 5, 7, 11, 13, 17, 19]
 
 
+@pytest.mark.parametrize("values,bound", [([2, 2, 3, 3], 5e4), (TIE_GEN_PRIMES, 2000)])
+def test_tie_order_across_block_edges(monkeypatch, values, bound):
+    # Tie groups are ordered a block of rows at a time, each block cut at the
+    # end of the group of its last row: at BLOCK = 7 most blocks end inside a
+    # group, some groups are longer than a block, and no column changes.
+    whole = enumerate_integers(system(values, bound), bound)
+    monkeypatch.setattr(counting, "BLOCK", 7)
+    _, blocks = assert_rows_match_oracle(values, bound)
+    logs = blocks.logs
+    assert np.diff(np.flatnonzero(np.r_[True, logs[1:] != logs[:-1], True])).max() > 7
+    for column in ("logs", "stem", "index", "exp"):
+        got, want = getattr(blocks, column), getattr(whole, column)
+        assert got.dtype == want.dtype and np.array_equal(got, want), column
+
+
+def test_enumeration_peak_memory_bounded(rational_1e6):
+    # C int ranks and a tie order a block at a time hold the peak near the
+    # result's 20 bytes a row: under 34 bytes a row on the tie-gen input, whose
+    # rows are 99.9% tied, and one tie among the ordinary primes below 10^6
+    # (999983 listed twice) costs at most 10% over none.
+    tied = system(TIE_GEN_PRIMES, 2e5)
+    peak, en = traced_peak(lambda: enumerate_integers(tied, 2e5))
+    assert len(en) == 348_300
+    assert peak < 34 * len(en), peak / len(en)
+    values = rational_1e6.value[0].values.tolist()
+    plain, sparse = (system(v, 1e6) for v in (values, values + [999983.0]))
+    peak = traced_peak(lambda: enumerate_integers(plain, 1e6))[0]
+    assert traced_peak(lambda: enumerate_integers(sparse, 1e6))[0] <= 1.1 * peak
+
+
 def test_capacity_error():
     seq = system([2, 3], 10_000)
     with pytest.raises(CapacityError):
