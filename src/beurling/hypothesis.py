@@ -257,12 +257,14 @@ def little_o_trend(table: CountingTable) -> TrendReport:
     """Trend of D(x) = log(x)|N(x) - ax|/x against the o(x/log x) hypothesis.
 
     For x >= e, D falls on a piece where N > ax and rises where N < ax, so
-    each window (lo, hi] with lo >= e has its sup in log(x) h at the jumps x
-    inside it (both one-sided limits), D at hi itself and the right limit
-    D(lo+); no grid density affects them, and the geometric grid is only the
-    reported sample series.  Under the strict convention a jump on an edge
-    gives its left limit to the window below and its right limit to the
-    window above.  Below e, D can peak inside a piece, past these endpoints.
+    each window (lo, hi] has its sup in log(x) h at the jumps x inside it
+    (both one-sided limits), D at hi itself and the right limit D(lo+); no
+    grid density affects them, and the geometric grid is only the reported
+    sample series.  Under the strict convention a jump on an edge gives its
+    left limit to the window below and its right limit to the window above.
+    Below e, on a piece where N = c > ax, D' = 0 where c(1 - y) = a e^y,
+    y = log x; the left side less the right falls in y, so D peaks once, at
+    that root, and D there is one more candidate when it lies inside the piece.
     """
     a = _density(table)
 
@@ -277,11 +279,23 @@ def little_o_trend(table: CountingTable) -> TrendReport:
     # Membership goes by value, so each block's own searchsorted finds its share.
     first, past = np.zeros(len(edges), dtype=np.intp), np.zeros(len(edges), dtype=np.intp)
     u_edge, inside = np.full(len(edges), math.nan), np.zeros(len(edges) - 1)
-    for _, u, x, _, h in _blocks(table, a):
+    for _, u, x, n, h in _blocks(table, a):
         uhi, xhi, vals = u[1:], x[1:], h[1:] * u[1:]
         below, upto = (np.searchsorted(xhi, edges, side) for side in ("left", "right"))
         for i in np.flatnonzero(below[1:] > upto[:-1]).tolist():
             inside[i] = max(inside[i], np.max(vals[upto[i] : below[i + 1]]))
+        m = int(np.searchsorted(u[:-1], 1.0))  # the pieces [x_k, x_{k+1}) with x_k < e, N = n[k + 1]
+        if m:  # D's peaks inside them, where c(1 - y) - a e^y falls through 0
+            c, y0, y1 = n[1 : m + 1], u[:m], u[1 : m + 1]
+            peak = (c * (1.0 - y0) > a * x[:m]) & (c * (1.0 - y1) < a * x[1 : m + 1])
+            c, y0, y1 = c[peak], y0[peak], y1[peak]
+            y = np.minimum(y1, 1.0)
+            for _ in range(8):  # Newton from the root's right (the side is concave): 5 steps reach the rounding
+                e_y = np.exp(y)
+                y += (c * (1.0 - y) - a * e_y) / (c + a * e_y)
+            i = np.searchsorted(edges, np.exp(y)) - 1  # window (edges[i], edges[i + 1]]
+            keep = (y0 < y) & (y < y1) & (i >= 0)
+            np.maximum.at(inside, i[keep], (y * (c * np.exp(-y) - a))[keep])
         new = (below < upto) & np.isnan(u_edge)
         u_edge[new] = uhi[below[new]]
         first += below

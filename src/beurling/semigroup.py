@@ -14,8 +14,9 @@ row order make the next generation.  :func:`jump_arrays` sorts the buffer in
 place; :func:`enumerate_integers` argsorts it first (C int row ids), then
 sorts it in place and scatters the indices, stems and exponents to their
 sorted places, ``counting.BLOCK`` rows or parents at a time.
-The cut :func:`_fits`, shared with :func:`_prime_powers`, keeps psi's jumps
-equal to their rows' logs bit for bit.  One sort by log value orders the rows.
+The cut :func:`_fits`, shared with the levels (:func:`_levels`) of psi's list
+(:func:`_psi_jumps`) and of ``zeta``'s Euler side, keeps psi's jumps equal to
+their rows' logs bit for bit.  One sort by log value orders the rows.
 Rows of exactly equal log value are put in dense-lexicographic order of their
 exponent vectors by one key: descending preorder rank in the build tree, whose
 children are visited by ascending index.  Proof: a row's path from the unit has
@@ -174,40 +175,6 @@ def _fits(u, step, reach):
     return u + step < reach
 
 
-def _prime_powers(logs, reach, r=0.0):
-    """Every p_j^k the enumeration to ``reach`` keeps, as ``(u, j, k)`` sorted by
-    u = log p_j^k, summed one factor at a time as its row's log is.  They come
-    in windows of whole runs, where floor(u r) is constant, of at most
-    ``counting.BLOCK`` powers (or one longer run); with r = 0 all are one run.
-
-    Level k, by ascending j, is a prefix of level k - 1, and :func:`_levels`
-    makes it ``BLOCK`` primes at a time.  A window's slices of the levels go
-    k-major, each by descending j, into one stable argsort, so equal logs come
-    by descending j (and ascending k), the rows' tie order: of two equal
-    powers, the smaller j holds more factors.  The windows, joined, are thus
-    the whole list sorted that way.  With r = 0 the one window is the list,
-    made of the levels' blocks.  With r > 0 no level is held: a first pass
-    counts each run's powers, which sets the window edges, a second cuts each
-    level at them, and each window rebuilds its slice of level k by the same
-    k additions from 0, which keep its bits (k <= ``zeta.MAX_POWERS`` on the
-    Euler side).  Such a window holds O(BLOCK) items, and the cuts O(levels)
-    per window.  With r > 0 the first item yielded, before the windows, is
-    each run's count of powers (int64), so a caller can size its arrays.
-    """
-    from .counting import BLOCK  # counting imports this module
-
-    if not r:
-        blocks = sorted(_levels(logs, reach, BLOCK), key=lambda b: (b[0], -b[1]))  # k-major, descending j
-        yield _window([(k, lo, lo + u.size) for k, lo, u in blocks],
-                      np.concatenate([logs[:0]] + [u[::-1] for _, _, u in blocks]))
-        return
-    cuts, runs = _cuts(logs, reach, r, BLOCK)
-    yield runs
-    for w in range(cuts.shape[1] - 1):
-        pieces = [(k, lo, hi) for k, (lo, hi) in enumerate(cuts[:, w : w + 2].tolist(), 1) if lo < hi]
-        yield _window(pieces, _rebuilt(logs, pieces))
-
-
 def _levels(logs, reach, block):
     """(k, lo, u): level k's powers of the primes lo, lo + 1, ..., ``block`` primes
     at a time, each block's levels made one from the one before."""
@@ -217,42 +184,6 @@ def _levels(logs, reach, block):
         while n := np.count_nonzero(_fits(u, step[: u.size], reach)):
             u, k = u[:n] + step[:n], k + 1
             yield k, lo, u
-
-
-def _cuts(logs, reach, r, block):
-    """``(cuts, runs)``: cuts[k - 1, w], level k's powers before window w, and
-    runs[m], the powers in run m, from two passes over the levels
-    (:func:`_levels`).  Window w holds the runs edges[w] to edges[w + 1] - 1:
-    whole runs of at most ``block`` powers, or one longer run."""
-    # below[m]: the powers in runs under m; floor(u r) <= floor(reach r) for u < reach
-    sizes, below = [], np.zeros(int(reach * r) + 2, dtype=np.int64)
-    for k, _, u in _levels(logs, reach, block):
-        sizes += [0] * (k - len(sizes))
-        sizes[k - 1] += u.size
-        ids = _run_ids(u, r)
-        below[ids[0] + 1 : ids[-1] + 2] += np.bincount(ids - ids[0])
-    runs = below[1:].copy()
-    np.cumsum(below, out=below)
-    edges = [0]
-    while edges[-1] < runs.size:
-        e = edges[-1]
-        edges.append(max(e + 1, int(np.searchsorted(below, below[e] + block, side="right")) - 1))
-    cuts = np.zeros((len(sizes), len(edges)), dtype=np.intp)
-    for k, _, u in _levels(logs, reach, block):
-        cuts[k - 1] += np.searchsorted(_run_ids(u, r), edges)
-    return cuts, runs
-
-
-def _rebuilt(logs, pieces):
-    """The logs of the ``pieces`` (k, lo, hi) laid end to end, each by descending
-    j, each summed by the k additions from 0 that made its level."""
-    step = np.concatenate([logs[:0]] + [logs[lo:hi][::-1] for _, lo, hi in pieces])
-    u, done, e = np.zeros(step.size), 0, 0
-    for k, lo, hi in pieces:  # the pieces of level k and above get their k - done more additions
-        for _ in range(k - done):
-            u[e:] += step[e:]
-        done, e = k, e + hi - lo
-    return u
 
 
 def _window(pieces, u):
@@ -269,15 +200,18 @@ def _window(pieces, u):
     return u, j, k
 
 
-def _run_ids(u, r):
-    """floor(u r) as integers: the run of each u, as ``zeta._run_starts`` cuts them."""
-    return np.floor(u * r).astype(np.intp)
-
-
 def _psi_jumps(primes: PrimeSequence, bound: float):
-    """psi's jumps below ``bound``: the prime powers' logs and Lambda, log p_j."""
-    u, j, _ = next(_prime_powers(primes.logs, math.log(bound)))  # one window
-    return u, primes.logs[j]
+    """psi's jumps below ``bound``: the prime powers' logs and Lambda, log p_j.
+    The levels' blocks (:func:`_levels`) go k-major, each by descending j, into
+    one stable argsort (:func:`_window`), so equal logs come by descending j,
+    the rows' tie order: of two equal powers, the smaller j holds more factors."""
+    from .counting import BLOCK  # counting imports this module
+
+    logs = primes.logs
+    blocks = sorted(_levels(logs, math.log(bound), BLOCK), key=lambda b: (b[0], -b[1]))  # k-major, descending j
+    u, j, _ = _window([(k, lo, lo + u.size) for k, lo, u in blocks],
+                      np.concatenate([logs[:0]] + [u[::-1] for _, _, u in blocks]))
+    return u, logs[j]
 
 
 def _preorder(counts):

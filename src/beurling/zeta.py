@@ -7,11 +7,12 @@ transform is one exact sum sum_k w_k n_k^{-s} over a jump list, which
 ``_moment_sum`` evaluates from Taylor moments, or term by term where the
 moments would not pay.  The Euler side sums log zeta (w = 1/k) or
 -zeta'/zeta (w = log p) over the prime powers p^k: through the same kernel
-over every p^k with k log p below log p_max + POWER_REACH, whose omitted powers
-are below the rounding, and in closed form per prime for the primes near 1
-and at points of large |s|.  The only honest error is the truncation beyond
-the enumeration bound B.  Tail models need a declared density a; without one
-the tail model is ``none``, not a guess.
+over its own list of every p^k with k log p below log p_max + POWER_REACH
+(psi's list below B is ``semigroup._psi_jumps``), whose omitted powers are
+below the rounding, and in closed form per prime for the primes near 1 and
+at points of large |s|.  The only honest error is the truncation beyond the
+enumeration bound B.  Tail models need a declared density a; without one the
+tail model is ``none``, not a guess.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from . import counting
 from .counting import CountingTable
 from .errors import DomainError
-from .semigroup import _prime_powers
+from .semigroup import _levels, _window
 from .systems import PrimeSequence
 
 TAYLOR_TERMS = 20  # series terms per run of jumps in _moment_sum
@@ -218,18 +219,18 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
 
     With reach = log p_max + POWER_REACH, the kernel's runs are 1/r wide for
     r * reach = PRIME_RUNS times the number of primes, a width set by the
-    primes alone.  The points with |s| < r take it: the powers below reach
-    (``semigroup._prime_powers``), weights 1/k or log p, come in windows of
-    whole runs, whose :func:`_run_moments` go into one pair of arrays, sized
-    exactly from each run's count of powers, and one :func:`_horner` call; the primes near 1 (more
-    than MAX_POWERS powers in reach) are summed in closed form.  Each run is
-    one ``np.add.reduceat`` segment over the same jumps in the same order as
-    in the whole list sorted at once, so the windows change no bit.  A
-    prime's omitted powers, past log p + POWER_REACH, sum to less than
-    e^{-37 sigma} < 1e-16 of its series of |w| p^{-k sigma} (1/k falls too):
-    below the rounding.  The other points go prime by prime in closed form
-    (:func:`_per_prime`).  Which way a point goes depends on |s| alone, so an
-    array gives each point its own value.
+    primes alone.  The points with |s| < r take it, over this function's own
+    list of the powers below reach, weights 1/k or log p: :func:`_cuts` cuts
+    it into windows of whole runs and counts each run's powers, which size
+    the windows' :func:`_run_moments` exactly, for one :func:`_horner` call;
+    the primes near 1 (more than MAX_POWERS powers in reach) are summed in
+    closed form.  Each run is one ``np.add.reduceat`` segment over the same
+    jumps in the same order as in the whole list sorted at once, so the
+    windows change no bit.  A prime's omitted powers, past log p +
+    POWER_REACH, sum to less than e^{-37 sigma} < 1e-16 of its series of
+    |w| p^{-k sigma} (1/k falls too): below the rounding.  The other points
+    go prime by prime in closed form (:func:`_per_prime`).  Which way a point
+    goes depends on |s| alone, so an array gives each point its own value.
 
     The kernel call makes two passes over the powers for the windows' edges,
     rebuilds each window's powers and takes 20 passes over it, and holds
@@ -249,10 +250,12 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     if np.any(on_list):
         near_one = np.searchsorted(logs, reach / MAX_POWERS)  # log p < reach / MAX_POWERS
         listed = logs[near_one:]
-        windows = _prime_powers(listed, reach, r)
-        size = int(np.sum(-(-next(windows) // RUN_JUMPS)))  # each run, cut every RUN_JUMPS powers
+        cuts, runs = _cuts(listed, reach, r)
+        size = int(np.sum(-(-runs // RUN_JUMPS)))  # each run, cut every RUN_JUMPS powers
         c, moments, n = np.empty(size), np.empty((TAYLOR_TERMS, size)), 0
-        for u, j, k in windows:
+        for w in range(cuts.shape[1] - 1):  # window w: level k's powers cuts[k - 1, w]..cuts[k - 1, w + 1] - 1
+            pieces = [(k, lo, hi) for k, (lo, hi) in enumerate(cuts[:, w : w + 2].tolist(), 1) if lo < hi]
+            u, j, k = _window(pieces, _rebuilt(listed, pieces))
             starts = _run_starts(u, r, math.inf)
             c[n : n + starts.size] = u[starts]
             _run_moments(u, 1.0 / k if log_zeta else listed[j], starts, moments[:, n : n + starts.size])
@@ -265,6 +268,47 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     model = "finite" if primes.exhaustive else "none" if a is None else "density"
     bound = density_bound(s, value) if model == "density" else 0.0 * abs(s)  # a zero bound at each point
     return ZetaResult(value, bound, model)
+
+
+def _cuts(logs, reach, r):
+    """``(cuts, runs)``: cuts[k - 1, w], level k's powers before window w, and
+    runs[m], the powers in run m (floor(u r) = m), from two passes over the
+    levels (``semigroup._levels``), ``counting.BLOCK`` primes at a time.  A
+    window holds whole runs of at most ``BLOCK`` powers, or one longer run."""
+    block = counting.BLOCK
+    # below[m]: the powers in runs under m; floor(u r) <= floor(reach r) for u < reach
+    levels, below = 0, np.zeros(int(reach * r) + 2, dtype=np.int64)
+    for k, _, u in _levels(logs, reach, block):
+        levels = max(levels, k)
+        ids = _run_ids(u, r)
+        below[ids[0] + 1 : ids[-1] + 2] += np.bincount(ids - ids[0])
+    runs = below[1:].copy()
+    np.cumsum(below, out=below)
+    edges = [0]
+    while edges[-1] < runs.size:
+        e = edges[-1]
+        edges.append(max(e + 1, int(np.searchsorted(below, below[e] + block, side="right")) - 1))
+    cuts = np.zeros((levels, len(edges)), dtype=np.intp)
+    for k, _, u in _levels(logs, reach, block):
+        cuts[k - 1] += np.searchsorted(_run_ids(u, r), edges)
+    return cuts, runs
+
+
+def _run_ids(u, r):
+    """floor(u r) as integers: the run of each u, as :func:`_run_starts` cuts them."""
+    return np.floor(u * r).astype(np.intp)
+
+
+def _rebuilt(logs, pieces):
+    """The logs of the ``pieces`` (k, lo, hi) laid end to end, each by descending
+    j, each summed by the k additions from 0 that made its level (``_levels``)."""
+    step = np.concatenate([logs[:0]] + [logs[lo:hi][::-1] for _, lo, hi in pieces])
+    u, done, e = np.zeros(step.size), 0, 0
+    for k, lo, hi in pieces:  # the pieces of level k and above get their k - done more additions
+        for _ in range(k - done):
+            u[e:] += step[e:]
+        done, e = k, e + hi - lo
+    return u
 
 
 def _per_prime(logs, s, log_zeta: bool):

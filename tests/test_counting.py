@@ -59,7 +59,8 @@ def _prime_powers_below(values, bound):
     (PrimeSystemSpec.rational(), 1e4),
     (PrimeSystemSpec.explicit([2, 4, 8]), 1e4),  # distinct primes with equal powers
     (PrimeSystemSpec.scaled_rational(0.6), 1e4),  # primes below 2
-], ids=["explicit-2-2-3", "single-2", "rational", "explicit-2-4-8", "scaled-0.6"])
+    (PrimeSystemSpec.explicit([1.0001, 2]), 3.0),  # a deep chain near 1: 10,986 levels in one block
+], ids=["explicit-2-2-3", "single-2", "rational", "explicit-2-4-8", "scaled-0.6", "near-one"])
 def test_psi_list_matches_per_jump_oracle(spec, bound):
     # psi's jump list holds exactly the enumeration's prime-power rows (stem 0,
     # the unit excluded) in row order, and every psi query equals the per-jump
@@ -86,7 +87,7 @@ def test_psi_list_matches_per_jump_oracle(spec, bound):
 
     # the window's jumps run from x_lo up to, not including, x_hi (strict convention)
     rows = np.arange(len(en.logs))
-    for x_lo, x_hi in ((1.5, bound), (2.0, bound / 2), (3.0, 3.0), (bound / 3, bound)):
+    for x_lo, x_hi in ((1.5, bound), (2.0, max(2.0, bound / 2)), (3.0, 3.0), (max(1.5, bound / 3), bound)):
         mask = ((rows >= below(math.log(x_lo))) & (rows < below(math.log(x_hi)))
                 & (lambdas > 0))
         xj = np.exp(en.logs[mask])

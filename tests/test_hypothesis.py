@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from beurling import (
     PrimeSystemSpec,
@@ -210,13 +211,15 @@ def test_trend_few_windows_inconclusive():
 
 def test_trend_window_sups_cover_dense_samples():
     # On [2, 3] with a = 0.1, N > ax on many pieces, where D falls for x >= e, so
-    # the right limit at a window's lower edge is often its sup.
+    # the right limit at a window's lower edge is often its sup; below e, on the
+    # piece N = 2, D peaks at x = 2.40973 inside window (1.2207, 2.4414]
     table = table_for([2.0, 3.0], 1e4, a=0.1)
-    for lo, hi, sup in little_o_trend(table).window_sups:
-        if lo >= math.e:
-            x = np.linspace(lo, hi, 100_001)[1:]
-            d = np.log(x) * np.abs(table.count_n(x) - 0.1 * x) / x
-            assert sup >= np.max(d), (lo, hi)
+    sups = little_o_trend(table).window_sups
+    assert sups[1][2] == pytest.approx(0.642018, abs=1e-6)
+    for lo, hi, sup in sups:
+        x = np.linspace(lo, hi, 100_001)[1:]
+        d = np.log(x) * np.abs(table.count_n(x) - 0.1 * x) / x
+        assert sup >= np.max(d), (lo, hi)
 
 
 def test_trend_window_sups_cover_jump_limits(rational_2000):
@@ -346,7 +349,9 @@ def _reference_window_sups(table):
     a piece's left end x belongs to the window lo <= x < hi, and its right end
     and an edge to lo < x <= hi; a piece of zero length, between tied jumps,
     has no ends.  An edge that cuts a piece is the left end of its part in
-    the window above."""
+    the window above.  Where N = c > a, D also peaks at y = log x =
+    1 - W(a e / c) (Lambert's W, the root of c(1 - y) = a e^y), a candidate
+    where that lies inside the piece."""
     a, b = table.a, table.bound
     edges = np.array([1.0] + [b / 2**k for k in range(64) if b / 2**k > 1.0][::-1])
     u = np.concatenate((table.jump_logs, [table.log_bound]))
@@ -361,10 +366,14 @@ def _reference_window_sups(table):
     right_x = np.concatenate((x[1:][real], edges))
     right_d = np.concatenate(((u[1:] * np.abs(c / x[1:] - a))[real],
                               np.log(edges) * np.abs(table.count_n(edges) - a * edges) / edges))
+    y = 1.0 - lambertw(a * math.e / np.maximum(c, a)).real
+    peak = (c > a) & (u[:-1] < y) & (y < u[1:])
+    peak_x, peak_d = np.exp(y[peak]), (y * (c * np.exp(-y) - a))[peak]
     out = []
     for lo, hi in zip(edges, edges[1:]):
         cand = np.concatenate((left_d[(left_x >= lo) & (left_x < hi)],
-                               right_d[(right_x > lo) & (right_x <= hi)]))
+                               right_d[(right_x > lo) & (right_x <= hi)],
+                               peak_d[(peak_x > lo) & (peak_x <= hi)]))
         out.append((float(lo), float(hi), float(np.max(cand)) if cand.size else 0.0))
     return tuple(out)
 

@@ -320,22 +320,32 @@ def test_euler_side_grid_matches_points(method, euler_systems):
                 assert abs(bound - one.truncation_bound) <= 1e-15 * one.truncation_bound
 
 
+def _exact_columns(runs):
+    """The Euler side's run columns: each run of powers cut every RUN_JUMPS."""
+    return int(np.sum(-(-runs // zeta.RUN_JUMPS)))
+
+
 def test_euler_side_one_kernel_call(monkeypatch, euler_systems):
-    # one windowed pass over the powers at the kernel width r, and one Horner
-    # call for all the kernel's points, if any
-    calls, widths = [], []
-    kernel, powers = zeta._horner, zeta._prime_powers
+    # one planning pass over the powers at the kernel width r, and one Horner
+    # call for all the kernel's points, if any, whose moments hold exactly one
+    # column per run cut every RUN_JUMPS powers, as _cuts counts them
+    calls, widths, columns = [], [], []
+    kernel, plan = zeta._horner, zeta._cuts
 
     def counted(c, moments, s):
+        assert c.flags.owndata and moments.flags.owndata  # whole arrays, not a used prefix
+        assert moments.shape == (zeta.TAYLOR_TERMS, c.size) and [c.size] == columns
         calls.append(s)
         return kernel(c, moments, s)
 
-    def windows(logs, reach, r=0.0):
+    def planned(logs, reach, r):
         widths.append(r)
-        return powers(logs, reach, r)
+        cuts, runs = plan(logs, reach, r)
+        columns.append(_exact_columns(runs))
+        return cuts, runs
 
     monkeypatch.setattr(zeta, "_horner", counted)
-    monkeypatch.setattr(zeta, "_prime_powers", windows)
+    monkeypatch.setattr(zeta, "_cuts", planned)
     for seq, a in euler_systems:
         r = _kernel_width(seq)
         on_kernel = EULER_GRID[np.abs(EULER_GRID) < r]
@@ -343,6 +353,7 @@ def test_euler_side_one_kernel_call(monkeypatch, euler_systems):
         for method in (zeta_euler, neg_logderiv):
             calls.clear()
             widths.clear()
+            columns.clear()
             method(seq, EULER_GRID, a)
             assert len(calls) == (on_kernel.size > 0)
             assert widths == [r] * len(calls)
@@ -380,11 +391,13 @@ def _window_columns():
 
 
 def _euler_moments(primes):
-    """The bytes of the Euler side's run moments and first powers, at most
-    (TAYLOR_TERMS + 1) floats for each of its PRIME_RUNS * P + 1 runs and a
-    cut every RUN_JUMPS of its at most MAX_POWERS * P powers, P primes."""
-    runs = zeta.PRIME_RUNS * len(primes) + 1 + len(primes) * zeta.MAX_POWERS / zeta.RUN_JUMPS
-    return 8 * (zeta.TAYLOR_TERMS + 1) * runs
+    """The bytes of the Euler side's run moments and first powers,
+    (TAYLOR_TERMS + 1) floats for each of its exact columns (_cuts' runs)."""
+    logs = primes.logs
+    reach = float(logs[-1]) + zeta.POWER_REACH
+    listed = logs[np.searchsorted(logs, reach / zeta.MAX_POWERS):]
+    _, runs = zeta._cuts(listed, reach, _kernel_width(primes))
+    return 8 * (zeta.TAYLOR_TERMS + 1) * _exact_columns(runs)
 
 
 def test_euler_side_peak_memory_bounded(rational_1e5, rational_1e6):
