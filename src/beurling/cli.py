@@ -30,20 +30,23 @@ from .errors import CapacityError, InvalidSystemError
 from .systems import VARIANTS, PrimeSystemSpec, materialize
 
 
-# Every check: (cfg, primes, table) -> a report with ``to_dict()``; the table carries
-# the density.  Entries look their library function up when called, so rebinding a
-# module attribute reaches them.
+def _on_n(cfg, primes, table):
+    return hypothesis.checks_on_n(table, [name for name in cfg.checks if name in hypothesis.CHECKS_ON_N])
+
+
+# Every check: (cfg, primes, table) -> {name: report with ``to_dict()``}; the table carries
+# the density.  The checks on N share one entry, which reports all of them requested in one
+# call.  Entries look their library function up when called, so rebinding a module
+# attribute reaches them.
 CHECKS = {
-    "l1": lambda cfg, primes, table: hypothesis.l1_condition(table),
-    "zhang": lambda cfg, primes, table: hypothesis.zhang_condition(table),
-    "little-o": lambda cfg, primes, table: hypothesis.little_o_trend(table),
-    "chebyshev": lambda cfg, primes, table: hypothesis.chebyshev_verdict(
-        table, cfg.params["chebyshev"]["window_lo"], cfg.params["chebyshev"]["window_hi"]),
-    "identity": lambda cfg, primes, table: zeta.identity_check(table, primes, **cfg.params["identity"]),
-    "boundary": lambda cfg, primes, table: zeta.boundary_scan(table, **cfg.params["boundary"]),
-    "zeta": lambda cfg, primes, table: zeta.zeta_sweep(table, primes, **cfg.params["zeta"]),
+    **dict.fromkeys(hypothesis.CHECKS_ON_N, _on_n),
+    "chebyshev": lambda cfg, primes, table: {"chebyshev": hypothesis.chebyshev_verdict(
+        table, cfg.params["chebyshev"]["window_lo"], cfg.params["chebyshev"]["window_hi"])},
+    "identity": lambda cfg, primes, table: {"identity": zeta.identity_check(table, primes, **cfg.params["identity"])},
+    "boundary": lambda cfg, primes, table: {"boundary": zeta.boundary_scan(table, **cfg.params["boundary"])},
+    "zeta": lambda cfg, primes, table: {"zeta": zeta.zeta_sweep(table, primes, **cfg.params["zeta"])},
 }
-CHECKS_NEEDING_A = {"l1", "zhang", "little-o", "boundary"}
+CHECKS_NEEDING_A = {*hypothesis.CHECKS_ON_N, "boundary"}
 
 # The checks that also write a CSV: file name, header, and rows from the report.
 CSV_TABLES = {
@@ -299,22 +302,23 @@ def check(checks_text, **opts):
     parameters = {"variant": cfg.spec.variant, "params": list(cfg.spec.params),
                   "bound": cfg.bound, "density_a": cfg.density_a}
     reports = {}
-    for name in cfg.checks:
-        with _stage(out, f"check {name}") as stage:  # the check and its report
-            result = CHECKS[name](cfg, primes, table)
-            if name in CSV_TABLES:
-                filename, header, rows = CSV_TABLES[name]
-                counting.write_csv(out / filename, header, rows(result))
-            reports[name] = {"check": name, "parameters": parameters, **result.to_dict()}
-            _write_json(out / f"report-{name}.json", reports[name])
+    for run in dict.fromkeys(CHECKS[name] for name in cfg.checks):  # each entry once
+        names = [name for name in cfg.checks if CHECKS[name] is run]
+        with _stage(out, "check " + ",".join(names)) as stage:  # the checks and their reports
+            for name, result in run(cfg, primes, table).items():
+                if name in CSV_TABLES:
+                    filename, header, rows = CSV_TABLES[name]
+                    counting.write_csv(out / filename, header, rows(result))
+                reports[name] = {"check": name, "parameters": parameters, **result.to_dict()}
+                _write_json(out / f"report-{name}.json", reports[name])
             stage["items"] = table.total_count
     with _stage(out, "write") as stage:
         counting.write_counting_csv(table, out / "counting.csv")
         _write_summary(list(reports.values()), out)
         stage["items"] = 2  # files
     _run_log(out, cfg, "check")
-    for name, rep in reports.items():
-        click.echo(f"{name}: {rep['verdict']}")
+    for name in cfg.checks:
+        click.echo(f"{name}: {reports[name]['verdict']}")
     if reports.get("identity", {}).get("verdict") == "fail":
         sys.exit(1)
 

@@ -16,13 +16,16 @@ between jumps and |c - ax| changes sign at most once per piece (at x = c/a),
 so each piece splits into at most two signed parts with antiderivative
 -c/x - a log x.  The checks on N read the table's jumps ``counting.BLOCK``
 at a time (:func:`_blocks`), so each holds O(BLOCK) floats plus its query
-points beside the table, and no value depends on BLOCK.
+points beside the table, and no value depends on BLOCK.  :func:`checks_on_n`
+runs ``l1``, ``zhang`` and ``little-o`` through one block loop: two reads
+with ``zhang``, whose tail sup needs each block's max first, and one without.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,6 +45,10 @@ CONVERGENT_FRAC = 0.01
 DECAY_RATIO = 0.5
 CHECKPOINTS = 48      # default checkpoints, geometric from 2 to the bound
 TREND_SAMPLES = 400   # little_o_trend's reported sample grid
+CHECKS_ON_N = ("l1", "zhang", "little-o")  # the checks that checks_on_n runs together
+L1_CAVEAT = "integral truncated at the enumeration bound"
+ZHANG_CAVEAT = ("sup over t >= x truncated to t <= bound; S is under-estimated, "
+                "so convergence verdicts are tail-caveated")
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,7 @@ def _density(table: CountingTable) -> float:
 
 
 def _blocks(table: CountingTable, a: float):
-    """The checks' one pass over N's jumps, ``counting.BLOCK`` pieces at a time.
+    """One read of N's jumps, ``counting.BLOCK`` pieces at a time.
 
     Piece k is [x_k, x_{k+1}), with x_0 = 1 the unit and x_N = B, and N = k + 1
     on it.  For the pieces lo..hi-1 this yields (lo, u, x, n, h) at the jumps
@@ -105,7 +112,7 @@ def _blocks(table: CountingTable, a: float):
     the larger one-sided limit of |N(t)/t - a| at each (at B the left limit
     alone).  |c/t - a| is V-shaped on a piece, so its extrema over any run of
     pieces sit in h.  Every entry is computed elementwise, so no value depends
-    on BLOCK, and a pass holds O(BLOCK) floats beside the table.
+    on BLOCK, and a read holds O(BLOCK) floats beside the table.
     """
     logs, total = table.jump_logs, table.total_count
     for lo in range(0, total, counting.BLOCK):
@@ -113,20 +120,20 @@ def _blocks(table: CountingTable, a: float):
         u = logs[lo : hi + 1] if hi < total else np.append(logs[lo:], table.log_bound)
         x = np.exp(u)
         n = np.arange(lo, hi + 1, dtype=float)
-        h = np.maximum(abs(n / x - a), abs((n + 1.0) / x - a))  # abs(): numpy reuses the temporary
+        h = np.maximum((n + 1.0) / x - a, a - n / x)  # both abs values' larger one, as n/x <= (n+1)/x
         if hi == total:
             h[-1] = abs(n[-1] / x[-1] - a)
         yield lo, u, x, n, h
 
 
 def _suffix_blocks(table: CountingTable, a: float):
-    """:func:`_blocks` with h replaced by Zhang's R, R[j] = max(h[j:]) over the
-    jumps x_j..x_N: a first pass takes each block's max of h, and each block's
-    own suffix max then meets the max over the blocks after it."""
+    """:func:`_blocks` with Zhang's R after h, R[j] = max(h[j:]) over the jumps
+    x_j..x_N: a first read takes each block's max of h, and in the second each
+    block's own suffix max meets the max over the blocks after it."""
     later = np.maximum.accumulate([float(np.max(h)) for *_, h in _blocks(table, a)][::-1])[::-1]
     for (lo, u, x, n, h), rest in zip(_blocks(table, a), np.append(later[1:], 0.0)):
         r = np.maximum.accumulate(h[::-1])[::-1]
-        yield lo, u, x, n, np.maximum(r, rest, out=r)
+        yield lo, u, x, n, h, np.maximum(r, rest, out=r)
 
 
 def _rising(vals) -> bool:
@@ -135,28 +142,33 @@ def _rising(vals) -> bool:
             and vals[-2] >= vals[-3] * (1 - 1e-12))
 
 
-def _integral_report(table: CountingTable, blocks, piece, checkpoints, caveat) -> IntegralReport:
+def _partials(table: CountingTable, piece, checkpoints, caveat):
     """Exact partials of integral_1^X f dx, where ``piece(*ends, x, log x)``
     integrates f over piece k from x_k to x, ``ends`` its per-piece arrays.
 
-    ``blocks`` yields (lo, ends, xhi, uhi) for each block of pieces from lo on,
-    xhi and uhi at their right ends.  The whole pieces are summed in one
-    sequential pass, each block carrying the running sum into its first term.
-    The partials are read at the checkpoints, sorted (by default CHECKPOINTS
-    geometric ones from 2 to the bound), and at the decade points; the verdict
-    weighs a flat last decade against non-decreasing per-decade increments.
-    The pieces that hold a query point are found before the pass, which keeps
-    only the sum before each of them and its ends.
+    Returns ``add(lo, ends, xhi, uhi)``, to be called with each block of whole
+    pieces from lo on in order, xhi and uhi at their right ends, and
+    ``report()``, as attributes.  ``add`` sums the pieces, carrying the running
+    sum into the block's first term.  The partials are read at the
+    checkpoints, sorted (by default CHECKPOINTS geometric ones from 2 to the
+    bound), and at the decade points; the verdict weighs a flat last decade
+    against non-decreasing per-decade increments.  The pieces that hold a query
+    point are found before the read, which keeps only the sum before each of
+    them and its ends.
     """
     bound, logs = table.bound, table.jump_logs
     if checkpoints is None:
         checkpoints = np.geomspace(min(2.0, bound), bound, CHECKPOINTS)
     checkpoints = np.sort(np.asarray(checkpoints, dtype=float)).tolist()
+    if any(map(math.isnan, checkpoints)):
+        raise ValueError("checkpoints must not be NaN")
     decades = [1.0] + [x for x in (bound / 1e3, bound / 1e2, bound / 10.0, bound) if x > 1.0]
     wanted = np.array([np.searchsorted(logs, math.log(x), side="right") - 1
                        for x in checkpoints + decades if 1.0 < x < bound], dtype=np.intp)
     before, ends_at, total = {}, {}, 0.0
-    for lo, ends, xhi, uhi in blocks:
+
+    def add(lo, ends, xhi, uhi):
+        nonlocal total
         part = piece(*ends, xhi, uhi)
         carried = total
         part[0] += carried
@@ -176,33 +188,162 @@ def _integral_report(table: CountingTable, blocks, piece, checkpoints, caveat) -
         k = int(np.searchsorted(logs, ux, side="right")) - 1
         return float(before[k] + piece(*ends_at[k], x, ux))
 
-    ps = [partial(x) for x in decades]
-    incr = [q - p for p, q in zip(ps, ps[1:])]
-    if _rising(incr) and incr[-1] > 0:
-        verdict = DIVERGENT
-    elif ps[-1] == 0.0 or (incr and incr[-1] < CONVERGENT_FRAC * ps[-1]):
-        verdict = CONVERGENT
-    else:
-        verdict = INCONCLUSIVE
-    tail = max(incr[-1], 0.0) if incr else 0.0
-    return IntegralReport(tuple((x, partial(x)) for x in checkpoints), tail, verdict, exact=True,
-                          caveats=(caveat,))
+    def report():
+        ps = [partial(x) for x in decades]
+        incr = [q - p for p, q in zip(ps, ps[1:])]
+        if _rising(incr) and incr[-1] > 0:
+            verdict = DIVERGENT
+        elif ps[-1] == 0.0 or (incr and incr[-1] < CONVERGENT_FRAC * ps[-1]):
+            verdict = CONVERGENT
+        else:
+            verdict = INCONCLUSIVE
+        tail = max(incr[-1], 0.0) if incr else 0.0
+        return IntegralReport(tuple((x, partial(x)) for x in checkpoints), tail, verdict, exact=True,
+                              caveats=(caveat,))
+
+    return SimpleNamespace(add=add, report=report)
+
+
+def _dyadic_edges(bound: float):
+    """Window edges B, B/2, B/4, ... down to 1 (at most 65 edges), returned ascending."""
+    edges = [bound]
+    while edges[-1] / 2.0 > 1.0 and len(edges) < 64:
+        edges.append(edges[-1] / 2.0)
+    edges.append(max(1.0, edges[-1] / 2.0))
+    return edges[::-1]
+
+
+def _trend(table: CountingTable, a: float):
+    """The little-o trend: ``add(u, x, n, h)``, to be called with each block of
+    the read in order, and ``report()``, as attributes.
+
+    For x >= e, D falls on a piece where N > ax and rises where N < ax, so
+    each window (lo, hi] has its sup in log(x) h at the jumps x inside it
+    (both one-sided limits), D at hi itself and the right limit D(lo+); no
+    grid density affects them, and the geometric grid is only the reported
+    sample series.  Under the strict convention a jump on an edge gives its
+    left limit to the window below and its right limit to the window above.
+    Below e, on a piece where N = c > ax, D' = 0 where c(1 - y) = a e^y,
+    y = log x; the left side less the right falls in y, so D peaks once, at
+    that root, and D there is one more candidate when it lies inside the piece.
+    """
+
+    def d(x):
+        return np.log(x) * np.abs(table.count_n(x) - a * x) / x
+
+    edges = _dyadic_edges(table.bound)
+    # Over the jumps x_1..x_N (x_N = B, with its left limit): first[i] of them lie
+    # below edge i and past[i] at or below it, so first < past puts jumps on the
+    # edge, the first of them with log u_edge[i], and N is past[i] + 1 just right
+    # of the edge; inside[i] is the largest log(x) h strictly inside window i.
+    # Membership goes by value, so each block's own searchsorted finds its share.
+    first, past = np.zeros(len(edges), dtype=np.intp), np.zeros(len(edges), dtype=np.intp)
+    u_edge, inside = np.full(len(edges), math.nan), np.zeros(len(edges) - 1)
+
+    def add(u, x, n, h):
+        uhi, xhi, vals = u[1:], x[1:], h[1:] * u[1:]
+        below, upto = (np.searchsorted(xhi, edges, side) for side in ("left", "right"))
+        for i in np.flatnonzero(below[1:] > upto[:-1]).tolist():
+            inside[i] = max(inside[i], np.max(vals[upto[i] : below[i + 1]]))
+        m = int(np.searchsorted(u[:-1], 1.0))  # the pieces [x_k, x_{k+1}) with x_k < e, N = n[k + 1]
+        if m:  # D's peaks inside them, where c(1 - y) - a e^y falls through 0
+            c, y0, y1 = n[1 : m + 1], u[:m], u[1 : m + 1]
+            peak = (c * (1.0 - y0) > a * x[:m]) & (c * (1.0 - y1) < a * x[1 : m + 1])
+            c, y0, y1 = c[peak], y0[peak], y1[peak]
+            y = np.minimum(y1, 1.0)
+            for _ in range(8):  # Newton from the root's right (the side is concave): 5 steps reach the rounding
+                e_y = np.exp(y)
+                y += (c * (1.0 - y) - a * e_y) / (c + a * e_y)
+            i = np.searchsorted(edges, np.exp(y)) - 1  # window (edges[i], edges[i + 1]]
+            keep = (y0 < y) & (y < y1) & (i >= 0)
+            np.maximum.at(inside, i[keep], (y * (c * np.exp(-y) - a))[keep])
+        new = (below < upto) & np.isnan(u_edge)
+        u_edge[new] = uhi[below[new]]
+        first[:] += below
+        past[:] += upto
+
+    def report():
+        on_edge = first < past
+        u_on = np.where(on_edge, u_edge, np.log(edges))
+        left, right = (u_on * abs((n + 1.0) / edges - a) for n in (first, past))
+        left[~on_edge] = 0.0  # the left limit only of a jump on the edge
+        sups = list(map(max, inside.tolist(), d(np.array(edges[1:])).tolist(),
+                        left[1:].tolist(), right[:-1].tolist()))
+        if len(sups) < 4:
+            verdict = INCONCLUSIVE
+        elif _rising(sups):
+            verdict = VIOLATED
+        elif sups[-1] <= DECAY_RATIO * max(sups[: len(sups) // 2]):
+            verdict = CONSISTENT
+        else:
+            verdict = INCONCLUSIVE
+        grid = np.geomspace(1.0, table.bound, TREND_SAMPLES)
+        return TrendReport(grid, d(grid), tuple(zip(edges, edges[1:], sups)), verdict)
+
+    return SimpleNamespace(add=add, report=report)
+
+
+def checks_on_n(table: CountingTable, names, checkpoints=None) -> dict:
+    """The reports of the checks on N named in ``names`` (from CHECKS_ON_N), by
+    name in first-seen order, from one read of the table's jumps, or two with
+    ``zhang``: Zhang's R takes a first read for each block's max of h.
+
+    In the last read each block feeds its pieces to the integrals and its
+    jumps to the little-o windows.  Both integrals are differences of
+    G(x) = c/x + a log x on a piece, and G at each piece's left end,
+    c/x_lo + a log x_lo, is computed once for ``l1`` and ``zhang``.  Each
+    integral carries its own running sum, so no value depends on BLOCK.
+    ``checkpoints`` are the integrals' (:func:`_partials`).
+    """
+    a = _density(table)
+    if not set(names) <= set(CHECKS_ON_N):
+        raise ValueError(f"checks on N are {', '.join(CHECKS_ON_N)}; got {', '.join(names)}")
+
+    def l1_piece(g, xlo, c, x, ux):  # integral of |c - at|/t^2 from xlo to x
+        m = np.minimum(np.maximum(c / a, xlo), x)  # np.clip, without its overhead
+        lnm = np.log(m)
+        gm = c / m + a * lnm
+        return np.maximum(g - gm, 0.0) + np.maximum((a * ux + c / x) - gm, 0.0)
+
+    def zhang_piece(g, xlo, c, r, x, ux):  # integral of max(|c/t - a|, r)/t from xlo to x
+        # On [xlo, t) the left branch c/x - a exceeds R; beyond it S = R.
+        t = np.minimum(np.maximum(c / (a + r), xlo), x)
+        lnt = np.log(t)
+        return np.maximum(g - (c / t + a * lnt), 0.0) + np.maximum(r * (ux - lnt), 0.0)
+
+    l1 = _partials(table, l1_piece, checkpoints, L1_CAVEAT) if "l1" in names else None
+    zhang = _partials(table, zhang_piece, checkpoints, ZHANG_CAVEAT) if "zhang" in names else None
+    trend = _trend(table, a) if "little-o" in names else None
+    blocks = _suffix_blocks(table, a) if zhang else ((*b, None) for b in _blocks(table, a))
+    for lo, u, x, n, h, r in blocks:
+        if l1 or zhang:
+            g = n[1:] / x[:-1] + a * u[:-1]
+            if l1:
+                l1.add(lo, (g, x[:-1], n[1:]), x[1:], u[1:])
+            if zhang:
+                zhang.add(lo, (g, x[:-1], n[1:], r[1:]), x[1:], u[1:])
+            del g  # before the next block is read
+        if trend:
+            trend.add(u, x, n, h)
+    checks = {"l1": l1, "zhang": zhang, "little-o": trend}
+    return {name: checks[name].report() for name in names}
 
 
 def l1_condition(table: CountingTable, checkpoints=None) -> IntegralReport:
     """Exact piecewise partials of the L1 integral integral_1^X |N-ax|/x^2 dx."""
-    a = _density(table)
+    return checks_on_n(table, ("l1",), checkpoints)["l1"]
 
-    def piece(ulo, xlo, c, x, ux):
-        m = np.clip(c / a, xlo, x)
-        lnm = np.log(m)
-        pos = (c / xlo + a * ulo) - (c / m + a * lnm)
-        neg = (a * ux + c / x) - (a * lnm + c / m)
-        return np.maximum(pos, 0.0) + np.maximum(neg, 0.0)
 
-    blocks = ((lo, (u[:-1], x[:-1], n[1:]), x[1:], u[1:]) for lo, u, x, n, _ in _blocks(table, a))
-    return _integral_report(table, blocks, piece, checkpoints,
-                            "integral truncated at the enumeration bound")
+def zhang_condition(table: CountingTable, checkpoints=None) -> IntegralReport:
+    """Exact piecewise partials of integral_1^X S(x)/x dx (truncated tail sup);
+    on piece k, S(x) = max(|c_k/x - a|, R[k + 1]) with R as in ``tail_sup``."""
+    return checks_on_n(table, ("zhang",), checkpoints)["zhang"]
+
+
+def little_o_trend(table: CountingTable) -> TrendReport:
+    """Trend of D(x) = log(x)|N(x) - ax|/x against the o(x/log x) hypothesis:
+    each dyadic window's exact sup (:func:`_trend`)."""
+    return checks_on_n(table, ("little-o",))["little-o"]
 
 
 def tail_sup(table: CountingTable, xs) -> np.ndarray:
@@ -223,99 +364,6 @@ def tail_sup(table: CountingTable, xs) -> np.ndarray:
         here = (n >= lo) & (n < lo + rb.size)
         r[here] = rb[n[here] - lo]
     return np.maximum(np.abs(n / xs - a), r)
-
-
-def zhang_condition(table: CountingTable, checkpoints=None) -> IntegralReport:
-    """Exact piecewise partials of integral_1^X S(x)/x dx (truncated tail sup);
-    on piece k, S(x) = max(|c_k/x - a|, R[k + 1]) with R as in ``tail_sup``."""
-    a = _density(table)
-
-    def piece(ulo, xlo, c, r, x, ux):
-        # On [xlo, t) the left branch c/x - a exceeds R; beyond it S = R.
-        t = np.clip(c / (a + r), xlo, x)
-        lnt = np.log(t)
-        left = (c / xlo + a * ulo) - (c / t + a * lnt)
-        return np.maximum(left, 0.0) + np.maximum(r * (ux - lnt), 0.0)
-
-    blocks = ((lo, (u[:-1], x[:-1], n[1:], r[1:]), x[1:], u[1:])
-              for lo, u, x, n, r in _suffix_blocks(table, a))
-    return _integral_report(table, blocks, piece, checkpoints,
-                            "sup over t >= x truncated to t <= bound; S is under-estimated, "
-                            "so convergence verdicts are tail-caveated")
-
-
-def _dyadic_edges(bound: float):
-    """Window edges B, B/2, B/4, ... down to 1 (at most 65 edges), returned ascending."""
-    edges = [bound]
-    while edges[-1] / 2.0 > 1.0 and len(edges) < 64:
-        edges.append(edges[-1] / 2.0)
-    edges.append(max(1.0, edges[-1] / 2.0))
-    return edges[::-1]
-
-
-def little_o_trend(table: CountingTable) -> TrendReport:
-    """Trend of D(x) = log(x)|N(x) - ax|/x against the o(x/log x) hypothesis.
-
-    For x >= e, D falls on a piece where N > ax and rises where N < ax, so
-    each window (lo, hi] has its sup in log(x) h at the jumps x inside it
-    (both one-sided limits), D at hi itself and the right limit D(lo+); no
-    grid density affects them, and the geometric grid is only the reported
-    sample series.  Under the strict convention a jump on an edge gives its
-    left limit to the window below and its right limit to the window above.
-    Below e, on a piece where N = c > ax, D' = 0 where c(1 - y) = a e^y,
-    y = log x; the left side less the right falls in y, so D peaks once, at
-    that root, and D there is one more candidate when it lies inside the piece.
-    """
-    a = _density(table)
-
-    def d(x):
-        return np.log(x) * np.abs(table.count_n(x) - a * x) / x
-
-    edges = _dyadic_edges(table.bound)
-    # Over the jumps x_1..x_N (x_N = B, with its left limit): first[i] of them lie
-    # below edge i and past[i] at or below it, so first < past puts jumps on the
-    # edge, the first of them with log u_edge[i], and N is past[i] + 1 just right
-    # of the edge; inside[i] is the largest log(x) h strictly inside window i.
-    # Membership goes by value, so each block's own searchsorted finds its share.
-    first, past = np.zeros(len(edges), dtype=np.intp), np.zeros(len(edges), dtype=np.intp)
-    u_edge, inside = np.full(len(edges), math.nan), np.zeros(len(edges) - 1)
-    for _, u, x, n, h in _blocks(table, a):
-        uhi, xhi, vals = u[1:], x[1:], h[1:] * u[1:]
-        below, upto = (np.searchsorted(xhi, edges, side) for side in ("left", "right"))
-        for i in np.flatnonzero(below[1:] > upto[:-1]).tolist():
-            inside[i] = max(inside[i], np.max(vals[upto[i] : below[i + 1]]))
-        m = int(np.searchsorted(u[:-1], 1.0))  # the pieces [x_k, x_{k+1}) with x_k < e, N = n[k + 1]
-        if m:  # D's peaks inside them, where c(1 - y) - a e^y falls through 0
-            c, y0, y1 = n[1 : m + 1], u[:m], u[1 : m + 1]
-            peak = (c * (1.0 - y0) > a * x[:m]) & (c * (1.0 - y1) < a * x[1 : m + 1])
-            c, y0, y1 = c[peak], y0[peak], y1[peak]
-            y = np.minimum(y1, 1.0)
-            for _ in range(8):  # Newton from the root's right (the side is concave): 5 steps reach the rounding
-                e_y = np.exp(y)
-                y += (c * (1.0 - y) - a * e_y) / (c + a * e_y)
-            i = np.searchsorted(edges, np.exp(y)) - 1  # window (edges[i], edges[i + 1]]
-            keep = (y0 < y) & (y < y1) & (i >= 0)
-            np.maximum.at(inside, i[keep], (y * (c * np.exp(-y) - a))[keep])
-        new = (below < upto) & np.isnan(u_edge)
-        u_edge[new] = uhi[below[new]]
-        first += below
-        past += upto
-    on_edge = first < past
-    u_on = np.where(on_edge, u_edge, np.log(edges))
-    left, right = (u_on * abs((n + 1.0) / edges - a) for n in (first, past))
-    left[~on_edge] = 0.0  # the left limit only of a jump on the edge
-    sups = list(map(max, inside.tolist(), d(np.array(edges[1:])).tolist(),
-                    left[1:].tolist(), right[:-1].tolist()))
-    if len(sups) < 4:
-        verdict = INCONCLUSIVE
-    elif _rising(sups):
-        verdict = VIOLATED
-    elif sups[-1] <= DECAY_RATIO * max(sups[: len(sups) // 2]):
-        verdict = CONSISTENT
-    else:
-        verdict = INCONCLUSIVE
-    grid = np.geomspace(1.0, table.bound, TREND_SAMPLES)
-    return TrendReport(grid, d(grid), tuple(zip(edges, edges[1:], sups)), verdict)
 
 
 def window_ok(x_lo: float, x_hi: float, bound: float) -> bool:

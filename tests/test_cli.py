@@ -508,8 +508,8 @@ def test_report_rejects_malformed_report(runner, tmp_path, text):
 
 
 def test_repeated_check_names_run_once(runner, tmp_path, monkeypatch):
-    real, calls = hypothesis.l1_condition, []
-    monkeypatch.setattr(hypothesis, "l1_condition",
+    real, calls = hypothesis.checks_on_n, []
+    monkeypatch.setattr(hypothesis, "checks_on_n",
                         lambda *args, **kw: calls.append(args) or real(*args, **kw))
     argv = ["check", "--variant", "rational-primes", "--bound", "1000", "--density-a", "1"]
     twice = runner.invoke(main, [*argv, "--checks", "l1,l1", "--out", str(tmp_path / "twice")])

@@ -93,6 +93,15 @@ def test_partials_continuous_across_jumps(rational_2000, condition):
         assert max(ps) - min(ps) <= 1e-10, (n, ps)
 
 
+@pytest.mark.parametrize("condition", [l1_condition, zhang_condition], ids=lambda f: f.__name__)
+def test_nan_checkpoint_rejected_before_the_read(condition, monkeypatch):
+    # a NaN checkpoint lies in no piece; it once ended the pass in a bare KeyError
+    table = build_table_from_system(materialize(PrimeSystemSpec.rational(), 1e3), 1e3, 1.0)
+    monkeypatch.setattr(hypothesis, "_blocks", lambda *args: pytest.fail("the table was read"))
+    with pytest.raises(ValueError, match="NaN"):
+        condition(table, [float("nan")])
+
+
 def test_l1_requires_density():
     t = table_for([2.0], 8.0)
     with pytest.raises(ValueError):
@@ -400,17 +409,41 @@ def test_jump_extrema_match_reference(spec, bound, a):
     first = np.unique(t.jump_logs, return_index=True)[1][1:]
     assert np.array_equal(tail_sup(t, np.exp(t.jump_logs[first])), r[first - 1])
     assert little_o_trend(t).window_sups == _reference_window_sups(t)
+    # the three checks run together report what each reports alone
+    together = hypothesis.checks_on_n(t, hypothesis.CHECKS_ON_N)
+    for name, alone in zip(hypothesis.CHECKS_ON_N, (l1_condition, zhang_condition, little_o_trend)):
+        assert json.dumps(together[name].to_dict()) == json.dumps(alone(t).to_dict()), name
+
+
+@pytest.mark.parametrize("names, reads", [
+    (("l1", "zhang", "little-o"), 2), (("l1",), 1), (("little-o",), 1), (("little-o", "l1"), 1),
+    (("zhang",), 2), (("zhang", "l1"), 2),
+])
+def test_checks_on_n_read_count(rational_2000, monkeypatch, names, reads):
+    # Zhang's R takes one read for the blocks' maxima of h; everything else shares the last read
+    real, calls = hypothesis._blocks, []
+    monkeypatch.setattr(hypothesis, "_blocks", lambda *args: calls.append(args) or real(*args))
+    assert list(hypothesis.checks_on_n(rational_2000, names)) == list(names)
+    assert len(calls) == reads
+
+
+def test_checks_on_n_rejects_unknown_names(rational_2000):
+    with pytest.raises(ValueError, match="checks on N are l1, zhang, little-o"):
+        hypothesis.checks_on_n(rational_2000, ["l1", "chebyshev"])
 
 
 def _checks_on_n(table):
-    """Every check on N, as comparable values: the reports' dicts, tail_sup at
-    the jumps, just beside them, and on a geometric grid, and the Chebyshev
-    verdict on psi's whole list and on a window whose ends sit on psi's jumps."""
+    """Every check on N, as comparable values: the reports' dicts, alone and
+    from one call of checks_on_n, tail_sup at the jumps, just beside them, and
+    on a geometric grid, and the Chebyshev verdict on psi's whole list and on
+    a window whose ends sit on psi's jumps."""
     xs = np.exp(table.jump_logs)
     xs = np.concatenate((xs, xs * (1 + 1e-12), np.geomspace(1.0, table.bound, 97)))
     on_jumps = np.exp(table.psi_logs[[2, -3]])
     return ([f(table).to_dict() for f in (l1_condition, zhang_condition)],
             json.dumps(little_o_trend(table).to_dict()),
+            json.dumps({name: rep.to_dict()
+                        for name, rep in hypothesis.checks_on_n(table, hypothesis.CHECKS_ON_N).items()}),
             tail_sup(table, np.minimum(xs, table.bound)).tolist(),
             [chebyshev_verdict(table, lo, hi).to_dict()
              for lo, hi in ((1.5, table.bound), (on_jumps[0], min(on_jumps[1], table.bound)))])
@@ -434,6 +467,7 @@ def test_integral_reports_independent_of_block(rational_2000, monkeypatch):
 
 CHECKS_ON_N = {"l1_condition": l1_condition, "zhang_condition": zhang_condition,
                "little_o_trend": little_o_trend,
+               "checks_on_n": lambda t: hypothesis.checks_on_n(t, hypothesis.CHECKS_ON_N),
                "tail_sup": lambda t: tail_sup(t, np.geomspace(1.0, t.bound, 400)),
                "chebyshev_verdict": lambda t: chebyshev_verdict(t, 2.0, t.bound)}
 
@@ -443,8 +477,11 @@ def test_check_peak_memory_bounded(rational_1e5, rational_1e6, check):
     # each check holds O(BLOCK) floats beside the table: less than one float64
     # column of N(B) entries, and its peak at 1e6 is its peak at 1e5 (where
     # N(B) is ten times smaller) plus at most two blocks of floats
-    check = CHECKS_ON_N[check]
+    name, check = check, CHECKS_ON_N[check]
     small, table = rational_1e5[1], rational_1e6.value[1]
     peak = traced_peak(lambda: check(table))[0]
     assert peak < 8 * table.total_count, peak / (8 * table.total_count)
     assert peak <= traced_peak(lambda: check(small))[0] + 2 * 8 * counting.BLOCK
+    if name == "checks_on_n":  # each check's block temporaries go before the next one's come
+        alone = max(traced_peak(lambda: f(table))[0] for f in (l1_condition, zhang_condition, little_o_trend))
+        assert peak <= alone + 2 * 8 * counting.BLOCK, (peak - alone) / (8 * counting.BLOCK)
