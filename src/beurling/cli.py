@@ -106,6 +106,17 @@ def _parse_list(text: str):
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
+def _integer(text) -> int:
+    """An integral value however it is written (1000, 1e3 or 1000.0); any other raises ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+        if not value.is_integer():
+            raise ValueError("not an integer") from None
+        return int(value)
+
+
 def load_config(config_path, overrides) -> RunConfig:
     """Merge the INI file (if any) with CLI overrides and resolve check parameters."""
     cp = configparser.ConfigParser()
@@ -147,9 +158,9 @@ def load_config(config_path, overrides) -> RunConfig:
         density_a=pick("density_a", "system", None, float),
         checks=checks,
         output_dir=pick("output_dir", "run", "out"),
-        max_integers=pick("max_integers", "run", semigroup.DEFAULT_MAX_INTEGERS,
-                          lambda v: int(float(v))),
-        params={name: {key: pick(key, name, d, type(d)) for key, d in defaults[name].items()}
+        max_integers=pick("max_integers", "run", semigroup.DEFAULT_MAX_INTEGERS, _integer),
+        params={name: {key: pick(key, name, d, _integer if type(d) is int else type(d))
+                       for key, d in defaults[name].items()}
                 for name in checks if name in defaults},
     )
 
@@ -189,7 +200,10 @@ def _log_line(out: Path, obj: dict) -> None:
 def _primes(cfg: RunConfig):
     """The output directory, made, and the primes (the ``materialize`` stage)."""
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file on the way, say
+        _fail(f"cannot make the output directory {out}: {exc}", 2)
     with _stage(out, "materialize") as stage:
         primes = materialize(cfg.spec, cfg.bound)
         stage["items"] = len(primes)

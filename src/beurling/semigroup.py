@@ -186,31 +186,23 @@ def _levels(logs, reach, block):
             yield k, lo, u
 
 
-def _window(pieces, u):
-    """(u, j, k) sorted by u, stably, from the logs ``u`` of the ``pieces``
-    (k, lo, hi) laid end to end, each by descending j from hi - 1 to lo."""
-    ends = np.cumsum([0] + [hi - lo for _, lo, hi in pieces])  # piece q fills ends[q]:ends[q + 1]
-    order = np.argsort(u, kind="stable")
-    u = u[order]
-    j = np.searchsorted(ends, order, side="right")
-    j -= 1  # the piece of each
-    k = np.array([piece[0] for piece in pieces], dtype=np.intp)[j]
-    np.take(np.array([hi - 1 for _, _, hi in pieces], dtype=np.intp) + ends[:-1], j, out=j)
-    j -= order  # piece q holds j = hi - 1, ..., lo
-    return u, j, k
-
-
 def _psi_jumps(primes: PrimeSequence, bound: float):
     """psi's jumps below ``bound``: the prime powers' logs and Lambda, log p_j.
     The levels' blocks (:func:`_levels`) go k-major, each by descending j, into
-    one stable argsort (:func:`_window`), so equal logs come by descending j,
-    the rows' tie order: of two equal powers, the smaller j holds more factors."""
+    one stable argsort, so equal logs come by descending j, the rows' tie
+    order: of two equal powers, the smaller j holds more factors."""
     from .counting import BLOCK  # counting imports this module
 
     logs = primes.logs
     blocks = sorted(_levels(logs, math.log(bound), BLOCK), key=lambda b: (b[0], -b[1]))  # k-major, descending j
-    u, j, _ = _window([(k, lo, lo + u.size) for k, lo, u in blocks],
-                      np.concatenate([logs[:0]] + [u[::-1] for _, _, u in blocks]))
+    u = np.concatenate([logs[:0]] + [level[::-1] for _, _, level in blocks])
+    ends = np.cumsum([0] + [level.size for _, _, level in blocks])  # block q fills ends[q]:ends[q + 1]
+    order = np.argsort(u, kind="stable")
+    u = u[order]
+    j = np.searchsorted(ends, order, side="right")
+    j -= 1  # the block of each
+    np.take(np.array([lo + level.size - 1 for _, lo, level in blocks], dtype=np.intp) + ends[:-1], j, out=j)
+    j -= order  # block q holds j = lo + size - 1, ..., lo
     return u, logs[j]
 
 

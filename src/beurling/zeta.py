@@ -6,12 +6,11 @@ and returns arrays of its shape.  N and psi are step functions, so every table
 transform is one exact sum sum_k w_k n_k^{-s} over a jump list, which
 ``_moment_sum`` evaluates from Taylor moments, or term by term where the
 moments would not pay.  The Euler side sums log zeta (w = 1/k) or
--zeta'/zeta (w = log p) over the prime powers p^k: through the same kernel
-over its own list of every p^k with k log p below log p_max + POWER_REACH
-(psi's list below B is ``semigroup._psi_jumps``), whose omitted powers are
-below the rounding, and in closed form per prime for the primes near 1 and
-at points of large |s|.  The only honest error is the truncation beyond the
-enumeration bound B.  Tail models need a declared density a; without one the
+-zeta'/zeta (w = log p) over the prime powers p^k below p_max e^POWER_REACH,
+whose omitted powers are below the rounding: by the moments of the powers
+filed by cell (``_cell_moments``), never sorted, and in closed form per
+prime for the primes near 1 and at points of large |s|.  The only honest
+error is the truncation beyond the enumeration bound B.  Tail models need a declared density a; without one the
 tail model is ``none``, not a guess.
 """
 
@@ -25,14 +24,14 @@ import numpy as np
 from . import counting
 from .counting import CountingTable
 from .errors import DomainError
-from .semigroup import _levels, _window
+from .semigroup import _levels
 from .systems import PrimeSequence
 
-TAYLOR_TERMS = 20  # series terms per run of jumps in _moment_sum
+TAYLOR_TERMS = 20  # series terms per run of jumps, or per cell of the Euler side's powers
 KERNEL_CELLS = 1 << 14  # points x runs (or x terms) evaluated at once
-RUN_JUMPS = 1 << 14  # jumps per run at most: a longer floor(u r) run is cut every RUN_JUMPS jumps
+RUN_JUMPS = 1 << 14  # jumps per _moment_sum run at most; the Euler side's primes a block, powers a batch
 DIRECT_RUNS = 0.25  # runs past this share of the terms are summed term by term
-PRIME_RUNS = 1 / 32  # the Euler side's kernel cuts as many runs as this share of the primes
+PRIME_RUNS = 1 / 32  # the Euler side's kernel has as many cells as this share of the primes
 POWER_REACH = 37.0  # the Euler side's list keeps p^k up to k log p = log p_max + 37
 MAX_POWERS = 128  # primes with more powers in reach are summed in closed form
 
@@ -158,8 +157,9 @@ def _run_moments(u, w, starts, out):
 
 def _horner(c, moments, s):
     """sum over the runs of e^{-s c} sum_j (-s)^j m_j, at each point of the 1-d
-    ``s``, the runs' first jumps ``c`` and ``moments`` from :func:`_run_moments`:
-    Horner's rule in -s along each (points x runs) block of :func:`_termwise`."""
+    ``s``, the runs' centres ``c`` and ``moments`` from :func:`_run_moments` or
+    :func:`_cell_moments`: Horner's rule in -s along each (points x runs) block
+    of :func:`_termwise`."""
     def horner(x, cols):
         acc = moments[-1, cols] * x
         for m in moments[-2:0:-1, cols]:
@@ -217,26 +217,18 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     finite (exhaustive list), none (no a), or density, bounded by
     ``density_bound(s, value)``.  A density off ``counting.check_density`` raises ValueError.
 
-    With reach = log p_max + POWER_REACH, the kernel's runs are 1/r wide for
+    With reach = log p_max + POWER_REACH, the kernel's cells are 1/r wide for
     r * reach = PRIME_RUNS times the number of primes, a width set by the
-    primes alone.  The points with |s| < r take it, over this function's own
-    list of the powers below reach, weights 1/k or log p: :func:`_cuts` cuts
-    it into windows of whole runs and counts each run's powers, which size
-    the windows' :func:`_run_moments` exactly, for one :func:`_horner` call;
-    the primes near 1 (more than MAX_POWERS powers in reach) are summed in
-    closed form.  Each run is one ``np.add.reduceat`` segment over the same
-    jumps in the same order as in the whole list sorted at once, so the
-    windows change no bit.  A prime's omitted powers, past log p +
+    primes alone.  The points with |s| < r take it: one :func:`_cell_moments`
+    call over the powers below reach, weights 1/k or log p, and one
+    :func:`_horner` call; the primes near 1 (more than MAX_POWERS powers in
+    reach) are summed in closed form.  A prime's omitted powers, past log p +
     POWER_REACH, sum to less than e^{-37 sigma} < 1e-16 of its series of
     |w| p^{-k sigma} (1/k falls too): below the rounding.  The other points
     go prime by prime in closed form (:func:`_per_prime`).  Which way a point
     goes depends on |s| alone, so an array gives each point its own value.
-
-    The kernel call makes two passes over the powers for the windows' edges,
-    rebuilds each window's powers and takes 20 passes over it, and holds
-    O(``counting.BLOCK``) floats a window beside the runs' moments; each of
-    its points then costs Horner steps over at most PRIME_RUNS of the primes'
-    count of runs.  r is about 48 at 10^6, 390 at 10^7.
+    Each kernel point costs Horner steps over at most PRIME_RUNS of the
+    primes' count of cells.  r is about 48 at 10^6, 390 at 10^7.
     """
     counting.check_density(a)
     logs = primes.logs
@@ -249,19 +241,7 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     value[~on_list] = _per_prime(logs, flat[~on_list], log_zeta)
     if np.any(on_list):
         near_one = np.searchsorted(logs, reach / MAX_POWERS)  # log p < reach / MAX_POWERS
-        listed = logs[near_one:]
-        cuts, runs = _cuts(listed, reach, r)
-        size = int(np.sum(-(-runs // RUN_JUMPS)))  # each run, cut every RUN_JUMPS powers
-        c, moments, n = np.empty(size), np.empty((TAYLOR_TERMS, size)), 0
-        for w in range(cuts.shape[1] - 1):  # window w: level k's powers cuts[k - 1, w]..cuts[k - 1, w + 1] - 1
-            pieces = [(k, lo, hi) for k, (lo, hi) in enumerate(cuts[:, w : w + 2].tolist(), 1) if lo < hi]
-            u, j, k = _window(pieces, _rebuilt(listed, pieces))
-            starts = _run_starts(u, r, math.inf)
-            c[n : n + starts.size] = u[starts]
-            _run_moments(u, 1.0 / k if log_zeta else listed[j], starts, moments[:, n : n + starts.size])
-            n += starts.size
-            del u, j, k  # before the next window is built
-        value[on_list] = (_horner(c, moments, flat[on_list])
+        value[on_list] = (_horner(*_cell_moments(logs[near_one:], reach, r, log_zeta), flat[on_list])
                           + _per_prime(logs[:near_one], flat[on_list], log_zeta))
     value = (np.exp(value) if log_zeta else value).reshape(np.shape(s))
     value = value if value.ndim else complex(value)
@@ -270,45 +250,57 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     return ZetaResult(value, bound, model)
 
 
-def _cuts(logs, reach, r):
-    """``(cuts, runs)``: cuts[k - 1, w], level k's powers before window w, and
-    runs[m], the powers in run m (floor(u r) = m), from two passes over the
-    levels (``semigroup._levels``), ``counting.BLOCK`` primes at a time.  A
-    window holds whole runs of at most ``BLOCK`` powers, or one longer run."""
-    block = counting.BLOCK
-    # below[m]: the powers in runs under m; floor(u r) <= floor(reach r) for u < reach
-    levels, below = 0, np.zeros(int(reach * r) + 2, dtype=np.int64)
-    for k, _, u in _levels(logs, reach, block):
-        levels = max(levels, k)
-        ids = _run_ids(u, r)
-        below[ids[0] + 1 : ids[-1] + 2] += np.bincount(ids - ids[0])
-    runs = below[1:].copy()
-    np.cumsum(below, out=below)
-    edges = [0]
-    while edges[-1] < runs.size:
-        e = edges[-1]
-        edges.append(max(e + 1, int(np.searchsorted(below, below[e] + block, side="right")) - 1))
-    cuts = np.zeros((levels, len(edges)), dtype=np.intp)
-    for k, _, u in _levels(logs, reach, block):
-        cuts[k - 1] += np.searchsorted(_run_ids(u, r), edges)
-    return cuts, runs
+def _cell_moments(logs, reach, r, log_zeta: bool):
+    """``(c, moments)`` for :func:`_horner` of the powers u = k log p below
+    ``reach`` of the primes ``logs``, one column per occupied cell floor(u r):
+    c is the cell's least power, so a cell of one power is exact, and
+    m_j = sum_cell w (u - c)^j / j!, with w = 1/k (``log_zeta``) or log p.
+    The first pass over the levels (``semigroup._levels``) takes the least
+    powers, the second adds the powers a batch at a time (:func:`_batches`),
+    each run of a batch's powers in one cell as one ``np.add.reduceat`` segment.
+    Beside the moments a call holds a few floats per power of a batch."""
+    least = np.full(int(reach * r) + 1, math.inf)  # floor(u r) <= floor(reach r) for u < reach
+    for _, _, u in _levels(logs, reach, RUN_JUMPS):
+        cells, heads = _cells(u, r)  # one level's powers ascend, so each cell's first is its least
+        least[cells] = np.minimum(least[cells], u[heads])
+    occupied = least < math.inf
+    c, column = least[occupied], np.cumsum(occupied) - 1  # the column of each occupied cell
+    del least  # before the moments
+    moments = np.zeros((TAYLOR_TERMS, c.size))
+    for u, w in _batches(logs, reach, log_zeta):
+        cells, heads = _cells(u, r)
+        cols = column[cells]
+        u -= np.repeat(c[cols], np.diff(np.append(heads, u.size)))  # u - c
+        for m in moments:  # a cell may take several segments of a batch
+            np.add.at(m, cols, np.add.reduceat(w, heads))
+            w *= u
+    moments /= np.array([math.factorial(j) for j in range(TAYLOR_TERMS)])[:, None]
+    return c, moments
 
 
-def _run_ids(u, r):
-    """floor(u r) as integers: the run of each u, as :func:`_run_starts` cuts them."""
-    return np.floor(u * r).astype(np.intp)
+def _cells(u, r):
+    """``(cells, heads)``: floor(u r) of each run of ``u`` in one cell, and the run's first index."""
+    f = u * r
+    np.floor(f, out=f)
+    heads = np.flatnonzero(np.r_[True, f[1:] != f[:-1]])
+    return f[heads].astype(np.intp), heads
 
 
-def _rebuilt(logs, pieces):
-    """The logs of the ``pieces`` (k, lo, hi) laid end to end, each by descending
-    j, each summed by the k additions from 0 that made its level (``_levels``)."""
-    step = np.concatenate([logs[:0]] + [logs[lo:hi][::-1] for _, lo, hi in pieces])
-    u, done, e = np.zeros(step.size), 0, 0
-    for k, lo, hi in pieces:  # the pieces of level k and above get their k - done more additions
-        for _ in range(k - done):
-            u[e:] += step[e:]
-        done, e = k, e + hi - lo
-    return u
+def _batches(logs, reach, log_zeta: bool):
+    """``(u, w)``: the levels' powers, RUN_JUMPS primes a block, and their weights,
+    1/k (``log_zeta``) or log p, RUN_JUMPS a batch (the last may hold fewer),
+    each batch written over the last: no value depends on ``counting.BLOCK``."""
+    batch, size = np.empty((2, RUN_JUMPS)), 0
+    for k, lo, u in _levels(logs, reach, RUN_JUMPS):
+        w = np.broadcast_to(1.0 / k, u.shape) if log_zeta else logs[lo : lo + u.size]
+        while u.size:
+            n = min(u.size, RUN_JUMPS - size)
+            batch[0, size : size + n], batch[1, size : size + n] = u[:n], w[:n]
+            u, w, size = u[n:], w[n:], (size + n) % RUN_JUMPS
+            if not size:
+                yield batch
+    if size:
+        yield batch[:, :size]
 
 
 def _per_prime(logs, s, log_zeta: bool):

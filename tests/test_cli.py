@@ -256,6 +256,13 @@ BAD_INPUTS = [
     # row ids are C int: one more than np.iinfo(np.intc).max is refused, by flag or by file
     ("max-integers-past-c-int", ["gen", "--max-integers", "2147483648"], _system_ini()),
     ("max-integers-past-c-int-ini", ["gen"], _system_ini() + "[run]\nmax_integers = 2147483648\n"),
+    # an INI integer may be written 1e3, but not with a fraction
+    ("max-integers-fraction-ini", ["gen"], _system_ini() + "[run]\nmax_integers = 150.7\n"),
+    ("boundary-points-fraction", ["check", "--checks", "boundary"], _system_ini() + "[boundary]\npoints = 200.5\n"),
+    # an --out that names a file, or a path under one, cannot be made
+    *((f"{command}-out-{where}", [command, *checks, "--out", path], _system_ini())
+      for command, checks in (("gen", []), ("check", ["--checks", "l1"]))
+      for where, path in (("is-a-file", "{file}"), ("under-a-file", "{file}/o"))),
     ("no-section-header", ["check", "--checks", "l1"], "variant = explicit-list\n"),
     ("near-coincident-primes", ["check", "--checks", "l1", "--params", "2,3,2.0000000001"], _system_ini()),
     ("near-coincident-primes-gen", ["gen", "--params", "2,2,3,3.000000001"], _system_ini()),
@@ -267,13 +274,24 @@ BAD_INPUTS = [
 @pytest.mark.parametrize("argv, ini", [case[1:] for case in BAD_INPUTS],
                          ids=[case[0] for case in BAD_INPUTS])
 def test_bad_input_exits_2_before_writing(runner, tmp_path, argv, ini):
+    # a case's own --out, after the default one, wins; {file} names a file
     cfg = tmp_path / "run.ini"
     cfg.write_text(ini)
-    out = tmp_path / "o"
-    res = runner.invoke(main, argv + ["--config", str(cfg), "--out", str(out)])
+    out, file = tmp_path / "o", tmp_path / "file"
+    file.write_text("kept")
+    argv = [arg.format(file=file) for arg in argv]
+    res = runner.invoke(main, [argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]])
     assert res.exit_code == 2, res.output
     assert "error:" in res.output
-    assert not out.exists()
+    assert not out.exists() and file.read_text() == "kept"
+
+
+def test_ini_integers_may_be_written_as_floats(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(_system_ini() + "[run]\nchecks = boundary\nmax_integers = 1e3\n[boundary]\npoints = 2.01e2\n")
+    loaded = load_config(cfg, {})
+    assert loaded.max_integers == 1000 and loaded.params["boundary"]["points"] == 201
+    assert type(loaded.max_integers) is int and type(loaded.params["boundary"]["points"]) is int
 
 
 def test_near_coincident_primes_error_names_gap(runner, tmp_path):
@@ -530,18 +548,33 @@ def test_cli_import_leaves_scipy_unloaded():
     assert res.stdout.strip() == "False"
 
 
-def test_gen_dump_leaves_numpy_ma_unloaded(tmp_path):
-    # np.unique imports numpy.ma; the dump takes its Lambda keys from the prime rows instead
+def _modules_left(argv):
+    """'numpy.ma' in sys.modules and 'scipy' in sys.modules, as text, after a
+    fresh interpreter ran the CLI with ``argv``, which must succeed."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; from beurling.cli import main\n"
             "try:\n    main(sys.argv[1:])\nexcept SystemExit as exc:\n    assert not exc.code, exc\n"
             "print('numpy.ma' in sys.modules, 'scipy' in sys.modules)")
-    argv = ["gen", "--variant", "explicit-list", "--params", "2,3,2,5,3", "--bound", "500",
-            "--dump", "--out", str(tmp_path / "o")]
     res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert res.stdout.splitlines()[-1] == "False False"
+    return res.stdout.splitlines()[-1]
+
+
+def test_gen_dump_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma; the dump takes its Lambda keys from the prime rows instead
+    argv = ["gen", "--variant", "explicit-list", "--params", "2,3,2,5,3", "--bound", "500",
+            "--dump", "--out", str(tmp_path / "o")]
+    assert _modules_left(argv) == "False False"
     assert (tmp_path / "o" / "enumeration.csv").stat().st_size > 0
+
+
+def test_check_leaves_numpy_ma_unloaded(tmp_path):
+    # np.union1d imports numpy.ma too; the six checks of the north-star run,
+    # the Euler side's kernel among them (|s| < 6.18 at 1e5), do without it
+    argv = ["check", "--variant", "rational-primes", "--bound", "1e5", "--density-a", "1",
+            "--checks", "l1,zhang,little-o,chebyshev,identity,boundary", "--out", str(tmp_path / "o")]
+    assert _modules_left(argv) == "False False"
+    assert json.loads((tmp_path / "o" / "report-identity.json").read_text())["verdict"] == "pass"
 
 
 def test_tracer_wrapped_names_exist():

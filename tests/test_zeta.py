@@ -320,17 +320,33 @@ def test_euler_side_grid_matches_points(method, euler_systems):
                 assert abs(bound - one.truncation_bound) <= 1e-15 * one.truncation_bound
 
 
-def _exact_columns(runs):
-    """The Euler side's run columns: each run of powers cut every RUN_JUMPS."""
-    return int(np.sum(-(-runs // zeta.RUN_JUMPS)))
+def _euler_powers(seq):
+    """The Euler side's kernel list, built apart from it: (near_one, u, j, k),
+    every power u = k log p_j below the reach of the primes not near 1, levels
+    by k sequential sums, k-major and each by descending j into one stable
+    argsort, so u ascends."""
+    reach = float(seq.logs[-1]) + zeta.POWER_REACH
+    near_one = np.searchsorted(seq.logs, reach / zeta.MAX_POWERS)
+    logs = seq.logs[near_one:]
+    u, levels = np.zeros(logs.size), []
+    while n := np.count_nonzero(u + logs[: u.size] < reach):
+        u = u[:n] + logs[:n]
+        levels.append((u[::-1], np.arange(n)[::-1], np.full(n, len(levels) + 1)))
+    order = np.argsort(np.concatenate([u for u, _, _ in levels]), kind="stable")
+    return (near_one, *(np.concatenate(column)[order] for column in zip(*levels)))
+
+
+def _occupied_cells(seq):
+    """The number of cells floor(u r) that hold a power of the Euler side's list."""
+    return np.unique(np.floor(_euler_powers(seq)[1] * _kernel_width(seq))).size
 
 
 def test_euler_side_one_kernel_call(monkeypatch, euler_systems):
-    # one planning pass over the powers at the kernel width r, and one Horner
-    # call for all the kernel's points, if any, whose moments hold exactly one
-    # column per run cut every RUN_JUMPS powers, as _cuts counts them
-    calls, widths, columns = [], [], []
-    kernel, plan = zeta._horner, zeta._cuts
+    # one builder call at the kernel width r, making two passes over the levels,
+    # and one Horner call for all the kernel's points, if any, whose moments
+    # hold exactly one column per occupied cell floor(u r)
+    calls, widths, passes, columns = [], [], [], []
+    kernel, build, levels = zeta._horner, zeta._cell_moments, zeta._levels
 
     def counted(c, moments, s):
         assert c.flags.owndata and moments.flags.owndata  # whole arrays, not a used prefix
@@ -338,50 +354,66 @@ def test_euler_side_one_kernel_call(monkeypatch, euler_systems):
         calls.append(s)
         return kernel(c, moments, s)
 
-    def planned(logs, reach, r):
+    def built(logs, reach, r, log_zeta):
         widths.append(r)
-        cuts, runs = plan(logs, reach, r)
-        columns.append(_exact_columns(runs))
-        return cuts, runs
+        return build(logs, reach, r, log_zeta)
+
+    def passed(*args):
+        passes.append(args)
+        return levels(*args)
 
     monkeypatch.setattr(zeta, "_horner", counted)
-    monkeypatch.setattr(zeta, "_cuts", planned)
+    monkeypatch.setattr(zeta, "_cell_moments", built)
+    monkeypatch.setattr(zeta, "_levels", passed)
     for seq, a in euler_systems:
         r = _kernel_width(seq)
         on_kernel = EULER_GRID[np.abs(EULER_GRID) < r]
         assert on_kernel.size == {9592: 7, 17664: 8}.get(len(seq), 0)  # none on the small systems
+        columns[:] = [_occupied_cells(seq)] if on_kernel.size else []
         for method in (zeta_euler, neg_logderiv):
             calls.clear()
             widths.clear()
-            columns.clear()
+            passes.clear()
             method(seq, EULER_GRID, a)
             assert len(calls) == (on_kernel.size > 0)
             assert widths == [r] * len(calls)
+            assert len(passes) == 2 * len(calls)
             for s in calls:
                 assert np.array_equal(s, on_kernel)
 
 
-def test_euler_side_windows_match_full_list(euler_systems):
-    # the windows of whole runs give, bit for bit, one kernel call over the
-    # whole power list: levels k log p_j by k sequential sums, k-major and each
-    # by descending j into one stable argsort
+def test_euler_side_cells_match_full_list(euler_systems):
+    # against the whole power list sorted at once and binned by floor(u r):
+    # each cell's c is its least power, each moment is within a few ulps of the
+    # exact sum of its terms (all >= 0, as u >= c), and the kernel's values are
+    # within the series' e/20! of sum |w| e^{-sigma u}, plus rounding, of one
+    # kernel call over the whole list (test_long_run_matches_direct_sum)
+    eps = np.finfo(float).eps
     for seq, a in euler_systems:
         r = _kernel_width(seq)
         s = EULER_GRID[np.abs(EULER_GRID) < r]
         if not s.size:
             continue
         reach = float(seq.logs[-1]) + zeta.POWER_REACH
-        near_one = np.searchsorted(seq.logs, reach / zeta.MAX_POWERS)
+        near_one, u, j, k = _euler_powers(seq)
         logs = seq.logs[near_one:]
-        u, levels = np.zeros(logs.size), []
-        while n := np.count_nonzero(u + logs[: u.size] < reach):
-            u = u[:n] + logs[:n]
-            levels.append((u[::-1], np.arange(n)[::-1], np.full(n, len(levels) + 1)))
-        order = np.argsort(np.concatenate([u for u, _, _ in levels]), kind="stable")
-        u, j, k = (np.concatenate(column)[order] for column in zip(*levels))
+        cells = np.floor(u * r)
+        heads = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
+        d = u - np.repeat(u[heads], np.diff(np.append(heads, u.size)))
         for method, w, log_zeta in ((zeta_euler, 1.0 / k, True), (neg_logderiv, logs[j], False)):
-            want = zeta._moment_sum(u, w, s, r) + zeta._per_prime(seq.logs[:near_one], s, log_zeta)
-            assert np.array_equal(method(seq, s, a).value, np.exp(want) if log_zeta else want)
+            c, moments = zeta._cell_moments(logs, reach, r, log_zeta)
+            assert np.array_equal(c, u[heads])
+            terms = w.copy()  # w d^j, j = 0, 1, ...
+            for order, m in enumerate(moments):
+                want = np.array([math.fsum(cell) for cell in np.split(terms, heads[1:])]) / math.factorial(order)
+                assert np.all(np.abs(m - want) <= 8 * eps * want), np.max(np.abs(m - want) / want)
+                terms *= d
+            got = zeta._horner(c, moments, s)
+            want = zeta._moment_sum(u, w, s, r)
+            scale = np.exp(-np.outer(s.real, u)) @ w  # sum |w| e^{-sigma u} at each point
+            assert np.all(np.abs(got - want) <= (math.e / math.factorial(20) + 16 * eps) * scale)
+            got += zeta._per_prime(seq.logs[:near_one], s, log_zeta)
+            assert np.array_equal(method(seq, s, a).value, np.exp(got) if log_zeta else got)
 
 
 def _window_columns():
@@ -391,19 +423,15 @@ def _window_columns():
 
 
 def _euler_moments(primes):
-    """The bytes of the Euler side's run moments and first powers,
-    (TAYLOR_TERMS + 1) floats for each of its exact columns (_cuts' runs)."""
-    logs = primes.logs
-    reach = float(logs[-1]) + zeta.POWER_REACH
-    listed = logs[np.searchsorted(logs, reach / zeta.MAX_POWERS):]
-    _, runs = zeta._cuts(listed, reach, _kernel_width(primes))
-    return 8 * (zeta.TAYLOR_TERMS + 1) * _exact_columns(runs)
+    """The bytes of the Euler side's cell moments and least powers,
+    (TAYLOR_TERMS + 1) floats for each occupied cell."""
+    return 8 * (zeta.TAYLOR_TERMS + 1) * _occupied_cells(primes)
 
 
 def test_euler_side_peak_memory_bounded(rational_1e5, rational_1e6):
     # on the identity's 5 x 4 grid the primes to 1e6 take the kernel, whose
-    # powers go a window of whole runs at a time and hold no level: the traced
-    # peak stays under the runs' moments plus eight columns of a window, and
+    # powers go a batch of RUN_JUMPS at a time and hold no level: the traced
+    # peak stays under the cells' moments plus eight columns of a batch, and
     # from 1e5 to 1e6 it grows by the moments' growth and two blocks at most
     primes, small = rational_1e6.value[0], rational_1e5[0]
     s = (np.linspace(1.5, 3.0, 5)[:, None] + 1j * np.linspace(-5.0, 5.0, 4)).ravel()
