@@ -240,7 +240,7 @@ def common_options(fn):
         click.option("--density-a", type=float, default=None, help="Declared density a > 0."),
         click.option("--out", "output_dir", type=click.Path(), default=None,
                      help="Output directory (default: out)."),
-        click.option("--max-integers", type=int, default=None, help="Capacity limit on enumerated"
+        click.option("--max-integers", type=str, default=None, help="Capacity limit on enumerated"
                      f" integers (default {semigroup.DEFAULT_MAX_INTEGERS})."),
         click.option("--variant", type=click.Choice(VARIANTS), default=None,
                      help="System variant (overrides config)."),

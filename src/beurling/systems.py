@@ -22,9 +22,11 @@ VARIANTS = ("explicit-list", "rational-primes", "single-prime", "scaled-rational
 # conceptually coincides with a jump (e.g. x = 10 against log 2 + log 5) can
 # land within a few ulp of it on either side.  The strict "< x" convention
 # excludes such near-ties: a jump counts only if its log is below
-# log(x) - QUERY_EPS.  The slack dominates the accumulated rounding of the
-# enumeration (kept below 1e-9 absolute by the capacity cap), and explicit
-# lists whose distinct values lie closer than it in log are refused.
+# log(x) - QUERY_EPS, and explicit lists whose distinct values lie closer
+# than it in log are refused.  The slack dominates a row's rounding, about
+# (k + 2) ulp(log B) after k generations, on ordinary systems, but the
+# capacity cap bounds rows, not k: scaled-rational 0.5000001 to 10 takes about
+# 11.5 million generations, some 5e-9 (ROADMAP.md items 3 and 6).
 QUERY_EPS = 1e-9
 
 

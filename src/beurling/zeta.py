@@ -3,15 +3,17 @@ Fourier transforms of the step functions, and the regularized G(s).
 
 Every method takes a point and returns a complex, or takes an array of points
 and returns arrays of its shape.  N and psi are step functions, so every table
-transform is one exact sum sum_k w_k n_k^{-s} over a jump list, which
-``_moment_sum`` evaluates from Taylor moments, or term by term where the
-moments would not pay.  The Euler side sums log zeta (w = 1/k) or
--zeta'/zeta (w = log p) over the prime powers p^k below p_max e^POWER_REACH,
-whose omitted powers are below the rounding: by the moments of the powers
-filed by cell (``_cell_moments``), never sorted, and in closed form per
-prime for the primes near 1 and at points of large |s|.  The only honest
-error is the truncation beyond the enumeration bound B.  Tail models need a declared density a; without one the
-tail model is ``none``, not a guess.
+transform is one exact sum sum_k w_k n_k^{-s} over a jump list.  The Euler
+side sums log zeta (w = 1/k) or -zeta'/zeta (w = log p) over the prime powers
+p^k below p_max e^POWER_REACH, whose omitted powers are below the rounding.
+One builder, ``_cell_moments``, files either list by cell floor(u r) and
+gives each cell its Taylor moments (Odlyzko-Schonhage), which ``_horner``
+evaluates: a table's jumps in sorted slices (``_moment_sum``, term by term
+where the moments would not pay), the Euler side's powers level by level,
+never sorted (closed form per prime for the primes near 1 and at points of
+large |s|).  The only honest error is the truncation beyond the enumeration
+bound B.  Tail models need a declared density a; without one the tail model
+is ``none``, not a guess.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from .errors import DomainError
 from .semigroup import _levels
 from .systems import PrimeSequence
 
-TAYLOR_TERMS = 20  # series terms per run of jumps, or per cell of the Euler side's powers
-KERNEL_CELLS = 1 << 14  # points x runs (or x terms) evaluated at once
-RUN_JUMPS = 1 << 14  # jumps per _moment_sum run at most; the Euler side's primes a block, powers a batch
-DIRECT_RUNS = 0.25  # runs past this share of the terms are summed term by term
+TAYLOR_TERMS = 20  # series terms per cell of the kernel
+KERNEL_CELLS = 1 << 14  # points x cells (or x terms) evaluated at once
+RUN_JUMPS = 1 << 14  # jumps per batch of the moments: a table's jumps a slice, the Euler side's primes a block
+DIRECT_RUNS = 0.25  # a table's cell runs past this share of its jumps are summed term by term
 PRIME_RUNS = 1 / 32  # the Euler side's kernel has as many cells as this share of the primes
 POWER_REACH = 37.0  # the Euler side's list keeps p^k up to k log p = log p_max + 37
 MAX_POWERS = 128  # primes with more powers in reach are summed in closed form
@@ -70,7 +72,7 @@ def _stieltjes_sum(table: CountingTable, u, w, total, s):
     s * integral_1^B W(x) x^{-s-1} dx for the step function W with jumps w_k
     at the n_k.
 
-    All points of a call share the runs 1/r wide, r = max(1, max |s|), so a
+    All points of a call share the cells 1/r wide, r = max(1, max |s|), so a
     grid pays for the moments over the N(B) jumps once.
     """
     s = np.asarray(s, dtype=complex)
@@ -79,94 +81,104 @@ def _stieltjes_sum(table: CountingTable, u, w, total, s):
     return out if out.ndim else complex(out)
 
 
-def _run_starts(u, r, limit):
-    """The index of the first jump of each run of ``u``, or None once the runs
-    outnumber ``limit``; ``counting.BLOCK`` jumps at a time.  A run starts
-    where floor(u r) changes, and again every RUN_JUMPS jumps after such a
-    start, so no run holds more than RUN_JUMPS jumps, whatever the block."""
-    starts, count, last, anchor = [], 0, math.nan, 0
-    for lo in range(0, u.size, counting.BLOCK):
-        cell = u[lo : lo + counting.BLOCK] * r
-        np.floor(cell, out=cell)
-        first = np.empty(cell.size, dtype=bool)
-        first[0] = cell[0] != last
-        np.not_equal(cell[1:], cell[:-1], out=first[1:])
-        heads = np.append(anchor, np.flatnonzero(first) + lo)  # the floor(u r) runs here, from their first jumps
-        tails = np.append(heads[1:], lo + cell.size)
-        long = tails - heads > RUN_JUMPS
-        cuts = [np.arange(a + RUN_JUMPS * max(1, -((a - lo) // RUN_JUMPS)), b, RUN_JUMPS)
-                for a, b in zip(heads[long].tolist(), tails[long].tolist())]
-        starts.append(np.sort(np.concatenate([heads[1:], *cuts])) if cuts else heads[1:])
-        anchor = heads[-1]
-        count += starts[-1].size
-        if count > limit:
-            return None
-        last = cell[-1]
-    return np.concatenate(starts) if starts else np.zeros(0, dtype=np.intp)
-
-
 def _moment_sum(u, w, s, r):
-    """sum_k w_k e^{-s u_k} at each point of the 1-d ``s``, the u cut into runs
-    where floor(u r) is constant, r >= |s|, and at most RUN_JUMPS jumps long.
+    """sum_k w_k e^{-s u_k} at each point of the 1-d ``s``, the sorted jumps
+    ``u`` (weights ``w``, None for 1) filed by :func:`_cell_moments` under
+    cells floor(u r), r >= |s|, RUN_JUMPS jumps a slice.
 
-    A run whose first jump is c sums to e^{-sc} sum_j (-s)^j m_j, with the
-    moments m_j = sum_run w_k (u_k - c)^j / j! shared by all points
-    (Odlyzko-Schonhage).  As |s (u_k - c)| < 1, stopping at TAYLOR_TERMS = 20
-    omits at most e/20! ~ 1.1e-18 of sum_k |w_k| e^{-sigma c}; a run of one
-    jump is exact.  Each (points x runs) block is evaluated by Horner's rule
-    in -s along its rows.  When the runs outnumber DIRECT_RUNS of the jumps,
-    the moments would cost more than they save, and the jumps are summed
-    term by term instead; :func:`_run_starts` stops as soon as they do, so it
-    keeps no more starts than the moments would.  The moments are taken over
-    slices of whole runs, at most ``counting.BLOCK`` jumps each (one run, if
-    it is longer), and each moment sums its run as one ``np.add.reduceat``
-    segment, so no value depends on BLOCK: a call holds
-    O(max(BLOCK, RUN_JUMPS)) floats and the (points x runs) blocks of
-    :func:`_termwise` beside its starts and moments.
+    In a cell whose least jump is c, |s (u_k - c)| < 1, so stopping at
+    TAYLOR_TERMS = 20 omits at most e/20! ~ 1.1e-18 of sum_cell |w_k|
+    e^{-sigma c}, and a cell of one jump is exact.  When the cell runs of the
+    slices pass DIRECT_RUNS of the jumps, the moments would not pay, and the
+    builder stops and the jumps go term by term.  A call holds O(RUN_JUMPS)
+    floats beside the moments and the blocks of :func:`_termwise`.
     """
-    starts = _run_starts(u, r, DIRECT_RUNS * u.size)
-    if starts is None:
+    weights = np.broadcast_to(1.0, u.shape) if w is None else w
+    cells = _cell_moments(lambda: ((u[lo : lo + RUN_JUMPS], weights[lo : lo + RUN_JUMPS])
+                                   for lo in range(0, u.size, RUN_JUMPS)), r, DIRECT_RUNS * u.size)
+    if cells is None:
         def direct(x, cols):
             e = np.exp(x * u[cols])
             return e if w is None else np.multiply(e, w[cols], out=e)
 
         return _termwise(u, s, direct)
-    ends = np.append(starts, u.size)
-    moments = np.empty((TAYLOR_TERMS, starts.size))
-    i = 0
-    while i < starts.size:  # the runs i..j-1, jumps lo..hi-1: at most BLOCK jumps, or one run
-        j = max(i + 1, int(np.searchsorted(ends, ends[i] + counting.BLOCK, side="right")) - 1)
-        lo, hi = ends[i], ends[j]
-        _run_moments(u[lo:hi], None if w is None else w[lo:hi], starts[i:j] - lo, moments[:, i:j])
-        i = j
-    return _horner(u[starts], moments, s)
+    return _horner(*cells, s)
 
 
-def _run_moments(u, w, starts, out):
-    """The moments m_j = sum_run w_k (u_k - c)^j / j!, j < TAYLOR_TERMS, of the
-    runs of the jumps ``u`` (weights ``w``, None for 1) that start at ``starts``,
-    whole runs only, into the columns of ``out``: each run one
-    ``np.add.reduceat`` segment, and a few floats per jump of ``u`` held."""
-    d = np.repeat(u[starts], np.diff(np.append(starts, u.size)))
-    np.subtract(u, d, out=d)  # u_k - c over each run
-    term = np.ones(u.size) if w is None else w.astype(float)
-    for k in range(TAYLOR_TERMS):
-        out[k] = np.add.reduceat(term, starts) / math.factorial(k)
-        term *= d
+def _cell_moments(pieces, r, limit=math.inf):
+    """``(c, moments)`` for :func:`_horner` of the jumps u, weights w, of the
+    ``(u, w)`` pieces that each call ``pieces()`` yields, each u nonempty and
+    ascending: one column per occupied cell floor(u r), by ascending cell, c
+    the cell's least u, so a cell of one jump is exact, and the moments
+    m_j = sum_cell w (u - c)^j / j!, j < TAYLOR_TERMS.  None once the first
+    pass counts more than ``limit`` runs of a piece in one cell.
+
+    The first pass takes each run's cell and least u, the second adds the
+    jumps a batch at a time (:func:`_batches`), each run of a batch in one
+    cell as one ``np.add.reduceat`` segment.  Beside the moments a call
+    holds a float per run of the first pass and a few per jump of a batch.
+    """
+    least, runs = [np.zeros(0)], 0
+    for u, _ in pieces():
+        heads = _cells(u, r)[1]
+        runs += heads.size
+        if runs > limit:
+            return None
+        least.append(u[heads])
+    least = np.concatenate(least)
+    cells, column = np.unique(np.floor(least * r), return_inverse=True)  # as _cells files each run's first u
+    c = np.full(cells.size, math.inf)
+    np.minimum.at(c, column, least)
+    del column, least  # before the moments
+    moments = np.zeros((TAYLOR_TERMS, c.size))
+    for u, w in _batches(pieces()):
+        f, heads = _cells(u, r)
+        cols = np.searchsorted(cells, f)
+        u -= np.repeat(c[cols], np.diff(np.append(heads, u.size)))  # u - c
+        for m in moments:  # a cell may take several segments of a batch
+            np.add.at(m, cols, np.add.reduceat(w, heads))
+            w *= u
+    moments /= np.array([math.factorial(j) for j in range(TAYLOR_TERMS)])[:, None]
+    return c, moments
+
+
+def _cells(u, r):
+    """``(cells, heads)``: floor(u r) of each run of ``u`` in one cell, kept float64
+    as no int cast of a large r u is safe, and the run's first index."""
+    f = u * r
+    np.floor(f, out=f)
+    heads = np.flatnonzero(np.r_[True, f[1:] != f[:-1]])
+    return f[heads], heads
+
+
+def _batches(pieces):
+    """The ``(u, w)`` of ``pieces``, RUN_JUMPS jumps a batch (the last may hold
+    fewer), each batch written over the last."""
+    batch, size = np.empty((2, RUN_JUMPS)), 0
+    for u, w in pieces:
+        while u.size:
+            n = min(u.size, RUN_JUMPS - size)
+            batch[0, size : size + n], batch[1, size : size + n] = u[:n], w[:n]
+            u, w, size = u[n:], w[n:], (size + n) % RUN_JUMPS
+            if not size:
+                yield batch
+    if size:
+        yield batch[:, :size]
 
 
 def _horner(c, moments, s):
-    """sum over the runs of e^{-s c} sum_j (-s)^j m_j, at each point of the 1-d
-    ``s``, the runs' centres ``c`` and ``moments`` from :func:`_run_moments` or
-    :func:`_cell_moments`: Horner's rule in -s along each (points x runs) block
-    of :func:`_termwise`."""
+    """sum over the cells of e^{-s c} sum_j (-s)^j m_j, at each point of the 1-d
+    ``s``, the cells' least jumps ``c`` and ``moments`` from
+    :func:`_cell_moments`: Horner's rule in -s along each (points x cells)
+    block of :func:`_termwise`, two complex blocks at a time."""
     def horner(x, cols):
         acc = moments[-1, cols] * x
         for m in moments[-2:0:-1, cols]:
             acc += m
             acc *= x
         acc += moments[0, cols]
-        return np.multiply(np.exp(x * c[cols]), acc, out=acc)
+        e = x * c[cols]
+        return np.multiply(np.exp(e, out=e), acc, out=acc)
 
     return _termwise(c, s, horner)
 
@@ -241,8 +253,8 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     value[~on_list] = _per_prime(logs, flat[~on_list], log_zeta)
     if np.any(on_list):
         near_one = np.searchsorted(logs, reach / MAX_POWERS)  # log p < reach / MAX_POWERS
-        value[on_list] = (_horner(*_cell_moments(logs[near_one:], reach, r, log_zeta), flat[on_list])
-                          + _per_prime(logs[:near_one], flat[on_list], log_zeta))
+        c, moments = _cell_moments(lambda: _powers(logs[near_one:], reach, log_zeta), r)
+        value[on_list] = _horner(c, moments, flat[on_list]) + _per_prime(logs[:near_one], flat[on_list], log_zeta)
     value = (np.exp(value) if log_zeta else value).reshape(np.shape(s))
     value = value if value.ndim else complex(value)
     model = "finite" if primes.exhaustive else "none" if a is None else "density"
@@ -250,57 +262,12 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
     return ZetaResult(value, bound, model)
 
 
-def _cell_moments(logs, reach, r, log_zeta: bool):
-    """``(c, moments)`` for :func:`_horner` of the powers u = k log p below
-    ``reach`` of the primes ``logs``, one column per occupied cell floor(u r):
-    c is the cell's least power, so a cell of one power is exact, and
-    m_j = sum_cell w (u - c)^j / j!, with w = 1/k (``log_zeta``) or log p.
-    The first pass over the levels (``semigroup._levels``) takes the least
-    powers, the second adds the powers a batch at a time (:func:`_batches`),
-    each run of a batch's powers in one cell as one ``np.add.reduceat`` segment.
-    Beside the moments a call holds a few floats per power of a batch."""
-    least = np.full(int(reach * r) + 1, math.inf)  # floor(u r) <= floor(reach r) for u < reach
-    for _, _, u in _levels(logs, reach, RUN_JUMPS):
-        cells, heads = _cells(u, r)  # one level's powers ascend, so each cell's first is its least
-        least[cells] = np.minimum(least[cells], u[heads])
-    occupied = least < math.inf
-    c, column = least[occupied], np.cumsum(occupied) - 1  # the column of each occupied cell
-    del least  # before the moments
-    moments = np.zeros((TAYLOR_TERMS, c.size))
-    for u, w in _batches(logs, reach, log_zeta):
-        cells, heads = _cells(u, r)
-        cols = column[cells]
-        u -= np.repeat(c[cols], np.diff(np.append(heads, u.size)))  # u - c
-        for m in moments:  # a cell may take several segments of a batch
-            np.add.at(m, cols, np.add.reduceat(w, heads))
-            w *= u
-    moments /= np.array([math.factorial(j) for j in range(TAYLOR_TERMS)])[:, None]
-    return c, moments
-
-
-def _cells(u, r):
-    """``(cells, heads)``: floor(u r) of each run of ``u`` in one cell, and the run's first index."""
-    f = u * r
-    np.floor(f, out=f)
-    heads = np.flatnonzero(np.r_[True, f[1:] != f[:-1]])
-    return f[heads].astype(np.intp), heads
-
-
-def _batches(logs, reach, log_zeta: bool):
-    """``(u, w)``: the levels' powers, RUN_JUMPS primes a block, and their weights,
-    1/k (``log_zeta``) or log p, RUN_JUMPS a batch (the last may hold fewer),
-    each batch written over the last: no value depends on ``counting.BLOCK``."""
-    batch, size = np.empty((2, RUN_JUMPS)), 0
+def _powers(logs, reach, log_zeta: bool):
+    """The Euler side's pieces: each level's powers u = k log p below ``reach``
+    of the primes ``logs``, RUN_JUMPS primes a block (``semigroup._levels``),
+    and their weights, 1/k (``log_zeta``) or log p."""
     for k, lo, u in _levels(logs, reach, RUN_JUMPS):
-        w = np.broadcast_to(1.0 / k, u.shape) if log_zeta else logs[lo : lo + u.size]
-        while u.size:
-            n = min(u.size, RUN_JUMPS - size)
-            batch[0, size : size + n], batch[1, size : size + n] = u[:n], w[:n]
-            u, w, size = u[n:], w[n:], (size + n) % RUN_JUMPS
-            if not size:
-                yield batch
-    if size:
-        yield batch[:, :size]
+        yield u, np.broadcast_to(1.0 / k, u.shape) if log_zeta else logs[lo : lo + u.size]
 
 
 def _per_prime(logs, s, log_zeta: bool):

@@ -258,6 +258,7 @@ BAD_INPUTS = [
     ("max-integers-past-c-int-ini", ["gen"], _system_ini() + "[run]\nmax_integers = 2147483648\n"),
     # an INI integer may be written 1e3, but not with a fraction
     ("max-integers-fraction-ini", ["gen"], _system_ini() + "[run]\nmax_integers = 150.7\n"),
+    ("max-integers-fraction", ["gen", "--max-integers", "150.7"], _system_ini()),
     ("boundary-points-fraction", ["check", "--checks", "boundary"], _system_ini() + "[boundary]\npoints = 200.5\n"),
     # an --out that names a file, or a path under one, cannot be made
     *((f"{command}-out-{where}", [command, *checks, "--out", path], _system_ini())
@@ -286,12 +287,16 @@ def test_bad_input_exits_2_before_writing(runner, tmp_path, argv, ini):
     assert not out.exists() and file.read_text() == "kept"
 
 
-def test_ini_integers_may_be_written_as_floats(tmp_path):
+def test_ini_integers_may_be_written_as_floats(runner, tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(_system_ini() + "[run]\nchecks = boundary\nmax_integers = 1e3\n[boundary]\npoints = 2.01e2\n")
     loaded = load_config(cfg, {})
     assert loaded.max_integers == 1000 and loaded.params["boundary"]["points"] == 201
     assert type(loaded.max_integers) is int and type(loaded.params["boundary"]["points"]) is int
+    # --max-integers reads them by the same rule: 1e3 runs, and 1e1 is 10 rows, too few
+    for flag, code in (("1e3", 0), ("1e1", 3)):
+        res = runner.invoke(main, ["gen", "--config", str(cfg), "--max-integers", flag, "--out", str(tmp_path / flag)])
+        assert res.exit_code == code, res.output
 
 
 def test_near_coincident_primes_error_names_gap(runner, tmp_path):

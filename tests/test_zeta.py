@@ -1,5 +1,6 @@
 import cmath
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -354,9 +355,9 @@ def test_euler_side_one_kernel_call(monkeypatch, euler_systems):
         calls.append(s)
         return kernel(c, moments, s)
 
-    def built(logs, reach, r, log_zeta):
+    def built(pieces, r, limit=math.inf):
         widths.append(r)
-        return build(logs, reach, r, log_zeta)
+        return build(pieces, r, limit)
 
     def passed(*args):
         passes.append(args)
@@ -401,7 +402,7 @@ def test_euler_side_cells_match_full_list(euler_systems):
         heads = np.flatnonzero(np.r_[True, cells[1:] != cells[:-1]])
         d = u - np.repeat(u[heads], np.diff(np.append(heads, u.size)))
         for method, w, log_zeta in ((zeta_euler, 1.0 / k, True), (neg_logderiv, logs[j], False)):
-            c, moments = zeta._cell_moments(logs, reach, r, log_zeta)
+            c, moments = zeta._cell_moments(partial(zeta._powers, logs, reach, log_zeta), r)
             assert np.array_equal(c, u[heads])
             terms = w.copy()  # w d^j, j = 0, 1, ...
             for order, m in enumerate(moments):
@@ -418,7 +419,7 @@ def test_euler_side_cells_match_full_list(euler_systems):
 
 def _window_columns():
     """Eight float64 columns of the largest of BLOCK, RUN_JUMPS and KERNEL_CELLS, in bytes:
-    a kernel call's window of jumps, or its (points x runs) blocks of complex terms."""
+    a kernel call's batch of jumps, or its (points x cells) blocks of complex terms."""
     return 8 * 8 * max(counting.BLOCK, zeta.RUN_JUMPS, zeta.KERNEL_CELLS)
 
 
@@ -443,24 +444,10 @@ def test_euler_side_peak_memory_bounded(rational_1e5, rational_1e6):
         assert peak <= small_peak + _euler_moments(primes) - _euler_moments(small) + 2 * 8 * counting.BLOCK
 
 
-def test_kernel_cuts_long_runs(monkeypatch):
-    # a floor(u r) run is cut every RUN_JUMPS jumps from its first jump, however
-    # the jumps are blocked, so no run is longer
-    u = np.sort(np.random.default_rng(5).choice([0.1, 0.5, 0.9, 2.2, 2.3, 7.5], 60)) + 1e-3 * np.arange(60)
-    natural = np.flatnonzero(np.r_[True, np.floor(u[1:]) != np.floor(u[:-1])])
-    ends = np.append(natural[1:], u.size)
-    want = np.concatenate([np.arange(a, b, 4) for a, b in zip(natural, ends)])
-    assert np.max(np.diff(natural, append=u.size)) > 8  # runs of more than two cuts
-    monkeypatch.setattr(zeta, "RUN_JUMPS", 4)
-    for block in (1, 3, 4, 7, 60, 61):
-        monkeypatch.setattr(counting, "BLOCK", block)
-        assert np.array_equal(zeta._run_starts(u, 1.0, math.inf), want), block
-
-
 def test_long_run_matches_direct_sum(rational_1e6):
-    # at t = +-5 on 1e6 the longest floor(u r) run holds 163,182 jumps, so the
-    # kernel cuts it; the cut runs' sums match the term-by-term sum to within
-    # the series' e/20! of sum |w| e^{-sigma u} plus rounding
+    # at t = +-5 on 1e6 the fullest cell floor(u r) holds 163,182 jumps, across
+    # about ten slices, in one column; the cells' sums match the term-by-term
+    # sum to within the series' e/20! of sum |w| e^{-sigma u} plus rounding
     u = rational_1e6.value[1].jump_logs
     s = 1.0 + 1j * np.array([-5.0, -2.5, 0.0, 2.5, 5.0])
     r = abs(s[0])
@@ -469,6 +456,42 @@ def test_long_run_matches_direct_sum(rational_1e6):
     direct = zeta._termwise(u, s, lambda x, cols: np.exp(x * u[cols]))
     scale = np.sum(np.exp(-u))  # sum |w| e^{-sigma u}, sigma = 1
     assert np.all(np.abs(got - direct) <= (math.e / math.factorial(20) + 16 * np.finfo(float).eps) * scale)
+
+
+def test_kernel_route_counts_occupied_cells(monkeypatch):
+    # six copies of the prime 2 to 9: 84 jumps on four values, 1, 2, 4 and 8.
+    # At |s| = 12 the cell bound floor(r log 8) + 1 = 26 passes DIRECT_RUNS of
+    # the jumps (21), but only four cells are occupied, so the sum takes the
+    # kernel, whose cells of one value each give the direct terms
+    u = table_for([2.0] * 6, 9.0).jump_logs
+    s = np.array([1.0 + 12j, 2.0 - 5j])
+    r = abs(s[0])
+    assert u.size == 84 and math.floor(u[-1] * r) + 1 > zeta.DIRECT_RUNS * u.size
+    columns, kernel = [], zeta._horner
+
+    def counted(c, moments, s):
+        columns.append(c.size)
+        return kernel(c, moments, s)
+
+    monkeypatch.setattr(zeta, "_horner", counted)
+    got = zeta._moment_sum(u, None, s, r)
+    assert columns == [4]
+    direct = zeta._termwise(u, s, lambda x, cols: np.exp(x * u[cols]))
+    assert np.all(np.abs(got - direct) <= 16 * np.finfo(float).eps * u.size)
+
+
+def test_horner_holds_two_blocks():
+    # one point against KERNEL_CELLS cells is one (points x cells) block: the
+    # Horner sum and e^{-sc}, exponentiated in place, are the only complex
+    # blocks a call holds at once, beside the ufunc buffer (np.getbufsize(),
+    # 8192 elements, half a block) that casts each real moment as it is added
+    c = np.linspace(0.0, 1.0, zeta.KERNEL_CELLS)
+    moments = np.ones((zeta.TAYLOR_TERMS, c.size))
+    s = np.array([1.5 + 2j, 3.0 - 1j])
+    block = np.dtype(complex).itemsize * zeta.KERNEL_CELLS
+    peak, got = traced_peak(lambda: zeta._horner(c, moments, s))
+    assert 2 * block <= peak < 2.75 * block, peak / block
+    assert np.array_equal(got, [zeta._horner(c, moments, s[k : k + 1])[0] for k in range(2)])
 
 
 def test_boundary_scan_blocks_match_one_point_at_a_time(rational_1e4, monkeypatch):
@@ -484,15 +507,15 @@ def test_boundary_scan_blocks_match_one_point_at_a_time(rational_1e4, monkeypatc
 
 def test_kernel_blocks_match_single_points(rational_1e4):
     # a point's sum does not depend on the points beside it in a block: at
-    # r = 50 the 401 points take the moments in several (points x runs)
-    # blocks, at r = 1000 the runs pass DIRECT_RUNS of the jumps and the jumps
+    # r = 50 the 401 points take the moments in several (points x cells)
+    # blocks, at r = 1000 the cells pass DIRECT_RUNS of the jumps and the jumps
     # go term by term
     _, t = rational_1e4
     for u, w in ((t.jump_logs, None), (t.psi_logs, t.lambdas)):
         for r, direct in ((50.0, False), (1000.0, True)):
-            runs = np.unique(np.floor(u * r)).size
-            assert (runs > zeta.DIRECT_RUNS * u.size) == direct
-            assert 401 * (u.size if direct else runs) > zeta.KERNEL_CELLS  # more than one block
+            cells = np.unique(np.floor(u * r)).size
+            assert (cells > zeta.DIRECT_RUNS * u.size) == direct
+            assert 401 * (u.size if direct else cells) > zeta.KERNEL_CELLS  # more than one block
             s = 1.0 + 1j * np.linspace(-r, r, 401)
             sums = zeta._moment_sum(u, w, s, r)
             for k in range(0, 401, 20):
@@ -501,11 +524,11 @@ def test_kernel_blocks_match_single_points(rational_1e4):
 
 
 def test_moment_sums_independent_of_slice(monkeypatch):
-    # the moments go over slices of whole runs, so each run is one reduceat
-    # segment however the jumps are sliced: slices of 3 jumps give the values
-    # of one slice over all of them, on the table's runs (t up to 5, and the
-    # 1e4-wide grid, whose runs pass DIRECT_RUNS of the jumps) and on the
-    # Euler side's kernel (|s| below 6.18 on the primes to 1e5)
+    # the moments go RUN_JUMPS jumps a batch, so no value depends on
+    # counting.BLOCK: blocks of 3 jumps give the values of one block over all
+    # of them, on the table's cells (t up to 5, and the 1e4-wide grid, whose
+    # cells pass DIRECT_RUNS of the jumps) and on the Euler side's kernel
+    # (|s| below 6.18 on the primes to 1e5)
     primes = materialize(PrimeSystemSpec.rational(), 1e5)
     table = build_table_from_system(primes, 1e5, 1.0)
     ts = np.concatenate((np.linspace(-5.0, 5.0, 41), np.linspace(-1e4, 1e4, 3)))
@@ -542,9 +565,9 @@ def test_table_transforms_reject_overflowing_phases(method, point):
 
 
 def test_boundary_scan_peak_memory_bounded(rational_1e5, rational_1e6):
-    # the moments go over slices of whole runs of at most BLOCK jumps, and no
-    # run holds more than RUN_JUMPS: eight columns of the larger of those and
-    # KERNEL_CELLS, and from 1e5 to 1e6 the peak grows by two blocks at most
+    # the moments go RUN_JUMPS jumps a slice, however full a cell is: eight
+    # columns of the larger of that and KERNEL_CELLS, and from 1e5 to 1e6 the
+    # peak grows by two blocks at most
     table, small = rational_1e6.value[1], rational_1e5[1]
     peak, small_peak = (traced_peak(lambda: boundary_scan(t, 5.0, points=201, floor=1e-3))[0]
                         for t in (table, small))
@@ -742,8 +765,8 @@ def test_fourier_array_matches_points():
 
 
 def test_boundary_grid_matches_points(rational_1e4):
-    # a long grid cuts the jumps into runs 1/50 wide, a single point into wider
-    # runs; the two must agree far below the scan's floors
+    # a long grid files the jumps in cells 1/50 wide, a single point in wider
+    # cells; the two must agree far below the scan's floors
     _, t = rational_1e4
     scan = boundary_scan(t, 50.0, points=2001, floor=1e-3)
     for tt, v in zip(scan.ts, scan.values):
