@@ -20,8 +20,6 @@ from . import semigroup
 from .semigroup import DEFAULT_MAX_INTEGERS, EnumerationResult
 from .systems import QUERY_EPS, PrimeSequence
 
-BLOCK = 1 << 14  # jumps per pass of a kernel over a jump list, which bounds its temporaries
-
 
 def check_density(a) -> None:
     """The declared-density rule: a is None (no density), or finite and >= 0."""

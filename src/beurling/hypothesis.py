@@ -14,7 +14,7 @@ Verdicts are labeled evidence: no finite enumeration proves convergence or a
 limit at infinity.  All integrand pieces are closed forms; N is constant
 between jumps and |c - ax| changes sign at most once per piece (at x = c/a),
 so each piece splits into at most two signed parts with antiderivative
--c/x - a log x.  The checks on N read the table's jumps ``counting.BLOCK``
+-c/x - a log x.  The checks on N read the table's jumps ``semigroup.BLOCK``
 at a time (:func:`_blocks`), so each holds O(BLOCK) floats plus its query
 points beside the table, and no value depends on BLOCK.  :func:`checks_on_n`
 runs ``l1``, ``zhang`` and ``little-o`` through one block loop: two reads
@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import counting
+from . import semigroup
 from .counting import CountingTable, _below
 
 CONVERGENT = "convergent-evidence"
@@ -104,7 +104,7 @@ def _density(table: CountingTable) -> float:
 
 
 def _blocks(table: CountingTable, a: float):
-    """One read of N's jumps, ``counting.BLOCK`` pieces at a time.
+    """One read of N's jumps, ``semigroup.BLOCK`` pieces at a time.
 
     Piece k is [x_k, x_{k+1}), with x_0 = 1 the unit and x_N = B, and N = k + 1
     on it.  For the pieces lo..hi-1 this yields (lo, u, x, n, h) at the jumps
@@ -115,8 +115,8 @@ def _blocks(table: CountingTable, a: float):
     on BLOCK, and a read holds O(BLOCK) floats beside the table.
     """
     logs, total = table.jump_logs, table.total_count
-    for lo in range(0, total, counting.BLOCK):
-        hi = min(lo + counting.BLOCK, total)
+    for lo in range(0, total, semigroup.BLOCK):
+        hi = min(lo + semigroup.BLOCK, total)
         u = logs[lo : hi + 1] if hi < total else np.append(logs[lo:], table.log_bound)
         x = np.exp(u)
         n = np.arange(lo, hi + 1, dtype=float)
@@ -379,7 +379,7 @@ def chebyshev_verdict(table: CountingTable, x_lo: float, x_hi: float) -> Chebysh
     those are evaluated, making the result grid free.  The jumps are those
     in [x_lo, x_hi) under the strict convention: the right limit of a jump on
     x_hi lies outside the window, and its left limit is the endpoint value.
-    They are read ``counting.BLOCK`` at a time, and max and min are exact, so
+    They are read ``semigroup.BLOCK`` at a time, and max and min are exact, so
     a call holds O(BLOCK) floats and no value depends on BLOCK.
     """
     x_lo, x_hi = float(x_lo), float(x_hi)
@@ -388,8 +388,8 @@ def chebyshev_verdict(table: CountingTable, x_lo: float, x_hi: float) -> Chebysh
     i, j = _below(table.psi_logs, np.log([x_lo, x_hi])).tolist()
     ends = table.cum_lambda[[i, j]] / np.array([x_lo, x_hi])
     ratio_max, ratio_min = float(np.max(ends)), float(np.min(ends))
-    for lo in range(i, j, counting.BLOCK):
-        hi = min(lo + counting.BLOCK, j)
+    for lo in range(i, j, semigroup.BLOCK):
+        hi = min(lo + semigroup.BLOCK, j)
         xj = np.exp(table.psi_logs[lo:hi])
         pref = table.cum_lambda[lo + 1 : hi + 1]  # psi just after each jump
         ratio_max = max(ratio_max, float(np.max(pref / xj)))  # limits from the right

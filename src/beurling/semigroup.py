@@ -13,7 +13,8 @@ then each generation's largest prime indices and child counts, whose runs in
 row order make the next generation.  :func:`jump_arrays` sorts the buffer in
 place; :func:`enumerate_integers` argsorts it first (C int row ids), then
 sorts it in place and scatters the indices, stems and exponents to their
-sorted places, ``counting.BLOCK`` rows or parents at a time.
+sorted places, ``BLOCK`` rows or parents at a time.  ``BLOCK`` sizes every
+memory-bounded loop here and in ``hypothesis``, and no value depends on it.
 The cut :func:`_fits`, shared with the levels (:func:`_levels`) of psi's list
 (:func:`_psi_jumps`) and of ``zeta``'s Euler side, keeps psi's jumps equal to
 their rows' logs bit for bit.  One sort by log value orders the rows.
@@ -45,7 +46,8 @@ from .errors import CapacityError
 from .systems import PrimeSequence
 
 DEFAULT_MAX_INTEGERS = 10**8
-DUMP_BLOCK = 8192  # rows per write_dump block
+BLOCK = 1 << 14  # rows, parents or jumps per pass of a memory-bounded loop; no value depends on it
+DUMP_BLOCK = 8192  # rows per write_dump block, not BLOCK: 16,384 raised its peak by half and ran no faster
 MAX_ROWS = int(np.iinfo(np.intc).max)  # row ids are C int
 
 
@@ -98,12 +100,10 @@ def _generations(primes: PrimeSequence, bound: float, max_count: int):
     exactly the rows.  Past ``max_count`` rows it raises before the buffer grows.
 
     The buffer grows 1.25x, up to ``max_count`` rows.  Beside it a generation
-    holds its parents' and its children's C int columns and O(``counting.BLOCK``)
+    holds its parents' and its children's C int columns and O(``BLOCK``)
     items: :func:`_child_counts` and :func:`_fill_children` go ``BLOCK``
     parents, and ``BLOCK`` children, at a time.
     """
-    from .counting import BLOCK  # counting imports this module
-
     if not math.isfinite(bound) or bound <= 1.0:
         raise ValueError(f"bound must be finite and > 1, got {bound}")
     if bound > primes.bound and not primes.exhaustive:
@@ -116,7 +116,7 @@ def _generations(primes: PrimeSequence, bound: float, max_count: int):
     yield buf
     first, rows, index = 0, 1, np.full(1, -1, np.intc)  # the generation is rows first..rows-1
     while index.size:
-        counts = _child_counts(logs, buf[first:rows], index, log_bound, BLOCK)
+        counts = _child_counts(logs, buf[first:rows], index, log_bound)
         size = int(counts.sum())
         if rows + size > max_count:
             raise CapacityError(f"enumeration exceeded max_count={max_count}")
@@ -124,42 +124,42 @@ def _generations(primes: PrimeSequence, bound: float, max_count: int):
             buf.resize(min(max_count, max(rows + size, buf.size * 5 // 4)), refcheck=False)
         yield index, counts
         children = np.empty(size, np.intc)
-        _fill_children(logs, buf[first:rows], index, counts, buf[rows : rows + size], children, BLOCK)
+        _fill_children(logs, buf[first:rows], index, counts, buf[rows : rows + size], children)
         first, rows, index = rows, rows + size, children
         del counts  # before the next generation's
     buf.resize(rows, refcheck=False)
 
 
-def _child_counts(logs, lv, index, log_bound, block):
+def _child_counts(logs, lv, index, log_bound):
     """Each parent's number of children (C int): p_j for j from its largest
     index while the sum stays below the bound, one run per parent, since logs
     are non-decreasing.  ``lv`` and ``index`` are the parents' logs and largest
     indices.  fl(log B - lv) can admit a j that fails the cut; step back."""
     counts = np.empty(index.size, np.intc)
-    for a in range(0, index.size, block):
-        lo = np.maximum(index[a : a + block], 0)
-        u = lv[a : a + block]
+    for a in range(0, index.size, BLOCK):
+        lo = np.maximum(index[a : a + BLOCK], 0)
+        u = lv[a : a + BLOCK]
         hi = logs.searchsorted(log_bound - u, side="right")
         live = (hi > lo).nonzero()[0]
         while (over := live[~_fits(u[live], logs[hi[live] - 1], log_bound)]).size:
             hi[over] -= 1
             live = over[hi[over] > lo[over]]  # the others still fit
-        counts[a : a + block] = np.maximum(hi - lo, 0)
+        counts[a : a + BLOCK] = np.maximum(hi - lo, 0)
     return counts
 
 
-def _fill_children(logs, lv, index, counts, out, out_index, block):
+def _fill_children(logs, lv, index, counts, out, out_index):
     """Write the children's logs (parent's log plus log p_j, in that order) into
     ``out`` and their j into ``out_index``, the parents' runs in row order.
-    Each piece is at most ``block`` children of at most ``block`` parents."""
+    Each piece is at most ``BLOCK`` children of at most ``BLOCK`` parents."""
     done = 0
-    for a in range(0, index.size, block):
-        k = counts[a : a + block]
+    for a in range(0, index.size, BLOCK):
+        k = counts[a : a + BLOCK]
         edges = np.zeros(k.size + 1, dtype=np.int64)  # parent i's children are edges[i]..edges[i+1]-1
         size = int(k.cumsum(out=edges[1:])[-1])
-        offset = edges[:-1] - np.maximum(index[a : a + block], 0)  # child c of parent i has j = c - offset[i]
-        for c in range(0, size, block):  # the children c..c1-1, of the parents i..i1-1
-            c1 = min(c + block, size)
+        offset = edges[:-1] - np.maximum(index[a : a + BLOCK], 0)  # child c of parent i has j = c - offset[i]
+        for c in range(0, size, BLOCK):  # the children c..c1-1, of the parents i..i1-1
+            c1 = min(c + BLOCK, size)
             i, i1 = edges.searchsorted(c, side="right") - 1, edges.searchsorted(c1 - 1, side="right")
             n = np.minimum(np.maximum(edges[i : i1 + 1], c), c1)
             n = n[1:] - n[:-1]  # each parent's children among c..c1-1
@@ -188,21 +188,16 @@ def _levels(logs, reach, block):
 
 def _psi_jumps(primes: PrimeSequence, bound: float):
     """psi's jumps below ``bound``: the prime powers' logs and Lambda, log p_j.
-    The levels' blocks (:func:`_levels`) go k-major, each by descending j, into
-    one stable argsort, so equal logs come by descending j, the rows' tie
+    The levels' blocks (:func:`_levels`) and their j go k-major, each by descending
+    j, into one stable argsort, so equal logs come by descending j, the rows' tie
     order: of two equal powers, the smaller j holds more factors."""
-    from .counting import BLOCK  # counting imports this module
-
     logs = primes.logs
     blocks = sorted(_levels(logs, math.log(bound), BLOCK), key=lambda b: (b[0], -b[1]))  # k-major, descending j
     u = np.concatenate([logs[:0]] + [level[::-1] for _, _, level in blocks])
-    ends = np.cumsum([0] + [level.size for _, _, level in blocks])  # block q fills ends[q]:ends[q + 1]
-    order = np.argsort(u, kind="stable")
-    u = u[order]
-    j = np.searchsorted(ends, order, side="right")
-    j -= 1  # the block of each
-    np.take(np.array([lo + level.size - 1 for _, lo, level in blocks], dtype=np.intp) + ends[:-1], j, out=j)
-    j -= order  # block q holds j = lo + size - 1, ..., lo
+    j = np.concatenate([np.arange(0)] + [np.arange(lo + level.size - 1, lo - 1, -1) for _, lo, level in blocks])
+    del blocks
+    j = j[np.argsort(u, kind="stable")]
+    u.sort()  # equal logs share their bits, so their order does not show
     return u, logs[j]
 
 
@@ -229,13 +224,13 @@ def _preorder(counts):
     return rank
 
 
-def _tie_order(logs, order, rank, block):
+def _tie_order(logs, order, rank):
     """Reorder ``order`` so that each tie group of the sorted ``logs`` goes by
-    descending ``rank``, ``block`` rows or so at a time, each block cut at the
+    descending ``rank``, ``BLOCK`` rows or so at a time, each block cut at the
     end of the group of its last row (see the module docstring)."""
     rows, a = logs.size, 0
     while a < rows:
-        b = int(logs.searchsorted(logs[min(a + block, rows) - 1], side="right"))
+        b = int(logs.searchsorted(logs[min(a + BLOCK, rows) - 1], side="right"))
         change = logs[a + 1 : b] != logs[a : b - 1]
         if not change.all():  # a block with no tie keeps its order
             key = np.zeros(b - a, dtype=np.int64)
@@ -256,8 +251,6 @@ def enumerate_integers(
     tree.  Raises :class:`CapacityError` past ``max_count``, and ``ValueError``
     for a ``max_count`` above ``MAX_ROWS``.
     """
-    from .counting import BLOCK  # counting imports this module
-
     generations = _generations(primes, bound, max_count)
     logs = next(generations)
     index, counts = (list(c) for c in zip(*generations))
@@ -265,7 +258,7 @@ def enumerate_integers(
     order = np.argsort(logs).astype(np.intc)
     logs.sort()
     if np.any(logs[1:] == logs[:-1]):
-        _tie_order(logs, order, _preorder(counts), BLOCK)
+        _tie_order(logs, order, _preorder(counts))
     # Each row's sorted place (rows in generation order), and the prime indices
     # in sorted order, BLOCK sorted places at a time.
     sizes, index = [j.size for j in index], np.concatenate(index)

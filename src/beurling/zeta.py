@@ -11,9 +11,9 @@ gives each cell its Taylor moments (Odlyzko-Schonhage), which ``_horner``
 evaluates: a table's jumps in sorted slices (``_moment_sum``, term by term
 where the moments would not pay), the Euler side's powers level by level,
 never sorted (closed form per prime for the primes near 1 and at points of
-large |s|).  The only honest error is the truncation beyond the enumeration
-bound B.  Tail models need a declared density a; without one the tail model
-is ``none``, not a guess.
+large |s|), all of it KERNEL_BLOCK items a block.  The only honest error is
+the truncation beyond the enumeration bound B.  Tail models need a declared
+density a; without one the tail model is ``none``, not a guess.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from .semigroup import _levels
 from .systems import PrimeSequence
 
 TAYLOR_TERMS = 20  # series terms per cell of the kernel
-KERNEL_CELLS = 1 << 14  # points x cells (or x terms) evaluated at once
-RUN_JUMPS = 1 << 14  # jumps per batch of the moments: a table's jumps a slice, the Euler side's primes a block
+KERNEL_BLOCK = 1 << 14  # jumps, primes or points x cells per kernel block: unlike semigroup.BLOCK, it shapes rounding
 DIRECT_RUNS = 0.25  # a table's cell runs past this share of its jumps are summed term by term
 PRIME_RUNS = 1 / 32  # the Euler side's kernel has as many cells as this share of the primes
 POWER_REACH = 37.0  # the Euler side's list keeps p^k up to k log p = log p_max + 37
@@ -84,18 +83,18 @@ def _stieltjes_sum(table: CountingTable, u, w, total, s):
 def _moment_sum(u, w, s, r):
     """sum_k w_k e^{-s u_k} at each point of the 1-d ``s``, the sorted jumps
     ``u`` (weights ``w``, None for 1) filed by :func:`_cell_moments` under
-    cells floor(u r), r >= |s|, RUN_JUMPS jumps a slice.
+    cells floor(u r), r >= |s|, KERNEL_BLOCK jumps a slice.
 
     In a cell whose least jump is c, |s (u_k - c)| < 1, so stopping at
     TAYLOR_TERMS = 20 omits at most e/20! ~ 1.1e-18 of sum_cell |w_k|
     e^{-sigma c}, and a cell of one jump is exact.  When the cell runs of the
     slices pass DIRECT_RUNS of the jumps, the moments would not pay, and the
-    builder stops and the jumps go term by term.  A call holds O(RUN_JUMPS)
-    floats beside the moments and the blocks of :func:`_termwise`.
+    builder stops and the jumps go term by term.  A call holds O(KERNEL_BLOCK)
+    floats beside the moments.
     """
     weights = np.broadcast_to(1.0, u.shape) if w is None else w
-    cells = _cell_moments(lambda: ((u[lo : lo + RUN_JUMPS], weights[lo : lo + RUN_JUMPS])
-                                   for lo in range(0, u.size, RUN_JUMPS)), r, DIRECT_RUNS * u.size)
+    cells = _cell_moments(lambda: ((u[lo : lo + KERNEL_BLOCK], weights[lo : lo + KERNEL_BLOCK])
+                                   for lo in range(0, u.size, KERNEL_BLOCK)), r, DIRECT_RUNS * u.size)
     if cells is None:
         def direct(x, cols):
             e = np.exp(x * u[cols])
@@ -152,14 +151,14 @@ def _cells(u, r):
 
 
 def _batches(pieces):
-    """The ``(u, w)`` of ``pieces``, RUN_JUMPS jumps a batch (the last may hold
+    """The ``(u, w)`` of ``pieces``, KERNEL_BLOCK jumps a batch (the last may hold
     fewer), each batch written over the last."""
-    batch, size = np.empty((2, RUN_JUMPS)), 0
+    batch, size = np.empty((2, KERNEL_BLOCK)), 0
     for u, w in pieces:
         while u.size:
-            n = min(u.size, RUN_JUMPS - size)
+            n = min(u.size, KERNEL_BLOCK - size)
             batch[0, size : size + n], batch[1, size : size + n] = u[:n], w[:n]
-            u, w, size = u[n:], w[n:], (size + n) % RUN_JUMPS
+            u, w, size = u[n:], w[n:], (size + n) % KERNEL_BLOCK
             if not size:
                 yield batch
     if size:
@@ -187,12 +186,12 @@ def _termwise(u, s, terms):
     """sum over the columns of ``terms(x, cols)``, the terms at the points
     x = -s (a column) and at u[cols], at each point of the 1-d ``s``.
 
-    The (points x u) matrix goes in blocks of at most KERNEL_CELLS cells, and a
+    The (points x u) matrix goes in blocks of at most KERNEL_BLOCK cells, and a
     point's blocks and their order depend on u alone, so each point's sum does
     not depend on the others.
     """
-    rows = max(1, KERNEL_CELLS // max(1, u.size))
-    cols = max(1, KERNEL_CELLS // rows)
+    rows = max(1, KERNEL_BLOCK // max(1, u.size))
+    cols = max(1, KERNEL_BLOCK // rows)
     out = np.zeros(s.size, dtype=complex)
     x = -s.reshape(-1, 1)
     for i in range(0, s.size, rows):
@@ -264,9 +263,9 @@ def _euler_side(primes: PrimeSequence, s, a, log_zeta: bool, density_bound) -> Z
 
 def _powers(logs, reach, log_zeta: bool):
     """The Euler side's pieces: each level's powers u = k log p below ``reach``
-    of the primes ``logs``, RUN_JUMPS primes a block (``semigroup._levels``),
+    of the primes ``logs``, KERNEL_BLOCK primes a block (``semigroup._levels``),
     and their weights, 1/k (``log_zeta``) or log p."""
-    for k, lo, u in _levels(logs, reach, RUN_JUMPS):
+    for k, lo, u in _levels(logs, reach, KERNEL_BLOCK):
         yield u, np.broadcast_to(1.0 / k, u.shape) if log_zeta else logs[lo : lo + u.size]
 
 

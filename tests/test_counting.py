@@ -9,6 +9,7 @@ from beurling import (
     build_table_from_system,
     enumerate_integers,
     materialize,
+    semigroup,
 )
 from beurling.counting import QUERY_EPS, CountingTable, write_counting_csv
 from beurling.hypothesis import ChebyshevReport, chebyshev_verdict
@@ -53,18 +54,25 @@ def _prime_powers_below(values, bound):
     return count
 
 
-@pytest.mark.parametrize("spec, bound", [
-    (PrimeSystemSpec.explicit([2, 2, 3]), 50.0),
-    (PrimeSystemSpec.single(2), 2.0**10),
-    (PrimeSystemSpec.rational(), 1e4),
-    (PrimeSystemSpec.explicit([2, 4, 8]), 1e4),  # distinct primes with equal powers
-    (PrimeSystemSpec.scaled_rational(0.6), 1e4),  # primes below 2
-    (PrimeSystemSpec.explicit([1.0001, 2]), 3.0),  # a deep chain near 1: 10,986 levels in one block
-], ids=["explicit-2-2-3", "single-2", "rational", "explicit-2-4-8", "scaled-0.6", "near-one"])
-def test_psi_list_matches_per_jump_oracle(spec, bound):
+@pytest.mark.parametrize("spec, bound, block", [
+    (PrimeSystemSpec.explicit([2, 2, 3]), 50.0, None),
+    (PrimeSystemSpec.single(2), 2.0**10, None),
+    (PrimeSystemSpec.rational(), 1e4, None),
+    (PrimeSystemSpec.explicit([2, 4, 8]), 1e4, None),  # distinct primes with equal powers
+    (PrimeSystemSpec.scaled_rational(0.6), 1e4, None),  # primes below 2
+    (PrimeSystemSpec.explicit([1.0001, 2]), 3.0, None),  # a deep chain near 1: 10,986 levels in one block
+    # two primes a level block: the primes 3 and 8 start blocks of their own,
+    # and 64 = 2^6 = 4^3 = 8^2 come from three level blocks
+    (PrimeSystemSpec.explicit([2, 2, 3]), 50.0, 2),
+    (PrimeSystemSpec.explicit([2, 4, 8]), 1e4, 2),
+], ids=["explicit-2-2-3", "single-2", "rational", "explicit-2-4-8", "scaled-0.6", "near-one",
+        "explicit-2-2-3-block-2", "explicit-2-4-8-block-2"])
+def test_psi_list_matches_per_jump_oracle(spec, bound, block, monkeypatch):
     # psi's jump list holds exactly the enumeration's prime-power rows (stem 0,
     # the unit excluded) in row order, and every psi query equals the per-jump
     # cumulative sum over all N(B) rows
+    if block is not None:
+        monkeypatch.setattr(semigroup, "BLOCK", block)
     seq = materialize(spec, bound)
     en = enumerate_integers(seq, bound)
     t = build_table(en, seq, a=1.0)

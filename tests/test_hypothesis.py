@@ -15,7 +15,7 @@ from beurling import (
     tail_sup,
     zhang_condition,
 )
-from beurling import counting, hypothesis
+from beurling import hypothesis, semigroup
 from beurling.hypothesis import (
     CONSISTENT,
     CONVERGENT,
@@ -455,13 +455,13 @@ def test_integral_reports_independent_of_block(rational_2000, monkeypatch):
     # integers), one block short of N(B), and one block past it; on the
     # single prime 2 with a small a the edge jumps' one-sided limits set
     # little-o's window sups
-    default = counting.BLOCK
+    default = semigroup.BLOCK
     single = build_table_from_system(materialize(PrimeSystemSpec.single(2.0), 2.0**12), 2.0**12, 1e-3)
     for table in (rational_2000, table_for([2.0, 2.0, 3.0], 3000.0, a=1.0), single):
-        monkeypatch.setattr(counting, "BLOCK", default)
+        monkeypatch.setattr(semigroup, "BLOCK", default)
         want = _checks_on_n(table)
         for block in (7, table.total_count - 1, table.total_count + 5):
-            monkeypatch.setattr(counting, "BLOCK", block)
+            monkeypatch.setattr(semigroup, "BLOCK", block)
             assert _checks_on_n(table) == want, block
 
 
@@ -481,7 +481,7 @@ def test_check_peak_memory_bounded(rational_1e5, rational_1e6, check):
     small, table = rational_1e5[1], rational_1e6.value[1]
     peak = traced_peak(lambda: check(table))[0]
     assert peak < 8 * table.total_count, peak / (8 * table.total_count)
-    assert peak <= traced_peak(lambda: check(small))[0] + 2 * 8 * counting.BLOCK
+    assert peak <= traced_peak(lambda: check(small))[0] + 2 * 8 * semigroup.BLOCK
     if name == "checks_on_n":  # each check's block temporaries go before the next one's come
         alone = max(traced_peak(lambda: f(table))[0] for f in (l1_condition, zhang_condition, little_o_trend))
-        assert peak <= alone + 2 * 8 * counting.BLOCK, (peak - alone) / (8 * counting.BLOCK)
+        assert peak <= alone + 2 * 8 * semigroup.BLOCK, (peak - alone) / (8 * semigroup.BLOCK)

@@ -10,7 +10,6 @@ from beurling import (
     PrimeSystemSpec,
     build_table,
     build_table_from_system,
-    counting,
     enumerate_integers,
     jump_arrays,
     materialize,
@@ -308,7 +307,7 @@ def test_tie_order_across_block_edges(monkeypatch, values, bound):
     # end of the group of its last row: at BLOCK = 7 most blocks end inside a
     # group, some groups are longer than a block, and no column changes.
     whole = enumerate_integers(system(values, bound), bound)
-    monkeypatch.setattr(counting, "BLOCK", 7)
+    monkeypatch.setattr(semigroup, "BLOCK", 7)
     _, blocks = assert_rows_match_oracle(values, bound)
     logs = blocks.logs
     assert np.diff(np.flatnonzero(np.r_[True, logs[1:] != logs[:-1], True])).max() > 7
@@ -360,7 +359,7 @@ def test_capacity_error_before_the_buffer_grows(monkeypatch):
     # holds more than max_count rows
     primes = materialize(PrimeSystemSpec.rational(), 1e5)
     whole, en = jump_arrays(primes, 1e5)[0], enumerate_integers(primes, 1e5)
-    monkeypatch.setattr(counting, "BLOCK", 7)
+    monkeypatch.setattr(semigroup, "BLOCK", 7)
     for enumerate_ in (enumerate_integers, jump_arrays):
         with pytest.raises(CapacityError):
             enumerate_(primes, 1e5, max_count=whole.size - 1)

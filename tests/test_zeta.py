@@ -22,7 +22,7 @@ from beurling import (
     zeta_euler,
     zeta_stieltjes,
 )
-from beurling import counting, semigroup, zeta
+from beurling import semigroup, zeta
 from beurling.zeta import _stieltjes_sum
 from conftest import traced_peak
 
@@ -418,9 +418,9 @@ def test_euler_side_cells_match_full_list(euler_systems):
 
 
 def _window_columns():
-    """Eight float64 columns of the largest of BLOCK, RUN_JUMPS and KERNEL_CELLS, in bytes:
+    """Eight float64 columns of the larger of BLOCK and KERNEL_BLOCK, in bytes:
     a kernel call's batch of jumps, or its (points x cells) blocks of complex terms."""
-    return 8 * 8 * max(counting.BLOCK, zeta.RUN_JUMPS, zeta.KERNEL_CELLS)
+    return 8 * 8 * max(semigroup.BLOCK, zeta.KERNEL_BLOCK)
 
 
 def _euler_moments(primes):
@@ -431,7 +431,7 @@ def _euler_moments(primes):
 
 def test_euler_side_peak_memory_bounded(rational_1e5, rational_1e6):
     # on the identity's 5 x 4 grid the primes to 1e6 take the kernel, whose
-    # powers go a batch of RUN_JUMPS at a time and hold no level: the traced
+    # powers go a batch of KERNEL_BLOCK at a time and hold no level: the traced
     # peak stays under the cells' moments plus eight columns of a batch, and
     # from 1e5 to 1e6 it grows by the moments' growth and two blocks at most
     primes, small = rational_1e6.value[0], rational_1e5[0]
@@ -441,7 +441,7 @@ def test_euler_side_peak_memory_bounded(rational_1e5, rational_1e6):
         method(small, s, 1.0)  # zeta_euler's first call imports scipy
         peak, small_peak = (traced_peak(lambda: method(p, s, 1.0))[0] for p in (primes, small))
         assert peak < _euler_moments(primes) + _window_columns(), peak
-        assert peak <= small_peak + _euler_moments(primes) - _euler_moments(small) + 2 * 8 * counting.BLOCK
+        assert peak <= small_peak + _euler_moments(primes) - _euler_moments(small) + 2 * 8 * semigroup.BLOCK
 
 
 def test_long_run_matches_direct_sum(rational_1e6):
@@ -451,7 +451,7 @@ def test_long_run_matches_direct_sum(rational_1e6):
     u = rational_1e6.value[1].jump_logs
     s = 1.0 + 1j * np.array([-5.0, -2.5, 0.0, 2.5, 5.0])
     r = abs(s[0])
-    assert np.max(np.unique(np.floor(u * r), return_counts=True)[1]) > 8 * zeta.RUN_JUMPS
+    assert np.max(np.unique(np.floor(u * r), return_counts=True)[1]) > 8 * zeta.KERNEL_BLOCK
     got = zeta._moment_sum(u, None, s, r)
     direct = zeta._termwise(u, s, lambda x, cols: np.exp(x * u[cols]))
     scale = np.sum(np.exp(-u))  # sum |w| e^{-sigma u}, sigma = 1
@@ -481,14 +481,14 @@ def test_kernel_route_counts_occupied_cells(monkeypatch):
 
 
 def test_horner_holds_two_blocks():
-    # one point against KERNEL_CELLS cells is one (points x cells) block: the
+    # one point against KERNEL_BLOCK cells is one (points x cells) block: the
     # Horner sum and e^{-sc}, exponentiated in place, are the only complex
     # blocks a call holds at once, beside the ufunc buffer (np.getbufsize(),
     # 8192 elements, half a block) that casts each real moment as it is added
-    c = np.linspace(0.0, 1.0, zeta.KERNEL_CELLS)
+    c = np.linspace(0.0, 1.0, zeta.KERNEL_BLOCK)
     moments = np.ones((zeta.TAYLOR_TERMS, c.size))
     s = np.array([1.5 + 2j, 3.0 - 1j])
-    block = np.dtype(complex).itemsize * zeta.KERNEL_CELLS
+    block = np.dtype(complex).itemsize * zeta.KERNEL_BLOCK
     peak, got = traced_peak(lambda: zeta._horner(c, moments, s))
     assert 2 * block <= peak < 2.75 * block, peak / block
     assert np.array_equal(got, [zeta._horner(c, moments, s[k : k + 1])[0] for k in range(2)])
@@ -498,9 +498,9 @@ def test_boundary_scan_blocks_match_one_point_at_a_time(rational_1e4, monkeypatc
     # at t_max = 1e3 the 201 points take several (points x terms) blocks; with
     # blocks one point high each point gets the same value
     _, t = rational_1e4
-    assert 201 * t.jump_logs.size > 4 * zeta.KERNEL_CELLS
+    assert 201 * t.jump_logs.size > 4 * zeta.KERNEL_BLOCK
     blocks = boundary_scan(t, 1e3, points=201, floor=1e-3).values
-    monkeypatch.setattr(zeta, "KERNEL_CELLS", t.jump_logs.size)
+    monkeypatch.setattr(zeta, "KERNEL_BLOCK", t.jump_logs.size)
     one_by_one = boundary_scan(t, 1e3, points=201, floor=1e-3).values
     assert np.all(np.abs(blocks - one_by_one) <= 1e-15 * np.abs(one_by_one))
 
@@ -515,7 +515,7 @@ def test_kernel_blocks_match_single_points(rational_1e4):
         for r, direct in ((50.0, False), (1000.0, True)):
             cells = np.unique(np.floor(u * r)).size
             assert (cells > zeta.DIRECT_RUNS * u.size) == direct
-            assert 401 * (u.size if direct else cells) > zeta.KERNEL_CELLS  # more than one block
+            assert 401 * (u.size if direct else cells) > zeta.KERNEL_BLOCK  # more than one block
             s = 1.0 + 1j * np.linspace(-r, r, 401)
             sums = zeta._moment_sum(u, w, s, r)
             for k in range(0, 401, 20):
@@ -524,23 +524,24 @@ def test_kernel_blocks_match_single_points(rational_1e4):
 
 
 def test_moment_sums_independent_of_slice(monkeypatch):
-    # the moments go RUN_JUMPS jumps a batch, so no value depends on
-    # counting.BLOCK: blocks of 3 jumps give the values of one block over all
-    # of them, on the table's cells (t up to 5, and the 1e4-wide grid, whose
-    # cells pass DIRECT_RUNS of the jumps) and on the Euler side's kernel
-    # (|s| below 6.18 on the primes to 1e5)
-    primes = materialize(PrimeSystemSpec.rational(), 1e5)
-    table = build_table_from_system(primes, 1e5, 1.0)
+    # no value depends on semigroup.BLOCK, from the build on: primes and table
+    # built and summed in blocks of 3 give the values of one block over all
+    # the rows, on the cells of N's and psi's jumps (t up to 5, and the
+    # 1e4-wide grid, whose cells pass DIRECT_RUNS of the jumps) and on the
+    # Euler side's kernel (|s| below 6.18 on the primes to 1e5)
     ts = np.concatenate((np.linspace(-5.0, 5.0, 41), np.linspace(-1e4, 1e4, 3)))
     s = (np.array([1.1, 1.5, 3.0])[:, None] + 1j * np.linspace(-5.0, 5.0, 5)).ravel()
 
     def values():
-        return (fourier_E1_boundary(table, ts), zeta_stieltjes(table, s).value,
-                neg_logderiv(primes, s).value)
+        primes = materialize(PrimeSystemSpec.rational(), 1e5)
+        table = build_table_from_system(primes, 1e5, 1.0)
+        return (table.total_count, fourier_E1_boundary(table, ts), zeta_stieltjes(table, s).value,
+                laplace_psi(table, s), neg_logderiv(primes, s).value)
 
-    monkeypatch.setattr(counting, "BLOCK", table.total_count + 1)
+    monkeypatch.setattr(semigroup, "BLOCK", 100_000 + 1)  # N(B) + 1 rows: one block
     whole = values()
-    monkeypatch.setattr(counting, "BLOCK", 3)
+    assert whole[0] == 100_000
+    monkeypatch.setattr(semigroup, "BLOCK", 3)
     for got, want in zip(values(), whole):
         assert np.array_equal(got, want)
 
@@ -565,14 +566,14 @@ def test_table_transforms_reject_overflowing_phases(method, point):
 
 
 def test_boundary_scan_peak_memory_bounded(rational_1e5, rational_1e6):
-    # the moments go RUN_JUMPS jumps a slice, however full a cell is: eight
-    # columns of the larger of that and KERNEL_CELLS, and from 1e5 to 1e6 the
+    # the moments go KERNEL_BLOCK jumps a slice, however full a cell is: eight
+    # columns of the larger of that and BLOCK, and from 1e5 to 1e6 the
     # peak grows by two blocks at most
     table, small = rational_1e6.value[1], rational_1e5[1]
     peak, small_peak = (traced_peak(lambda: boundary_scan(t, 5.0, points=201, floor=1e-3))[0]
                         for t in (table, small))
     assert peak < _window_columns(), peak
-    assert peak <= small_peak + 2 * 8 * counting.BLOCK
+    assert peak <= small_peak + 2 * 8 * semigroup.BLOCK
 
 # --- Laplace transform of psi ---
 
